@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint tracelint guestlint fmt vet build test bench bench-cpu bench-obs bench-stream bench-dataflow
+.PHONY: check lint tracelint guestlint fmt vet build test bench bench-stream bench-dataflow
 
 # check is the tier-1 gate: formatting, vet, build, the full test
 # suite, fuzz smoke, and the lint gate. CI and pre-commit should run
@@ -40,18 +40,6 @@ test:
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...
-
-# bench-cpu measures raw interpreter speed (reference vs predecode vs
-# superblock engine over untraced and traced sed + lisp boots) and
-# rewrites BENCH_cpu.json.
-bench-cpu:
-	$(GO) run ./cmd/benchcpu -out BENCH_cpu.json
-
-# bench-obs measures observability overhead (flight recorder off/on,
-# guest-PC profiler on) against the BENCH_cpu.json predecode baseline
-# and rewrites BENCH_obs.json; fails if recorder-on drops below 97%.
-bench-obs:
-	$(GO) run ./cmd/benchcpu -mode obs -out BENCH_obs.json -count 8
 
 # bench-stream compares the trace drains (two-phase vs epoch-ring
 # streaming, raw and compressed) over the full prediction pipeline and

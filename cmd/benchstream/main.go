@@ -3,8 +3,7 @@
 // and compressed — over full traced boots of the sed + lisp workload
 // pair running the complete prediction pipeline (parse, conformance,
 // memory-system simulation). It writes BENCH_stream.json in the same
-// shape as BENCH_cpu.json so the benchmark reports sit side by side in
-// the repo root.
+// shape as the other BENCH_*.json reports in the repo root.
 //
 // Two clocks are reported per cell. Simulated machine cycles are
 // deterministic: the streaming drain hides the per-word analysis
@@ -141,7 +140,7 @@ func main() {
 	}
 
 	// Configs are interleaved round-robin rather than run as
-	// consecutive blocks (as benchcpu -mode obs does): host-load noise
+	// consecutive blocks: host-load noise
 	// dwarfs the effect being measured, and blocking a config's runs
 	// together would let one noisy interval masquerade as a config
 	// difference. Best-of-count per cell then discards the noise; the

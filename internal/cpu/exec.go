@@ -297,7 +297,6 @@ func (c *CPU) StepN(max uint64) uint64 {
 	// only thing that can change them mid-batch is a store into the
 	// executing frame, and dropFrame raises pdExit for exactly that.
 	vpage := c.icache.vpage
-	g := &c.GPR
 	if ipd == nil || c.pdExit || c.Halted {
 		// The superblock ended the batch (or rolled the frame cache
 		// over while building); the per-uop loop must not run.
@@ -322,202 +321,8 @@ func (c *CPU) StepN(max uint64) uint64 {
 		} else {
 			c.CP0.Random--
 		}
-		// The hot opcodes are dispatched inline (no observer can be
-		// attached here, so the load/store cases skip the event hooks
-		// and go straight for the cached page slice); everything else
-		// funnels through execU, the single canonical implementation.
-		// Each inline case mirrors its execU twin exactly, including
-		// the trailing g[0] = 0 that non-store instructions perform.
-		ok := true
-		switch u.op {
-		case pdADDU:
-			g[u.rd] = g[u.rs] + g[u.rt]
-			g[0] = 0
-		case pdADDIU:
-			g[u.rt] = g[u.rs] + u.imm
-			g[0] = 0
-		case pdLW:
-			va := g[u.rs] + u.imm
-			if va&EntryHiVPN == c.dcache.vpage && va&3 == 0 && c.dcache.ram != nil {
-				r := c.dcache.ram
-				off := va & (PageSize - 1)
-				g[u.rt] = uint32(r[off])<<24 | uint32(r[off+1])<<16 | uint32(r[off+2])<<8 | uint32(r[off+3])
-				g[0] = 0
-			} else if v, lok := c.load(va, 4); lok {
-				g[u.rt] = uint32(v)
-				g[0] = 0
-			} else {
-				ok = false
-			}
-		case pdSW:
-			va := g[u.rs] + u.imm
-			if va&EntryHiVPN == c.wcache.vpage && va&3 == 0 && c.wcache.ram != nil {
-				if fn := c.wcache.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
-					c.dropFrame(fn)
-				}
-				r := c.wcache.ram
-				off := va & (PageSize - 1)
-				v := g[u.rt]
-				r[off] = byte(v >> 24)
-				r[off+1] = byte(v >> 16)
-				r[off+2] = byte(v >> 8)
-				r[off+3] = byte(v)
-			} else {
-				ok = c.store(va, 4, uint64(g[u.rt]))
-			}
-		case pdBEQ:
-			if g[u.rs] == g[u.rt] {
-				c.branch(pc + 4 + u.imm)
-			} else {
-				c.branch(pc + 8)
-			}
-			g[0] = 0
-		case pdBNE:
-			if g[u.rs] != g[u.rt] {
-				c.branch(pc + 4 + u.imm)
-			} else {
-				c.branch(pc + 8)
-			}
-			g[0] = 0
-		case pdSLL:
-			g[u.rd] = g[u.rt] << u.sh
-			g[0] = 0
-		case pdSRL:
-			g[u.rd] = g[u.rt] >> u.sh
-			g[0] = 0
-		case pdSRA:
-			g[u.rd] = uint32(int32(g[u.rt]) >> u.sh)
-			g[0] = 0
-		case pdJR:
-			c.branch(g[u.rs])
-			g[0] = 0
-		case pdJALR:
-			t := g[u.rs]
-			g[u.rd] = pc + 8
-			c.branch(t)
-			g[0] = 0
-		case pdSUBU:
-			g[u.rd] = g[u.rs] - g[u.rt]
-			g[0] = 0
-		case pdAND:
-			g[u.rd] = g[u.rs] & g[u.rt]
-			g[0] = 0
-		case pdOR:
-			g[u.rd] = g[u.rs] | g[u.rt]
-			g[0] = 0
-		case pdXOR:
-			g[u.rd] = g[u.rs] ^ g[u.rt]
-			g[0] = 0
-		case pdSLT:
-			if int32(g[u.rs]) < int32(g[u.rt]) {
-				g[u.rd] = 1
-			} else {
-				g[u.rd] = 0
-			}
-			g[0] = 0
-		case pdSLTU:
-			if g[u.rs] < g[u.rt] {
-				g[u.rd] = 1
-			} else {
-				g[u.rd] = 0
-			}
-			g[0] = 0
-		case pdBLTZ:
-			if int32(g[u.rs]) < 0 {
-				c.branch(pc + 4 + u.imm)
-			} else {
-				c.branch(pc + 8)
-			}
-			g[0] = 0
-		case pdBGEZ:
-			if int32(g[u.rs]) >= 0 {
-				c.branch(pc + 4 + u.imm)
-			} else {
-				c.branch(pc + 8)
-			}
-			g[0] = 0
-		case pdJ:
-			c.branch(pc&0xf0000000 | u.imm)
-			g[0] = 0
-		case pdJAL:
-			g[31] = pc + 8
-			c.branch(pc&0xf0000000 | u.imm)
-			g[0] = 0
-		case pdBLEZ:
-			if int32(g[u.rs]) <= 0 {
-				c.branch(pc + 4 + u.imm)
-			} else {
-				c.branch(pc + 8)
-			}
-			g[0] = 0
-		case pdBGTZ:
-			if int32(g[u.rs]) > 0 {
-				c.branch(pc + 4 + u.imm)
-			} else {
-				c.branch(pc + 8)
-			}
-			g[0] = 0
-		case pdSLTI:
-			if int32(g[u.rs]) < int32(u.imm) {
-				g[u.rt] = 1
-			} else {
-				g[u.rt] = 0
-			}
-			g[0] = 0
-		case pdSLTIU:
-			if g[u.rs] < u.imm {
-				g[u.rt] = 1
-			} else {
-				g[u.rt] = 0
-			}
-			g[0] = 0
-		case pdANDI:
-			g[u.rt] = g[u.rs] & u.imm
-			g[0] = 0
-		case pdORI:
-			g[u.rt] = g[u.rs] | u.imm
-			g[0] = 0
-		case pdXORI:
-			g[u.rt] = g[u.rs] ^ u.imm
-			g[0] = 0
-		case pdLUI:
-			g[u.rt] = u.imm
-			g[0] = 0
-		case pdLB:
-			va := g[u.rs] + u.imm
-			if va&EntryHiVPN == c.dcache.vpage && c.dcache.ram != nil {
-				g[u.rt] = uint32(int32(int8(c.dcache.ram[va&(PageSize-1)])))
-				g[0] = 0
-			} else if v, lok := c.load(va, 1); lok {
-				g[u.rt] = uint32(int32(int8(v)))
-				g[0] = 0
-			} else {
-				ok = false
-			}
-		case pdLBU:
-			va := g[u.rs] + u.imm
-			if va&EntryHiVPN == c.dcache.vpage && c.dcache.ram != nil {
-				g[u.rt] = uint32(c.dcache.ram[va&(PageSize-1)])
-				g[0] = 0
-			} else if v, lok := c.load(va, 1); lok {
-				g[u.rt] = uint32(v)
-				g[0] = 0
-			} else {
-				ok = false
-			}
-		case pdSB:
-			va := g[u.rs] + u.imm
-			if va&EntryHiVPN == c.wcache.vpage && c.wcache.ram != nil {
-				if fn := c.wcache.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
-					c.dropFrame(fn)
-				}
-				c.wcache.ram[va&(PageSize-1)] = byte(g[u.rt])
-			} else {
-				ok = c.store(va, 1, uint64(g[u.rt]&0xff))
-			}
-		default:
-			ok = c.execU(u)
-		}
+		// The observer check above leaves execU's event hooks off.
+		ok := c.execU(u)
 		c.Stat.Instret++
 		c.Stat.Classes[u.cls]++
 		c.execInSlot = false
@@ -550,7 +355,7 @@ done:
 // stepSlow is the reference interpreter path: per-instruction fetch
 // with byte reassembly and the full decode switch in exec. It serves
 // fetches the predecode cache cannot (and the whole engine when
-// SetPredecode(false) selects it as the oracle baseline).
+// SetPredecode(false) selects the reference engine).
 func (c *CPU) stepSlow() bool {
 	w, ok := c.fetchWord(c.PC)
 	if !ok {
@@ -612,17 +417,6 @@ var opClass = func() [64]Class {
 	t[isa.OpCOP1] = ClassFP
 	return t
 }()
-
-// Run executes up to max instructions; returns the number retired.
-func (c *CPU) Run(max uint64) uint64 {
-	start := c.Stat.Instret
-	for c.Stat.Instret-start < max {
-		if !c.Step() {
-			break
-		}
-	}
-	return c.Stat.Instret - start
-}
 
 // branch schedules a transfer after the delay slot.
 func (c *CPU) branch(target uint32) {

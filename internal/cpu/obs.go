@@ -29,7 +29,7 @@ var (
 // a single event for the whole run of accesses, not one per word.
 // sed's boot makes ~50k device accesses in ~18ms — emitting each one
 // is the difference between recorder cost disappearing into benchmark
-// noise and a measurable MIPS hit (see BENCH_obs.json).
+// noise and a measurable MIPS hit (perfbench/ measures it end to end).
 func (c *CPU) devAccess(pa uint32, store uint64) {
 	key := uint64(pa)>>12<<1 | store
 	if key == c.lastDevKey {
@@ -86,9 +86,10 @@ func (c *CPU) profClamp(max uint64) uint64 {
 }
 
 // ProfPoll takes a sample if one is due. The machine run loop calls
-// it once per burst for the paths that do not go through StepN (the
-// reference interpreter and observer-attached runs), bounding sample
-// skew by the burst length instead of adding a per-Step check.
+// it once per burst for the instructions StepN did not batch (the
+// reference engine, an attached observer, the single Steps between
+// batches), bounding sample skew by the burst length instead of adding
+// a per-Step check.
 func (c *CPU) ProfPoll() {
 	if c.prof.fn != nil && c.Stat.Instret >= c.prof.next {
 		c.profSample()

@@ -143,21 +143,16 @@ type predecoder struct {
 }
 
 // SetPredecode selects the execution engine: true (the default) runs
-// the predecoded fast path, false retains the reference interpreter
-// (per-instruction fetch, byte reassembly, full decode switch) — the
-// lockstep oracle and the BENCH_cpu baseline run with it off.
+// the fast path — the predecode cache under Step and StepN, with
+// superblock chains on top — and false keeps the reference interpreter
+// (per-instruction fetch, byte reassembly, the full decode switch in
+// exec) that the lockstep and workload oracles compare against.
 func (c *CPU) SetPredecode(on bool) {
 	c.pd.off = !on
 	c.dropAllFrames()
 	c.ipd = nil
 	c.icache.vpage = 1
 }
-
-// PredecodeActive reports whether the predecode engine is selected.
-// The machine uses it to pick between the batched StepN run loop and
-// the plain per-Step loop (calling StepN with predecode off would just
-// add a refused call per instruction to the reference engine).
-func (c *CPU) PredecodeActive() bool { return !c.pd.off }
 
 // PredecodeStats reports the cache counters: instructions dispatched
 // from decoded frames, frames decoded, and frames invalidated by

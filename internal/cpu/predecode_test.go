@@ -229,7 +229,7 @@ func TestLockstepRandomPrograms(t *testing.T) {
 	}
 }
 
-// runBatched drives a CPU the way machine.Run's long-burst mode does:
+// runBatched drives a CPU the way machine.Run's no-stall loop does:
 // StepN batches as far as it can, and a single Step makes progress
 // over whatever the batch refused (interrupts, page crossings, COP0,
 // exceptions) before the batch resumes.
@@ -245,9 +245,9 @@ func runBatched(c *cpu.CPU, target uint64) {
 
 // TestLockstepStepNRandomPrograms covers the batched fast path: the
 // reference engine runs per-Step while the predecoded engine runs
-// through StepN (whose inline opcode dispatch only executes with no
-// observer attached), and the full architectural state must match at
-// the same retirement count.
+// through StepN (which only batches with no observer attached), and
+// the full architectural state must match at the same retirement
+// count.
 func TestLockstepStepNRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -404,7 +404,7 @@ func FuzzExecEquivalence(f *testing.F) {
 		lockstepRun(t, 500, ref, fast, oref, ofast)
 
 		// Second face: the same program through the batched StepN
-		// loop (observers detached so the inline dispatch runs),
+		// loop (observers detached so StepN batches),
 		// compared against a per-Step reference at the same
 		// retirement count.
 		r = rand.New(rand.NewSource(seed))

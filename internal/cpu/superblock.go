@@ -152,8 +152,6 @@ type sbHeat struct {
 
 // sbState is the per-CPU superblock engine state.
 type sbState struct {
-	off bool
-
 	// idx is the direct-mapped dispatch table (entry VA → superblock);
 	// all is the dedupe map behind it, deps the frame→dependents map
 	// for invalidation. All lazily allocated on first use.
@@ -191,19 +189,6 @@ type SuperblockStats struct {
 	ExitExc      uint64
 }
 
-// SetSuperblocks selects the superblock tier on top of the predecode
-// engine (on by default). Turning it off drops every superblock and
-// leaves the plain per-uop StepN dispatch — the mid-tier baseline the
-// benchmark's "predecode" column measures.
-func (c *CPU) SetSuperblocks(on bool) {
-	c.sb.off = !on
-	c.sbDropAll()
-}
-
-// SuperblocksActive reports whether the superblock tier can run (it
-// also requires the predecode engine, which feeds it micro-ops).
-func (c *CPU) SuperblocksActive() bool { return !c.sb.off && !c.pd.off }
-
 // SetSuperblockThreshold overrides the build threshold (0 restores the
 // default). Tests set 1 so single executions form superblocks.
 func (c *CPU) SetSuperblockThreshold(n uint32) { c.sb.threshold = n }
@@ -222,8 +207,8 @@ func (c *CPU) SuperblockStats() SuperblockStats {
 	}
 }
 
-// sbDropAll invalidates and forgets every superblock (engine switch,
-// predecode cache flush, or the sbMaxBlocks backstop).
+// sbDropAll invalidates and forgets every superblock (predecode cache
+// flush or the sbMaxBlocks backstop).
 func (c *CPU) sbDropAll() {
 	for _, s := range c.sb.all {
 		if s.valid {
@@ -270,7 +255,7 @@ func (c *CPU) sbInvalidateFrame(fn uint32) {
 // attached (StepN already guarantees both).
 func (c *CPU) sbEnterable(va uint32) *superblock {
 	if c.sb.idx == nil {
-		if c.sb.off || c.pd.off {
+		if c.pd.off {
 			return nil
 		}
 		c.sb.idx = make([]*superblock, sbIndexSize)

@@ -40,40 +40,30 @@ type BootConfig struct {
 	// Stream enables the epoch-ring streaming drain (see stream.go);
 	// the zero value keeps the legacy stop-the-world two-phase drain.
 	Stream StreamConfig
-	// Engine pins the CPU execution tier for the whole boot. The zero
-	// value keeps the machine default (predecode + superblocks); the
-	// benchmark grid and the differential oracle pin specific tiers.
+	// Engine pins the CPU execution engine for the whole boot. The zero
+	// value keeps the machine default (the predecode fast path with
+	// superblocks); the differential oracle pins the reference engine.
 	Engine Engine
 }
 
-// Engine selects the CPU execution tier a boot runs on.
+// Engine selects the CPU execution engine a boot runs on.
 type Engine int
 
 const (
-	// EngineAuto is the machine default: predecode with the
-	// superblock tier on top.
+	// EngineAuto is the machine default: the predecode cache under
+	// Step and StepN, with the superblock tier on top.
 	EngineAuto Engine = iota
-	// EngineReference disables predecode entirely — per-instruction
-	// fetch and full decode, the legacy burst-64 baseline.
+	// EngineReference disables predecode entirely: per-instruction
+	// fetch and full decode through the reference interpreter, run
+	// under the same machine loop as the default engine.
 	EngineReference
-	// EnginePredecode runs the predecode cache with the superblock
-	// tier off — the mid-tier the PR-5 benchmarks measured.
-	EnginePredecode
-	// EngineSuperblock is EngineAuto stated explicitly.
-	EngineSuperblock
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineReference:
+	if e == EngineReference {
 		return "reference"
-	case EnginePredecode:
-		return "predecode"
-	case EngineSuperblock:
-		return "superblock"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // DefaultBoot returns a standard configuration for the flavor: Ultrix
@@ -266,11 +256,8 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		return nil, fmt.Errorf("kernel: %d boot processes (1..%d allowed)", len(procs), MaxProcs)
 	}
 	mach := machine.New(cfg.RAMBytes, cfg.DiskImage)
-	switch cfg.Engine {
-	case EngineReference:
+	if cfg.Engine == EngineReference {
 		mach.CPU.SetPredecode(false)
-	case EnginePredecode:
-		mach.CPU.SetSuperblocks(false)
 	}
 	if err := mach.LoadKernel(kernelExe); err != nil {
 		return nil, err

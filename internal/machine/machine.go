@@ -186,17 +186,25 @@ func (m *Machine) Run(maxInstr uint64) error {
 	limit := c.Stat.Instret + maxInstr
 	m.refreshNextEvent()
 	// Step in bursts between device events to keep the per-instruction
-	// loop overhead low. Without a stall model, machine time advances
-	// in instruction-sized steps except at doorbell writes (an active
-	// analysis handler adds cycles there), and the long-burst loop's
-	// mid-burst checks deliver any overdue event immediately after the
-	// jump — so traced boots run long bursts too, which is what lets
-	// the batched StepN path and the superblock tier stretch their
-	// dispatches. This replaces the legacy traced configuration that
-	// pinned bursts at 64 instructions and delivered events up to a
-	// burst late after an analysis jump. A stall model still forces
-	// short bursts: it adds time on every instruction, so only the
-	// burst bound keeps event delivery close.
+	// loop overhead low. Two loops, chosen by whether a stall model is
+	// attached:
+	//
+	// A stall model adds time on every instruction, so only the burst
+	// bound keeps event delivery close: bursts stay at 64 instructions
+	// and run one Step at a time (the observer that feeds the model
+	// makes StepN refuse to batch anyway). Events are checked only
+	// between bursts: the measured numbers depend on it.
+	//
+	// Without one, machine time advances in instruction-sized steps
+	// except at doorbell writes (an active analysis handler adds cycles
+	// there), so bursts run long and the mid-burst checks deliver any
+	// overdue event right after the doorbell or device write that made
+	// it due. StepN batches the stretches where nothing can change
+	// mid-burst (it returns at every exception, COP0 op, and device
+	// access) and a single Step makes progress over whatever the batch
+	// refused. StepN returns 0 on the reference engine and with an
+	// observer attached, which leaves the same loop stepping one
+	// instruction at a time with the same checks.
 	maxBurst := uint64(64)
 	if m.stall == nil {
 		maxBurst = 16384
@@ -213,79 +221,33 @@ func (m *Machine) Run(maxInstr uint64) error {
 		if c.Stat.Instret+burst > limit {
 			burst = limit - c.Stat.Instret
 		}
-		if maxBurst == 64 {
-			if c.PredecodeActive() && c.Obs == nil {
-				// Short-burst batched loop: the traced path's
-				// replacement for the legacy per-Step loop. Neither
-				// loop checks device events mid-burst — delivery
-				// happens after the burst in both — so batching
-				// through StepN (and the superblock tier under it)
-				// retires the identical instruction sequence at the
-				// identical event instants: the guest's instrumented
-				// stores land in the trace buffer byte-for-byte as
-				// before, just without per-instruction loop overhead.
-				// Doorbell writes and exceptions end a batch (pdExit),
-				// and the single Step makes progress over whatever the
-				// batch refused, exactly like the long-burst loop.
-				for i := uint64(0); i < burst; {
-					i += c.StepN(burst - i)
-					if i >= burst {
-						break
-					}
-					if !c.Step() {
-						break
-					}
-					i++
-				}
-			} else {
-				for i := uint64(0); i < burst; i++ {
-					if !c.Step() {
-						break
-					}
+		if m.stall != nil {
+			for i := uint64(0); i < burst; i++ {
+				if !c.Step() {
+					break
 				}
 			}
 		} else {
-			// Long bursts must notice a device being reprogrammed
-			// mid-burst (e.g. the guest starting the clock), or its
-			// first event would be delivered up to a burst late.
-			// StepN batches the stretches where nothing can change
-			// mid-burst (it returns at every exception, COP0 op, and
-			// device access); a single Step then makes progress over
-			// whatever the batch refused before the batch resumes.
-			// The m.Cycles() checks catch analysis time added by a
-			// doorbell mid-burst: overdue events are then delivered
-			// immediately instead of up to a burst late.
 			ne := m.nextEvent
-			if c.PredecodeActive() && c.Obs == nil {
-				for i := uint64(0); i < burst; {
-					i += c.StepN(burst - i)
-					if i >= burst || m.nextEvent != ne || m.Cycles() >= ne {
-						break
-					}
-					if !c.Step() {
-						break
-					}
-					i++
-					if m.nextEvent != ne || m.Cycles() >= ne {
-						break
-					}
+			for i := uint64(0); i < burst; {
+				i += c.StepN(burst - i)
+				if i >= burst || m.nextEvent != ne || m.Cycles() >= ne {
+					break
 				}
-			} else {
-				for i := uint64(0); i < burst; i++ {
-					if !c.Step() {
-						break
-					}
-					if m.nextEvent != ne || m.Cycles() >= ne {
-						break
-					}
+				if !c.Step() {
+					break
+				}
+				i++
+				if m.nextEvent != ne || m.Cycles() >= ne {
+					break
 				}
 			}
 		}
 		if c.FaultMsg != "" {
 			return fmt.Errorf("machine fault at pc=0x%08x: %s", c.PC, c.FaultMsg)
 		}
-		// Guest-PC sampling for the paths that don't flow through
-		// StepN (short bursts, observers): skew bounded by the burst.
+		// Guest-PC sampling for the stretches StepN refuses (stall
+		// model, observer, reference engine): skew bounded by the burst.
 		c.ProfPoll()
 		if now = m.Cycles(); now >= m.nextEvent {
 			m.Clock.Advance(now)

@@ -1,15 +1,16 @@
 package systrace_test
 
-// Workload-level differential oracle for the predecoded interpreter:
-// full traced boots of sed and lisp run once per engine, and the final
-// architectural state, the complete Observer event stream, and every
-// externally visible output (console, exit status, drained trace
-// words, machine cycles) must match between the reference and the
-// predecoded core. Machine time is instruction-based on both engines,
-// so a traced boot — interrupts, DMA, doorbell analysis phases and
-// all — is deterministic down to the cycle; any predecode bug that
-// survives the random-program lockstep (internal/cpu) shows up here as
-// a diverging stream.
+// Workload-level differential oracle for the fast path: full boots of
+// sed and lisp, traced and untraced, run on the reference engine and
+// on the default engine (predecode cache under Step and StepN,
+// superblock chains on top), and the final architectural state, the
+// complete Observer event stream, and every externally visible output
+// (console, exit status, drained trace words, machine cycles) must
+// match. Machine time is instruction-based on both engines, so a
+// traced boot — interrupts, DMA, doorbell analysis phases and all — is
+// deterministic down to the cycle; any fast-path bug that survives the
+// random-program lockstep (internal/cpu) shows up here as a diverging
+// stream.
 
 import (
 	"math"
@@ -76,7 +77,9 @@ type engineResult struct {
 	sbBuilt   uint64
 }
 
-func runEngine(t *testing.T, wl string, engine kernel.Engine, traced bool) engineResult {
+// runEngine boots wl on engine and runs it to completion, hashing the
+// full Observer event stream when observe is set.
+func runEngine(t *testing.T, wl string, engine kernel.Engine, traced, observe bool) engineResult {
 	t.Helper()
 	spec, ok := workload.ByName(wl)
 	if !ok {
@@ -86,26 +89,14 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced bool) engin
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the execution tier the same way kernel.Boot applies
-	// BootConfig.Engine (experiment.Boot's cache shares the images, so
-	// the tier is set on the booted machine directly).
-	switch engine {
-	case kernel.EngineReference:
+	// Pin the engine the same way kernel.Boot applies BootConfig.Engine
+	// (experiment.Boot's cache shares the images, so the engine is set
+	// on the booted machine directly).
+	if engine == kernel.EngineReference {
 		sys.M.CPU.SetPredecode(false)
-	case kernel.EnginePredecode:
-		sys.M.CPU.SetSuperblocks(false)
 	}
 	obs := &streamObs{}
-	if traced && engine != kernel.EngineSuperblock {
-		// Traced reference and predecode runs also compare the full
-		// Observer event stream. The superblock face runs with the
-		// observer detached — the batched dispatch requires it (an
-		// attached observer forces per-Step execution) — and is
-		// instead pinned by the drained trace-word hash below, the
-		// byte-level identity the paper's analyses depend on.
-		// Untraced runs always leave the observer detached so the
-		// predecoded engine goes through the batched fast path — the
-		// same configuration BENCH_cpu.json measures.
+	if observe {
 		sys.M.CPU.Obs = obs
 	}
 	// Hash every drained trace word in order: the emitted stream,
@@ -260,9 +251,9 @@ func TestDataflowDifferentialOracle(t *testing.T) {
 	}
 }
 
-// compareFace checks one fast engine's run against the reference run.
+// compareFace checks one default-engine run against the reference run.
 // The observer stream is compared only when both runs attached one
-// (the superblock face runs observer-detached by construction).
+// (the batched face runs observer-detached by construction).
 func compareFace(t *testing.T, name string, ref, fast engineResult) {
 	t.Helper()
 	if fast.events != 0 && (ref.events != fast.events || ref.eventHash != fast.eventHash) {
@@ -319,19 +310,31 @@ func TestWorkloadDifferentialOracle(t *testing.T) {
 				name = wl + "/traced"
 			}
 			t.Run(name, func(t *testing.T) {
-				ref := runEngine(t, wl, kernel.EngineReference, traced)
-				pd := runEngine(t, wl, kernel.EnginePredecode, traced)
-				sb := runEngine(t, wl, kernel.EngineSuperblock, traced)
-				compareFace(t, "predecode", ref, pd)
-				compareFace(t, "superblock", ref, sb)
+				// The batched face runs observer-detached, the
+				// configuration perfbench measures: StepN and the
+				// superblock tier execute, pinned by the drained
+				// trace-word hash — the byte-level identity the
+				// paper's analyses depend on.
+				ref := runEngine(t, wl, kernel.EngineReference, traced, traced)
+				def := runEngine(t, wl, kernel.EngineAuto, traced, false)
+				compareFace(t, "default", ref, def)
 				if ref.stat.Instret == 0 {
 					t.Error("workload retired no instructions")
 				}
-				if pd.sbBuilt != 0 {
-					t.Errorf("predecode face built %d superblocks: tier separation broken", pd.sbBuilt)
+				if def.sbBuilt == 0 {
+					t.Error("default engine built no superblocks: the tier was not exercised")
 				}
-				if sb.sbBuilt == 0 {
-					t.Error("superblock face built no superblocks: the tier was not exercised")
+				if traced {
+					// The observed face runs the same engine with an
+					// observer attached, which sends every instruction
+					// through Step — how an execution-driven memory
+					// model sees it — and compares the full Observer
+					// event stream against the reference's.
+					obsd := runEngine(t, wl, kernel.EngineAuto, true, true)
+					compareFace(t, "default/observed", ref, obsd)
+					if obsd.sbBuilt != 0 {
+						t.Errorf("observed face built %d superblocks: an observer must force per-Step execution", obsd.sbBuilt)
+					}
 				}
 				if t.Failed() {
 					// An oracle mismatch is a flight-recorder dump

@@ -18,13 +18,18 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
+# perfbench is a nested module, so the root ./... skips it; building it
+# here catches an exported API change that breaks the benchmark.
+echo "== perfbench: go vet + go build (nested module) =="
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
+
 echo "== go test ./... =="
 go test ./...
 
 echo "== go test -race (cpu core incl. superblock tier, kernel epoch ring, experiment runner, telemetry, obs, rewriter, verifiers) =="
 go test -race ./internal/cpu/ ./internal/kernel/ ./internal/experiment/ ./internal/telemetry/ ./internal/obs/ ./internal/epoxie/ ./internal/verify/ ./internal/tracecheck/ ./internal/dataflow/
 
-echo "== differential oracle (reference vs predecode vs superblock, traced + untraced boots, uncached) =="
+echo "== differential oracle (reference vs default engine, traced + untraced boots, uncached) =="
 go test -run '^TestWorkloadDifferentialOracle$' -count=1 .
 
 echo "== obs smoke (traced sed boot: span nesting + folded guest-PC profile) =="

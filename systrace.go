@@ -53,12 +53,10 @@ const (
 	Mach   = kernel.Mach
 )
 
-// CPU execution tiers for BootConfig.Engine.
+// CPU execution engines for BootConfig.Engine.
 const (
-	EngineAuto       = kernel.EngineAuto
-	EngineReference  = kernel.EngineReference
-	EnginePredecode  = kernel.EnginePredecode
-	EngineSuperblock = kernel.EngineSuperblock
+	EngineAuto      = kernel.EngineAuto
+	EngineReference = kernel.EngineReference
 )
 
 // Re-exported core types. The underlying packages carry the full
@@ -78,7 +76,7 @@ type (
 	BootProc = kernel.BootProc
 	// Flavor selects the operating system personality.
 	Flavor = kernel.Flavor
-	// Engine pins the CPU execution tier for a boot.
+	// Engine pins the CPU execution engine for a boot.
 	Engine = kernel.Engine
 	// Event is one reconstructed trace reference.
 	Event = trace.Event
