@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint tracelint guestlint fmt vet build test bench bench-stream bench-dataflow
+.PHONY: check lint tracelint guestlint fmt vet build test bench
 
 # check is the tier-1 gate: formatting, vet, build, the full test
 # suite, fuzz smoke, and the lint gate. CI and pre-commit should run
@@ -40,17 +40,3 @@ test:
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...
-
-# bench-stream compares the trace drains (two-phase vs epoch-ring
-# streaming, raw and compressed) over the full prediction pipeline and
-# rewrites BENCH_stream.json; fails if the overlapped drain is not
-# faster in simulated time or compression drops below 4x.
-bench-stream:
-	$(GO) run ./cmd/benchstream -out BENCH_stream.json
-
-# bench-dataflow measures the liveness analysis' dead-register elision
-# (static sites elided per image, dynamic instructions saved per traced
-# boot) and rewrites BENCH_dataflow.json; fails if the corpus-wide
-# elision rate drops below 20%.
-bench-dataflow:
-	$(GO) run ./cmd/benchdataflow -out BENCH_dataflow.json

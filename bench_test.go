@@ -37,7 +37,7 @@ func benchSpecs(b *testing.B, names ...string) []workload.Spec {
 func BenchmarkTable1Workloads(b *testing.B) {
 	specs := benchSpecs(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table1(specs)
+		rows, err := experiment.NewRunner(0).Table1(specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func BenchmarkTable1Workloads(b *testing.B) {
 func BenchmarkTable2RunTimes(b *testing.B) {
 	specs := benchSpecs(b, "sed", "lisp")
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table2(specs)
+		rows, err := experiment.NewRunner(0).Table2(specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkTable2RunTimes(b *testing.B) {
 func BenchmarkFigure3PredictionError(b *testing.B) {
 	specs := benchSpecs(b, "sed", "lisp")
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table2(specs)
+		rows, err := experiment.NewRunner(0).Table2(specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func BenchmarkFigure3PredictionError(b *testing.B) {
 func BenchmarkTable3TLBMisses(b *testing.B) {
 	specs := benchSpecs(b, "sed", "tomcatv")
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table3(specs)
+		rows, err := experiment.NewRunner(0).Table3(specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func BenchmarkTextGrowth(b *testing.B) {
 func BenchmarkTimeDilation(b *testing.B) {
 	specs := benchSpecs(b, "lisp")
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.TimeDilation(specs)
+		rows, err := experiment.NewRunner(0).TimeDilation(specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func BenchmarkTimeDilation(b *testing.B) {
 func BenchmarkBufferSizing(b *testing.B) {
 	spec, _ := workload.ByName("sed")
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 2 << 20})
+		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 2 << 20}, kernel.StreamConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func BenchmarkBufferSizing(b *testing.B) {
 func BenchmarkTunixKernelCPI(b *testing.B) {
 	spec, _ := workload.ByName("sed")
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.KernelCPI(spec)
+		res, err := experiment.NewRunner(0).KernelCPI(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func BenchmarkTunixKernelCPI(b *testing.B) {
 func BenchmarkPageMappingVariance(b *testing.B) {
 	spec, _ := workload.ByName("tomcatv")
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.PageMappingVariance(spec, []uint32{3, 17, 91})
+		res, err := experiment.NewRunner(0).PageMappingVariance(spec, []uint32{3, 17, 91})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkPageMappingVariance(b *testing.B) {
 
 func BenchmarkErrorSources(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.ErrorSources([]string{"sed", "liv"})
+		rows, err := experiment.NewRunner(0).ErrorSources([]string{"sed", "liv"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,103 +220,4 @@ func BenchmarkDefensiveTracing(b *testing.B) {
 		b.ReportMetric(float64(detected)/float64(total)*100, "detect%")
 	}
 	_ = trace.MarkerBase
-}
-
-// suite runs a multi-table slice of the evaluation (the run sets of
-// Table 1/2/3, Figure 3, the dilation study, the error anatomy, and
-// the CPI probe all overlap) through one Runner.
-func suite(b *testing.B, r *experiment.Runner, specs []workload.Spec) {
-	b.Helper()
-	if _, err := r.Table1(specs); err != nil {
-		b.Fatal(err)
-	}
-	t2, err := r.Table2(specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = experiment.Figure3(t2)
-	if _, err := r.Table3(specs); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := r.TimeDilation(specs); err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	if _, err := r.ErrorSources(names); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := r.KernelCPI(specs[0]); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSuite measures the orchestrator's effect on the evaluation:
-// "naive" re-creates a Runner per table at one worker (the historical
-// cost, every table re-simulating its own runs), "j1" shares one
-// memoizing Runner serially, "j4" adds a 4-worker pool. Results land
-// in BENCH_runner.json.
-func BenchmarkSuite(b *testing.B) {
-	specs := benchSpecs(b, "sed", "lisp")
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// A fresh 1-worker Runner per table: no sharing across
-			// tables, no parallelism — the pre-orchestrator behavior.
-			suiteNaive(b, specs)
-		}
-	})
-	b.Run("j1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := experiment.NewRunner(1)
-			suite(b, r, specs)
-			reportDedup(b, r)
-		}
-	})
-	b.Run("j4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := experiment.NewRunner(4)
-			suite(b, r, specs)
-			reportDedup(b, r)
-		}
-	})
-}
-
-// suiteNaive is the same slice of the evaluation with a fresh
-// single-worker Runner per table: no result sharing, no parallelism —
-// what each package-level table function did before the orchestrator.
-func suiteNaive(b *testing.B, specs []workload.Spec) {
-	b.Helper()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	if _, err := experiment.NewRunner(1).Table1(specs); err != nil {
-		b.Fatal(err)
-	}
-	t2, err := experiment.NewRunner(1).Table2(specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = experiment.Figure3(t2)
-	if _, err := experiment.NewRunner(1).Table3(specs); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := experiment.NewRunner(1).TimeDilation(specs); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := experiment.NewRunner(1).ErrorSources(names); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := experiment.NewRunner(1).KernelCPI(specs[0]); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func reportDedup(b *testing.B, r *experiment.Runner) {
-	b.Helper()
-	s := r.Stats()
-	b.ReportMetric(float64(s.Executed), "runs")
-	b.ReportMetric(float64(s.Deduplicated()), "memoized")
 }

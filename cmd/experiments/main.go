@@ -49,7 +49,7 @@ func main() {
 
 	if run("figure1") {
 		fmt.Println("== Figure 1: tracing system overview (one traced run) ==")
-		pred, err := runner.Predict(specs[0], kernel.Ultrix, 1)
+		pred, err := runner.Predict(specs[0], experiment.Config{Flavor: kernel.Ultrix, Seed: 1})
 		die(err)
 		fmt.Printf("workload %s: %d trace words drained over %d analysis phases;\n",
 			pred.Name, pred.TraceWords, pred.ModeSwitches)
@@ -144,7 +144,7 @@ func main() {
 	if run("buffer") {
 		fmt.Println("== E9: in-kernel buffer sizing vs mode switches ==")
 		spec, _ := workload.ByName("compress")
-		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20, 4 << 20, 16 << 20})
+		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20, 4 << 20, 16 << 20}, kernel.StreamConfig{})
 		die(err)
 		for _, r := range rows {
 			fmt.Printf("buffer %8d KB: %3d analysis phases, %.0f traced instructions per phase\n",

@@ -101,11 +101,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			stream := kernel.StreamConfig{}
+			c := experiment.Config{Flavor: j.flavor, Seed: uint32(*seed)}
 			if *compress {
-				stream = kernel.DefaultStream()
+				c.Stream = kernel.DefaultStream()
 			}
-			results[i], errs[i] = experiment.ConformanceWith(j.spec, j.flavor, uint32(*seed), stream)
+			results[i], errs[i] = c.Conformance(j.spec)
 		}(i, j)
 	}
 	wg.Wait()

@@ -96,14 +96,10 @@ func main() {
 	}
 	vres.RegisterMetrics(reg, telemetry.L("image", spec.Name))
 
-	// Check the traced run's own stream against the instrumented CFGs
-	// and publish the per-rule conformance counters alongside.
-	conf, err := experiment.Conformance(spec, flavor, uint32(*seed))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat: conformance:", err)
-		os.Exit(1)
-	}
-	conf.RegisterMetrics(reg, telemetry.L("stream", conf.Name))
+	// The traced run already checked its own stream against the
+	// instrumented CFGs and registered the per-rule conformance
+	// counters on reg under run="traced".
+	conf := d.Pred.Conformance
 
 	if *spansOut {
 		// The experiments above left their phase spans in the obs ring;

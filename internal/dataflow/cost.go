@@ -17,8 +17,9 @@ import (
 // estimates that mix structurally: blocks are weighted by loop
 // nesting depth (10^min(depth,3)), computed from iterated SCC
 // condensation of the intra-procedural CFG. The prediction is
-// validated dynamically (benchdataflow compares it against measured
-// trace volume on the corpus), not trusted.
+// validated dynamically (internal/experiment's
+// TestDrainAndDataflowGates compares its per-block cost table against
+// measured trace volume on the corpus), not trusted.
 
 // costDepthCap caps the loop-nesting weight exponent: beyond triply
 // nested loops the structural estimate has no more signal.

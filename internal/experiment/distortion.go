@@ -72,11 +72,12 @@ type Distortion struct {
 // the four dashboard gauges on it.
 func Distort(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	reg *telemetry.Registry) (*Distortion, error) {
-	meas, err := MeasureT(spec, flavor, seed, reg)
+	c := Config{Flavor: flavor, Seed: seed}
+	meas, err := measure(spec, c, reg)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := PredictT(spec, flavor, seed, reg)
+	pred, err := predict(spec, c, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +103,11 @@ func Distort(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	// Footprints from the cached build products: uninstrumented vs.
 	// instrumented text, plus the tracing system's buffers (§4.3:
 	// in-kernel buffer + per-process book and buffer pages).
-	kexe, err := kernelExe(flavor, true)
+	kexe, err := kernelExe(flavor, true, c.Flow)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := program(spec)
+	prog, err := program(spec, c.Flow)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +126,7 @@ func Distort(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	cost.Merge(progCost)
 	nprocs := uint64(1)
 	if flavor == kernel.Mach {
-		srv, err := server()
+		srv, err := server(c.Flow)
 		if err != nil {
 			return nil, err
 		}

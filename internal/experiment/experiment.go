@@ -54,13 +54,12 @@ var (
 	cacheMu    sync.Mutex // guards the cache maps only, never a build
 	kcache     = map[string]*buildEntry[*obj.Executable]{}
 	pcache     = map[string]*buildEntry[*userland.Program]{}
-	svcache    = map[string]*buildEntry[*userland.Program]{}
 	arithCache = map[string]*buildEntry[uint64]{}
 	cfgCache   = map[*obj.Executable]*buildEntry[*verify.CFG]{}
 )
 
 // cacheEntry finds or inserts the entry for key under cacheMu.
-func cacheEntry[T any](m map[string]*buildEntry[T], key string) *buildEntry[T] {
+func cacheEntry[K comparable, T any](m map[K]*buildEntry[T], key K) *buildEntry[T] {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	e, ok := m[key]
@@ -71,11 +70,57 @@ func cacheEntry[T any](m map[string]*buildEntry[T], key string) *buildEntry[T] {
 	return e
 }
 
-func kernelExe(flavor kernel.Flavor, traced bool) (*obj.Executable, error) {
-	return kernelExeFlow(flavor, traced, epoxie.FlowOn)
+// Config identifies one run: everything besides the workload that
+// selects what a Measure, Predict or Conformance run simulates. The
+// zero values of Flow, Engine, Stream and BufBytes are the standard
+// run (liveness elision on, the default engine, the paper's two-phase
+// drain, the 4 MB trace buffer), so Config{Flavor: f, Seed: s} is the
+// configuration every table of the paper uses. Config is comparable:
+// it is the Runner's memo key, so runs that differ in any field never
+// share a result.
+type Config struct {
+	Flavor kernel.Flavor
+	// Seed is the page-mapping seed (kernel.BootConfig.MapSeed).
+	Seed uint32
+	// Flow is the rewriter liveness mode every image of the system is
+	// built in; the differential oracle compares FlowPadded against
+	// FlowOff. Each mode has its own build cache entries.
+	Flow epoxie.FlowMode
+	// Engine pins the CPU execution engine (kernel.BootConfig.Engine).
+	Engine kernel.Engine
+	// Stream selects the drain of traced runs; the zero value is the
+	// two-phase stop-the-world drain.
+	Stream kernel.StreamConfig
+	// BufBytes overrides the in-kernel trace-buffer size of traced runs
+	// when nonzero. Smaller buffers force multi-epoch streaming rings:
+	// with the 4 MB default a short workload drains once at the final
+	// flush.
+	BufBytes uint32
 }
 
-func kernelExeFlow(flavor kernel.Flavor, traced bool, flow epoxie.FlowMode) (*obj.Executable, error) {
+// String renders the configuration for run ids and error messages:
+// flavor and seed, then each field that differs from its default.
+func (c Config) String() string {
+	s := fmt.Sprintf("%v:%d", c.Flavor, c.Seed)
+	if c.Flow != epoxie.FlowOn {
+		s += fmt.Sprintf(":flow%d", c.Flow)
+	}
+	if c.Engine != kernel.EngineAuto {
+		s += ":" + c.Engine.String()
+	}
+	if c.Stream != (kernel.StreamConfig{}) {
+		s += fmt.Sprintf(":stream%dx%d", c.Stream.Epochs, c.Stream.HandoffPerWord)
+		if c.Stream.Compress {
+			s += "z"
+		}
+	}
+	if c.BufBytes != 0 {
+		s += fmt.Sprintf(":buf%d", c.BufBytes)
+	}
+	return s
+}
+
+func kernelExe(flavor kernel.Flavor, traced bool, flow epoxie.FlowMode) (*obj.Executable, error) {
 	e := cacheEntry(kcache, fmt.Sprintf("%v-%v-%d", flavor, traced, flow))
 	e.once.Do(func() {
 		e.val, e.err = kernel.Build(kernel.Config{Flavor: flavor, Traced: traced, Flow: flow})
@@ -87,37 +132,31 @@ func kernelExeFlow(flavor kernel.Flavor, traced bool, flow epoxie.FlowMode) (*ob
 // uninstrumented and epoxie-instrumented executables. External callers
 // (cmd/tracestat's static-verification report) share the same cache as
 // the experiment runs, so asking for a program never builds it twice.
-func Program(spec workload.Spec) (*userland.Program, error) { return program(spec) }
+func Program(spec workload.Spec) (*userland.Program, error) { return program(spec, epoxie.FlowOn) }
 
-// ProgramFlow is Program under an explicit rewriter liveness mode,
-// sharing the same per-mode build cache as the flow-variant boots.
-func ProgramFlow(spec workload.Spec, flow epoxie.FlowMode) (*userland.Program, error) {
-	return programFlow(spec, flow)
+func program(spec workload.Spec, flow epoxie.FlowMode) (*userland.Program, error) {
+	return userProgram(spec.Name, spec.Build, flow)
 }
 
-func program(spec workload.Spec) (*userland.Program, error) {
-	return programFlow(spec, epoxie.FlowOn)
+// server is the Mach systems' UX server program.
+func server(flow epoxie.FlowMode) (*userland.Program, error) {
+	return userProgram("ux", userland.UXServer, flow)
 }
 
-func programFlow(spec workload.Spec, flow epoxie.FlowMode) (*userland.Program, error) {
-	e := cacheEntry(pcache, fmt.Sprintf("%s-%d", spec.Name, flow))
+func userProgram(name string, build func() *m.Module, flow epoxie.FlowMode) (*userland.Program, error) {
+	e := cacheEntry(pcache, fmt.Sprintf("%s-%d", name, flow))
 	e.once.Do(func() {
-		e.val, e.err = userland.BuildFlow(spec.Name, []*m.Module{spec.Build()}, m.Options{}, flow)
+		e.val, e.err = userland.BuildFlow(name, []*m.Module{build()}, m.Options{}, flow)
 	})
 	return e.val, e.err
 }
 
 // exeCFG derives (once per instrumented image — kernels and programs
 // are themselves cached singletons, so a pointer key suffices) the
-// post-rewrite static CFG the conformance checker walks.
+// post-rewrite static CFG the conformance checker walks. The CFG is
+// shared by every checker of that image, concurrent ones included.
 func exeCFG(e *obj.Executable) (*verify.CFG, error) {
-	cacheMu.Lock()
-	en, ok := cfgCache[e]
-	if !ok {
-		en = &buildEntry[*verify.CFG]{}
-		cfgCache[e] = en
-	}
-	cacheMu.Unlock()
+	en := cacheEntry(cfgCache, e)
 	en.once.Do(func() {
 		en.val, en.err = verify.NewCFG(e)
 	})
@@ -146,182 +185,125 @@ func conformanceChecker(name string, sys *kernel.System) (*tracecheck.Checker, e
 	return c, nil
 }
 
-// Conformance boots the traced system for one workload and runs its
-// raw trace through the offline conformance checker (cmd/tracelint's
-// corpus mode): the simulator's own output must be a legal observation
-// of the static CFG plus the kernel trace protocol.
-func Conformance(spec workload.Spec, flavor kernel.Flavor, seed uint32) (*tracecheck.Result, error) {
-	return ConformanceWith(spec, flavor, seed, kernel.StreamConfig{})
+// checkEpochs puts chk on the wire bytes of a compressed streaming
+// drain (CheckCompressed via the OnEpoch hook), so the encoder, the
+// epoch handoff and the decode side are all under the conformance
+// gate; *cerr keeps the first decode error. It reports false for any
+// other drain, where the caller feeds chk the raw words instead.
+func (c Config) checkEpochs(sys *kernel.System, chk *tracecheck.Checker, cerr *error) bool {
+	if !c.Stream.Enabled() || !c.Stream.Compress {
+		return false
+	}
+	sys.OnEpoch = func(enc []byte) {
+		if *cerr == nil {
+			*cerr = chk.CheckCompressed(enc)
+		}
+	}
+	return true
 }
 
-// ConformanceWith is Conformance under a drain configuration. With a
-// compressed streaming drain the checker consumes the wire bytes
-// themselves (CheckCompressed via the OnEpoch hook), so the encoder,
-// the epoch handoff, and the decode side are all under the
-// conformance gate.
-func ConformanceWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
-	stream kernel.StreamConfig) (*tracecheck.Result, error) {
-	sys, _, err := boot(spec, flavor, true, seed, nil, stream, 0)
+// Conformance boots the traced system for one workload and runs its
+// trace through the offline conformance checker (cmd/tracelint's
+// corpus mode): the simulator's own output must be a legal observation
+// of the static CFG plus the kernel trace protocol.
+func (c Config) Conformance(spec workload.Spec) (*tracecheck.Result, error) {
+	sys, _, err := c.boot(spec, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	c, err := conformanceChecker(fmt.Sprintf("%s/%v", spec.Name, flavor), sys)
+	chk, err := conformanceChecker(fmt.Sprintf("%s/%v", spec.Name, c.Flavor), sys)
 	if err != nil {
 		return nil, err
 	}
 	var cerr error
-	if stream.Enabled() && stream.Compress {
-		sys.OnEpoch = func(enc []byte) {
-			if cerr == nil {
-				cerr = c.CheckCompressed(enc)
-			}
-		}
-	} else {
-		sys.OnTrace = c.Check
+	if !c.checkEpochs(sys, chk, &cerr) {
+		sys.OnTrace = chk.Check
 	}
 	if err := sys.Run(runBudget); err != nil {
-		return nil, fmt.Errorf("conformance %s/%v: %w", spec.Name, flavor, err)
+		return nil, fmt.Errorf("conformance %s/%v: %w", spec.Name, c, err)
 	}
 	if cerr != nil {
-		return nil, fmt.Errorf("conformance %s/%v: compressed stream: %w", spec.Name, flavor, cerr)
+		return nil, fmt.Errorf("conformance %s/%v: compressed stream: %w", spec.Name, c, cerr)
 	}
-	return c.Finish(), nil
+	return chk.Finish(), nil
 }
 
-func server() (*userland.Program, error) { return serverFlow(epoxie.FlowOn) }
-
-func serverFlow(flow epoxie.FlowMode) (*userland.Program, error) {
-	e := cacheEntry(svcache, fmt.Sprintf("ux-%d", flow))
-	e.once.Do(func() {
-		e.val, e.err = userland.BuildFlow("ux", []*m.Module{userland.UXServer()}, m.Options{}, flow)
-	})
-	return e.val, e.err
+// Boot assembles the standard system for one workload without running
+// it; it is Config{Flavor: flavor, Seed: seed}.Boot.
+func Boot(spec workload.Spec, flavor kernel.Flavor, traced bool, seed uint32) (*kernel.System, int, error) {
+	return Config{Flavor: flavor, Seed: seed}.boot(spec, traced, nil)
 }
 
 // Boot assembles a bootable system for one workload without running
 // it: the kernel flavor, the (instrumented if traced) program plus a
-// Mach server when the flavor needs one, the disk image, and the
-// standard boot configuration. It returns the system and the client
-// pid. External harnesses — the interpreter benchmark and the
-// differential oracle — use it to drive machines with non-default
-// engine settings; the builds come from the same memoized caches as
-// every experiment.
-func Boot(spec workload.Spec, flavor kernel.Flavor, traced bool, seed uint32) (*kernel.System, int, error) {
-	return boot(spec, flavor, traced, seed, nil, kernel.StreamConfig{}, 0)
-}
-
-// BootFlow is Boot with an explicit rewriter liveness mode for traced
-// boots: every image in the system (kernel, workload, Mach server) is
-// built in that mode. The differential oracle compares FlowOn /
-// FlowPadded boots against FlowOff. Each mode has its own build cache
-// entries, so variants never alias.
-func BootFlow(spec workload.Spec, flavor kernel.Flavor, traced bool, seed uint32,
-	flow epoxie.FlowMode) (*kernel.System, int, error) {
-	kexe, err := kernelExeFlow(flavor, traced, flow)
-	if err != nil {
-		return nil, 0, err
-	}
-	prog, err := programFlow(spec, flow)
-	if err != nil {
-		return nil, 0, err
-	}
-	exe := prog.Orig
-	if traced {
-		exe = prog.Instr
-	}
-	var procs []kernel.BootProc
-	clientPid := 1
-	if flavor == kernel.Mach {
-		srv, err := serverFlow(flow)
-		if err != nil {
-			return nil, 0, err
-		}
-		sexe := srv.Orig
-		if traced {
-			sexe = srv.Instr
-		}
-		procs = append(procs, kernel.BootProc{Exe: sexe, IsServer: true})
-		clientPid = 2
-	}
-	procs = append(procs, kernel.BootProc{Exe: exe})
-	disk, err := kernel.BuildDiskImage(spec.Files)
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg := kernel.DefaultBoot(flavor)
-	cfg.DiskImage = disk
-	cfg.MapSeed = seed
-	if traced {
-		cfg.TraceBufBytes = trace.DefaultKernelBufBytes
-		cfg.ClockInterval *= IdleScale
-	}
-	sys, err := kernel.Boot(kexe, procs, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sys, clientPid, nil
+// Mach server when the flavor needs one, the disk image, and the boot
+// configuration c selects. It returns the system and the client pid.
+// External harnesses — the differential oracles and perfbench — drive
+// the machine themselves; the builds come from the same memoized
+// caches as every experiment.
+func (c Config) Boot(spec workload.Spec, traced bool) (*kernel.System, int, error) {
+	return c.boot(spec, traced, nil)
 }
 
 // RunBudget is the standard per-run instruction budget used by the
 // experiment suite (exported for harnesses built on Boot).
 const RunBudget = runBudget
 
-// boot assembles a system for one workload. stream selects the drain
-// configuration for traced boots (the zero value is the two-phase
-// stop-the-world drain); bufBytes overrides the trace-buffer size
-// when nonzero.
-func boot(spec workload.Spec, flavor kernel.Flavor, traced bool, seed uint32,
-	override *obj.Executable, stream kernel.StreamConfig, bufBytes uint32) (*kernel.System, int, error) {
-	kexe, err := kernelExe(flavor, traced)
+// boot is Boot with the client image replaced by override when it is
+// non-nil (the pixie count-mode binary behind the arithmetic-stall
+// term).
+func (c Config) boot(spec workload.Spec, traced bool, override *obj.Executable) (*kernel.System, int, error) {
+	kexe, err := kernelExe(c.Flavor, traced, c.Flow)
 	if err != nil {
 		return nil, 0, err
 	}
-	prog, err := program(spec)
+	prog, err := program(spec, c.Flow)
 	if err != nil {
 		return nil, 0, err
 	}
-	exe := prog.Orig
-	if traced {
-		exe = prog.Instr
-	}
+	exe := image(prog, traced)
 	if override != nil {
 		exe = override
 	}
 	var procs []kernel.BootProc
-	clientPid := 1
-	if flavor == kernel.Mach {
-		srv, err := server()
+	if c.Flavor == kernel.Mach {
+		srv, err := server(c.Flow)
 		if err != nil {
 			return nil, 0, err
 		}
-		sexe := srv.Orig
-		if traced {
-			sexe = srv.Instr
-		}
-		procs = append(procs, kernel.BootProc{Exe: sexe, IsServer: true})
-		clientPid = 2
+		procs = append(procs, kernel.BootProc{Exe: image(srv, traced), IsServer: true})
 	}
 	procs = append(procs, kernel.BootProc{Exe: exe})
 	disk, err := kernel.BuildDiskImage(spec.Files)
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg := kernel.DefaultBoot(flavor)
+	cfg := kernel.DefaultBoot(c.Flavor)
 	cfg.DiskImage = disk
-	cfg.MapSeed = seed
+	cfg.MapSeed = c.Seed
+	cfg.Engine = c.Engine
 	if traced {
 		cfg.TraceBufBytes = trace.DefaultKernelBufBytes
-		if bufBytes != 0 {
-			cfg.TraceBufBytes = bufBytes
+		if c.BufBytes != 0 {
+			cfg.TraceBufBytes = c.BufBytes
 		}
 		cfg.ClockInterval *= IdleScale
-		cfg.Stream = stream
+		cfg.Stream = c.Stream
 	}
 	sys, err := kernel.Boot(kexe, procs, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	return sys, clientPid, nil
+	// Pids count from 1 in boot order and the client boots last.
+	return sys, len(procs), nil
+}
+
+// image picks the executable of prog a boot runs.
+func image(prog *userland.Program, traced bool) *obj.Executable {
+	if traced {
+		return prog.Instr
+	}
+	return prog.Orig
 }
 
 // Measured is one direct measurement of the uninstrumented system.
@@ -340,18 +322,18 @@ type Measured struct {
 // machine model — the paper's "measurements of execution time made
 // with an accurate timer" plus the hardware TLB miss counter.
 func Measure(spec workload.Spec, flavor kernel.Flavor, seed uint32) (*Measured, error) {
-	return MeasureT(spec, flavor, seed, nil)
+	return measure(spec, Config{Flavor: flavor, Seed: seed}, nil)
 }
 
-// MeasureT is Measure with the run's subsystems registered on reg
-// (which may be nil) under a run="untraced" label plus any extra
+// measure is Measure under c, with the run's subsystems registered on
+// reg (which may be nil) under a run="untraced" label plus any extra
 // labels (the Runner adds a run-id dimension here so concurrent runs'
-// series stay distinct).
-func MeasureT(spec workload.Spec, flavor kernel.Flavor, seed uint32,
-	reg *telemetry.Registry, extra ...telemetry.Label) (*Measured, error) {
-	sp := obs.BeginDetail("measure_run", fmt.Sprintf("%s/%v/seed%d", spec.Name, flavor, seed))
+// series stay distinct). Measured runs are untraced, so c's drain
+// fields do not apply.
+func measure(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...telemetry.Label) (*Measured, error) {
+	sp := obs.BeginDetail("measure_run", fmt.Sprintf("%s/%v/seed%d", spec.Name, c.Flavor, c.Seed))
 	defer sp.End()
-	sys, pid, err := boot(spec, flavor, false, seed, nil, kernel.StreamConfig{}, 0)
+	sys, pid, err := c.boot(spec, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -363,11 +345,11 @@ func MeasureT(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	sys.AttachTelemetry(reg, labels...)
 	tm.RegisterMetrics(reg, labels...)
 	if err := sys.Run(runBudget); err != nil {
-		return nil, fmt.Errorf("measure %s/%v: %w", spec.Name, flavor, err)
+		return nil, fmt.Errorf("measure %s/%v: %w", spec.Name, c, err)
 	}
 	return &Measured{
 		Name:       spec.Name,
-		Flavor:     flavor,
+		Flavor:     c.Flavor,
 		Cycles:     sys.M.Cycles(),
 		Seconds:    machine.Seconds(sys.M.Cycles()),
 		Instr:      sys.M.CPU.Stat.Instret,
@@ -446,42 +428,27 @@ func (p *Predicted) StaticWordErr() float64 {
 // count-mode binary for arithmetic stalls, and assembles the predicted
 // execution time from its four components (§5.1).
 func Predict(spec workload.Spec, flavor kernel.Flavor, seed uint32) (*Predicted, error) {
-	return PredictT(spec, flavor, seed, nil)
+	return predict(spec, Config{Flavor: flavor, Seed: seed}, nil)
 }
 
-// PredictT is Predict with the run's subsystems — traced machine,
-// kernel trace driver, parser, and analysis-side simulator —
-// registered on reg (which may be nil) under a run="traced" label plus
-// any extra labels (see MeasureT).
-func PredictT(spec workload.Spec, flavor kernel.Flavor, seed uint32,
-	reg *telemetry.Registry, extra ...telemetry.Label) (*Predicted, error) {
-	return predictWith(spec, flavor, seed, kernel.StreamConfig{}, 0, reg, extra...)
-}
-
-// PredictWith is Predict under a drain configuration: the trace flows
+// PredictStream is Predict under a drain configuration and trace-buffer
+// size (bufBytes of 0 keeps the standard buffer): the trace flows
 // through the epoch-ring streaming path — compressed on the wire when
 // stream.Compress is set — with the analysis running on the consumer
 // goroutine instead of charging stop-the-world analysis cycles.
-func PredictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
-	stream kernel.StreamConfig) (*Predicted, error) {
-	return predictWith(spec, flavor, seed, stream, 0, nil)
-}
-
-// PredictStream is PredictWith with a non-default trace-buffer size
-// (bufBytes of 0 keeps the standard buffer). Harnesses use smaller
-// buffers to force multi-epoch rings: with the 4 MB default a short
-// workload drains once at the final flush, which exercises the wire
-// format but not the pipeline.
 func PredictStream(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	bufBytes uint32, stream kernel.StreamConfig) (*Predicted, error) {
-	return predictWith(spec, flavor, seed, stream, bufBytes, nil)
+	return predict(spec, Config{Flavor: flavor, Seed: seed, Stream: stream, BufBytes: bufBytes}, nil)
 }
 
-func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
-	stream kernel.StreamConfig, bufBytes uint32, reg *telemetry.Registry, extra ...telemetry.Label) (*Predicted, error) {
-	sp := obs.BeginDetail("predict_run", fmt.Sprintf("%s/%v/seed%d", spec.Name, flavor, seed))
+// predict is Predict under c, with the run's subsystems — traced
+// machine, kernel trace driver, parser, and analysis-side simulator —
+// registered on reg (which may be nil) under a run="traced" label plus
+// any extra labels (see measure).
+func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...telemetry.Label) (*Predicted, error) {
+	sp := obs.BeginDetail("predict_run", fmt.Sprintf("%s/%v/seed%d", spec.Name, c.Flavor, c.Seed))
 	defer sp.End()
-	sys, pid, err := boot(spec, flavor, true, seed, nil, stream, bufBytes)
+	sys, pid, err := c.boot(spec, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -506,11 +473,11 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 		}
 	}
 	policy := memsys.PolicySequential
-	if flavor == kernel.Mach {
+	if c.Flavor == kernel.Mach {
 		policy = memsys.PolicyRandom
 	}
 	sim := memsys.NewTraceSim(memsys.DECstation5000(), policy,
-		kernel.DefaultBoot(flavor).RAMBytes>>12, seed)
+		kernel.DefaultBoot(c.Flavor).RAMBytes>>12, c.Seed)
 
 	labels := append([]telemetry.Label{telemetry.L("run", "traced")}, extra...)
 	sys.M.CPU.RegisterMetrics(reg, labels...)
@@ -519,7 +486,7 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	p.RegisterMetrics(reg, labels...)
 	sim.RegisterMetrics(reg, labels...)
 
-	chk, err := conformanceChecker(fmt.Sprintf("%s/%v", spec.Name, flavor), sys)
+	chk, err := conformanceChecker(fmt.Sprintf("%s/%v", spec.Name, c.Flavor), sys)
 	if err != nil {
 		return nil, err
 	}
@@ -527,16 +494,7 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	var events uint64
 	var perr, cerr error
 	buf := make([]trace.Event, 0, 1<<16)
-	compressed := stream.Enabled() && stream.Compress
-	if compressed {
-		// The conformance gate consumes the wire bytes themselves, so
-		// encoder, handoff, and decode are all under the check.
-		sys.OnEpoch = func(enc []byte) {
-			if cerr == nil {
-				cerr = chk.CheckCompressed(enc)
-			}
-		}
-	}
+	compressed := c.checkEpochs(sys, chk, &cerr)
 	sys.OnTrace = func(words []uint32) {
 		// Nests under the kernel host's trace_drain span (or the
 		// streaming consumer's epoch span): the memory-system analysis
@@ -558,19 +516,19 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 		sim.Events(evs)
 	}
 	if err := sys.Run(runBudget); err != nil {
-		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, flavor, err)
+		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, c, err)
 	}
 	if perr != nil {
-		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, flavor, perr)
+		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, c, perr)
 	}
 	if cerr != nil {
-		return nil, fmt.Errorf("predict %s/%v: compressed stream: %w", spec.Name, flavor, cerr)
+		return nil, fmt.Errorf("predict %s/%v: compressed stream: %w", spec.Name, c, cerr)
 	}
 
 	conf := chk.Finish()
 	conf.RegisterMetrics(reg, labels...)
 
-	arith, err := arithStalls(spec, kernel.Ultrix)
+	arith, err := arithStalls(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +538,7 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	total := cpu + sim.MemStalls() + arith + io
 	return &Predicted{
 		Name:           spec.Name,
-		Flavor:         flavor,
+		Flavor:         c.Flavor,
 		CPUCycles:      cpu,
 		MemStalls:      sim.MemStalls(),
 		ArithStalls:    arith,
@@ -606,13 +564,13 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 }
 
 // arithStalls returns the pixie arithmetic-stall estimate for the
-// workload, memoized per (workload, flavor): the count-mode run is
-// deterministic and both systems' predictions charge the same term, so
-// the suite performs it once.
-func arithStalls(spec workload.Spec, flavor kernel.Flavor) (uint64, error) {
-	e := cacheEntry(arithCache, fmt.Sprintf("%s-%v", spec.Name, flavor))
+// workload, memoized per workload: the count-mode run is deterministic
+// and both systems' predictions charge the same term (counted on the
+// Ultrix system), so the suite performs it once.
+func arithStalls(spec workload.Spec) (uint64, error) {
+	e := cacheEntry(arithCache, spec.Name)
 	e.once.Do(func() {
-		e.val, e.err = runArithStalls(spec, flavor)
+		e.val, e.err = runArithStalls(spec)
 	})
 	return e.val, e.err
 }
@@ -621,8 +579,8 @@ func arithStalls(spec workload.Spec, flavor kernel.Flavor) (uint64, error) {
 // charges each block's floating-point latency by its execution count —
 // "Pixie was used to estimate arithmetic stalls, as the tracing system
 // does not measure these events" (§5.1).
-func runArithStalls(spec workload.Spec, flavor kernel.Flavor) (uint64, error) {
-	prog, err := program(spec)
+func runArithStalls(spec workload.Spec) (uint64, error) {
+	prog, err := program(spec, epoxie.FlowOn)
 	if err != nil {
 		return 0, err
 	}
@@ -630,16 +588,12 @@ func runArithStalls(spec workload.Spec, flavor kernel.Flavor) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sys, _, err := boot(spec, flavor, false, 1, res.Exe, kernel.StreamConfig{}, 0)
+	sys, pid, err := Config{Flavor: kernel.Ultrix, Seed: 1}.boot(spec, false, res.Exe)
 	if err != nil {
 		return 0, err
 	}
 	if err := sys.Run(runBudget); err != nil {
 		return 0, fmt.Errorf("pixie count %s: %w", spec.Name, err)
-	}
-	pid := 1
-	if flavor == kernel.Mach {
-		pid = 2
 	}
 	// Static FP latency per original block, weighted by count.
 	var stalls uint64

@@ -6,6 +6,7 @@ import (
 
 	"systrace/internal/experiment"
 	"systrace/internal/kernel"
+	"systrace/internal/obj"
 	"systrace/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func TestMeasurePredictAgreeOnResult(t *testing.T) {
 func TestConformanceCleanOnSimulatorOutput(t *testing.T) {
 	for _, s := range specsFor(t, "sed") {
 		for _, flavor := range []kernel.Flavor{kernel.Ultrix, kernel.Mach} {
-			res, err := experiment.Conformance(s, flavor, 1)
+			res, err := experiment.Config{Flavor: flavor, Seed: 1}.Conformance(s)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", s.Name, flavor, err)
 			}
@@ -73,7 +74,7 @@ func TestConformanceCleanOnSimulatorOutput(t *testing.T) {
 func TestStreamingConformanceAndPredict(t *testing.T) {
 	stream := kernel.DefaultStream()
 	for _, s := range specsFor(t, "sed") {
-		res, err := experiment.ConformanceWith(s, kernel.Ultrix, 1, stream)
+		res, err := experiment.Config{Flavor: kernel.Ultrix, Seed: 1, Stream: stream}.Conformance(s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -89,7 +90,7 @@ func TestStreamingConformanceAndPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := experiment.PredictWith(s, kernel.Ultrix, 2, stream)
+		pred, err := experiment.PredictStream(s, kernel.Ultrix, 2, 0, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +127,106 @@ func TestStreamingConformanceAndPredict(t *testing.T) {
 	}
 }
 
+// TestDrainAndDataflowGates holds the streaming drain and the dataflow
+// engine to their design targets over full traced boots:
+//   - on sed and lisp with a 512 KB buffer (Ultrix, seed 1), the
+//     compressed epoch-ring drain retires fewer traced cycles than the
+//     two-phase drain, compresses the stream at least 4x, leaves the
+//     workload result unchanged, and passes conformance;
+//   - the static trace-cost table predicts the consumed stream of sed,
+//     lisp, egrep and yacc within 10%;
+//   - liveness elides at least 20% of the save sites across the Ultrix
+//     kernel plus sed and lisp.
+//
+// Host time is not gated here; perfbench's stream-mach workload
+// measures it.
+func TestDrainAndDataflowGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full traced workload boots")
+	}
+	r := experiment.NewRunner(0)
+	twoPhase := experiment.Config{Flavor: kernel.Ultrix, Seed: 1, BufBytes: 512 << 10}
+	stream := twoPhase
+	stream.Stream = kernel.DefaultStream()
+	std := experiment.Config{Flavor: kernel.Ultrix, Seed: 1}
+	drainSpecs := specsFor(t, "sed", "lisp")
+	costSpecs := specsFor(t, "sed", "lisp", "egrep", "yacc")
+	for _, s := range drainSpecs {
+		r.StartPredict(s, twoPhase)
+		r.StartPredict(s, stream)
+	}
+	for _, s := range costSpecs {
+		r.StartPredict(s, std)
+	}
+
+	for _, s := range drainSpecs {
+		two, err := r.Predict(s, twoPhase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := r.Predict(s, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.TracedCycles >= two.TracedCycles {
+			t.Errorf("%s: streaming drain not faster in simulated time (%d vs two-phase %d cycles)",
+				s.Name, sc.TracedCycles, two.TracedCycles)
+		}
+		var ratio float64
+		if sc.Stream.EncodedBytes > 0 {
+			ratio = float64(sc.Stream.RawBytes) / float64(sc.Stream.EncodedBytes)
+		}
+		if ratio < 4 {
+			t.Errorf("%s: compression %.2fx below the 4x target", s.Name, ratio)
+		}
+		if sc.Result != two.Result {
+			t.Errorf("%s: workload result changed across drains (%d vs %d)", s.Name, sc.Result, two.Result)
+		}
+		for _, p := range []*experiment.Predicted{two, sc} {
+			if !p.Conformance.Clean() {
+				t.Errorf("%s: trace fails conformance (%d diags)", s.Name, len(p.Conformance.Diags))
+			}
+		}
+		t.Logf("%s: traced cycles %d streaming vs %d two-phase, %d epochs, compression %.2fx",
+			s.Name, sc.TracedCycles, two.TracedCycles, sc.Stream.Epochs, ratio)
+	}
+
+	for _, s := range costSpecs {
+		p, err := r.Predict(s, std)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := p.StaticWordErr(); e < -0.1 || e > 0.1 {
+			t.Errorf("%s: static cost table error %+.2f%% beyond 10%%", s.Name, 100*e)
+		} else {
+			t.Logf("%s: static cost table error %+.2f%%", s.Name, 100*e)
+		}
+	}
+
+	var sites, elided int
+	for i, s := range drainSpecs {
+		sys, _, err := std.Boot(s, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows := []obj.FlowStats{sys.Procs[0].Exe.Instr.Flow}
+		if i == 0 {
+			flows = append(flows, sys.Kernel.Instr.Flow)
+		}
+		for _, f := range flows {
+			sites += f.SaveSites
+			elided += f.SavesElided
+		}
+	}
+	if sites == 0 || 100*elided < 20*sites {
+		t.Errorf("static elision %d of %d save sites, below the 20%% floor", elided, sites)
+	} else {
+		t.Logf("static elision: %d of %d save sites (%.1f%%)", elided, sites, 100*float64(elided)/float64(sites))
+	}
+}
+
 func TestTable1Inventory(t *testing.T) {
-	rows, err := experiment.Table1(specsFor(t, "gcc", "yacc"))
+	rows, err := experiment.NewRunner(0).Table1(specsFor(t, "gcc", "yacc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +242,7 @@ func TestTable1Inventory(t *testing.T) {
 
 func TestTable2AndFigure3(t *testing.T) {
 	specs := specsFor(t, "gcc", "yacc")[:1] // gcc only: four full system runs
-	rows, err := experiment.Table2(specs)
+	rows, err := experiment.NewRunner(0).Table2(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +266,7 @@ func TestTable2AndFigure3(t *testing.T) {
 
 func TestBufferSizingMonotonic(t *testing.T) {
 	spec, _ := workload.ByName("sed")
-	rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20})
+	rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20}, kernel.StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +282,7 @@ func TestBufferSizingMonotonic(t *testing.T) {
 
 func TestKernelCPIRatio(t *testing.T) {
 	spec, _ := workload.ByName("sed")
-	res, err := experiment.KernelCPI(spec)
+	res, err := experiment.NewRunner(0).KernelCPI(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

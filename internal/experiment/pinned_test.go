@@ -8,12 +8,14 @@ import (
 )
 
 // TestPinnedCounts pins the simulated counts of one measurement per
-// kernel and one prediction. The differential oracle compares engines
+// kernel, one prediction, and two buffer-sizing boots. The differential oracle compares engines
 // against each other with no stall model attached; these numbers
 // additionally hold the execution-driven Timing model's event timing
 // (Measure) and the traced two-phase pipeline (Predict) fixed, so a
 // change to the run loops or the execution tiers that shifts an
-// interrupt or a doorbell by one instruction shows up here.
+// interrupt or a doorbell by one instruction shows up here. The
+// buffer-sizing rows hold its traced boots (Ultrix, page-mapping
+// seed 0, two-phase drain, non-default buffers) to the same counts.
 func TestPinnedCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload boots")
@@ -44,5 +46,20 @@ func TestPinnedCounts(t *testing.T) {
 		t.Errorf("Predict(sed, Ultrix): cycles %d traced cycles %d trace words %d events %d, "+
 			"want 4119458 32853918 883222 3633285",
 			p.Cycles, p.TracedCycles, p.TraceWords, p.Events)
+	}
+	rows, err := experiment.BufferSizing(sed, []uint32{256 << 10, 1 << 20}, kernel.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []experiment.BufferRow{
+		{BufBytes: 256 << 10, ModeSwitches: 25, TracedInstr: 25843651, Cycles: 32877075},
+		{BufBytes: 1 << 20, ModeSwitches: 4, TracedInstr: 25838197, Cycles: 32902413},
+	} {
+		r := rows[i]
+		if r.ModeSwitches != want.ModeSwitches || r.TracedInstr != want.TracedInstr || r.Cycles != want.Cycles {
+			t.Errorf("BufferSizing(sed, %d): mode switches %d traced instr %d cycles %d, want %d %d %d",
+				want.BufBytes, r.ModeSwitches, r.TracedInstr, r.Cycles,
+				want.ModeSwitches, want.TracedInstr, want.Cycles)
+		}
 	}
 }

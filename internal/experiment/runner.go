@@ -5,7 +5,7 @@ package experiment
 // runs, the dilation study repeats Table 1's measurements, the error
 // anatomy re-runs Table 2's outliers — and a full simulated run takes
 // seconds. The Runner makes the suite cost exactly one simulation per
-// unique (kind, workload, flavor, seed) configuration: results are
+// unique (kind, workload, Config) configuration: results are
 // memoized behind singleflight deduplication (the first submitter owns
 // the run, later submitters wait for it), and distinct runs execute on
 // a bounded worker pool.
@@ -38,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"systrace/internal/kernel"
 	"systrace/internal/obs"
 	"systrace/internal/telemetry"
 	"systrace/internal/workload"
@@ -61,18 +60,19 @@ func (k RunKind) String() string {
 	return "predict"
 }
 
-// RunKey identifies one unique simulation. The pixie count-mode runs
-// behind Predict's arithmetic-stall term are memoized separately, per
-// (workload, flavor), in the package build caches.
+// RunKey identifies one unique simulation: the run kind, the workload,
+// and the whole run Config, so variants that differ only in flow mode,
+// engine, drain or buffer size never share a result. The pixie
+// count-mode runs behind Predict's arithmetic-stall term are memoized
+// separately, per workload, in the package build caches.
 type RunKey struct {
 	Kind   RunKind
 	Spec   string
-	Flavor kernel.Flavor
-	Seed   uint32
+	Config Config
 }
 
 func (k RunKey) String() string {
-	return fmt.Sprintf("%v:%s:%v:%d", k.Kind, k.Spec, k.Flavor, k.Seed)
+	return fmt.Sprintf("%v:%s:%v", k.Kind, k.Spec, k.Config)
 }
 
 // runCall is one singleflight entry. The owning worker fills the
@@ -215,9 +215,9 @@ func (r *Runner) execute(key RunKey, spec workload.Spec, c *runCall) {
 	id := telemetry.L("id", key.String())
 	switch key.Kind {
 	case RunMeasure:
-		c.meas, c.err = MeasureT(spec, key.Flavor, key.Seed, reg, id)
+		c.meas, c.err = measure(spec, key.Config, reg, id)
 	case RunPredict:
-		c.pred, c.err = PredictT(spec, key.Flavor, key.Seed, reg, id)
+		c.pred, c.err = predict(spec, key.Config, reg, id)
 	}
 	if reg != nil {
 		c.snap = reg.Snapshot()
@@ -226,29 +226,29 @@ func (r *Runner) execute(key RunKey, spec workload.Spec, c *runCall) {
 
 // StartMeasure submits a measurement without waiting for it. Use it to
 // warm the pool with a table's whole run set before collecting.
-func (r *Runner) StartMeasure(spec workload.Spec, flavor kernel.Flavor, seed uint32) {
-	r.submit(RunKey{RunMeasure, spec.Name, flavor, seed}, spec)
+func (r *Runner) StartMeasure(spec workload.Spec, c Config) {
+	r.submit(RunKey{RunMeasure, spec.Name, c}, spec)
 }
 
 // StartPredict submits a prediction without waiting for it.
-func (r *Runner) StartPredict(spec workload.Spec, flavor kernel.Flavor, seed uint32) {
-	r.submit(RunKey{RunPredict, spec.Name, flavor, seed}, spec)
+func (r *Runner) StartPredict(spec workload.Spec, c Config) {
+	r.submit(RunKey{RunPredict, spec.Name, c}, spec)
 }
 
 // Measure returns the memoized direct measurement for the
 // configuration, running it if needed. The result is shared: callers
 // must treat it (including Timing) as read-only.
-func (r *Runner) Measure(spec workload.Spec, flavor kernel.Flavor, seed uint32) (*Measured, error) {
-	c := r.submit(RunKey{RunMeasure, spec.Name, flavor, seed}, spec)
-	<-c.done
-	return c.meas, c.err
+func (r *Runner) Measure(spec workload.Spec, c Config) (*Measured, error) {
+	k := r.submit(RunKey{RunMeasure, spec.Name, c}, spec)
+	<-k.done
+	return k.meas, k.err
 }
 
 // Predict returns the memoized trace-driven prediction for the
 // configuration, running it if needed. The result is shared: callers
 // must treat it (including Sim and Parser) as read-only.
-func (r *Runner) Predict(spec workload.Spec, flavor kernel.Flavor, seed uint32) (*Predicted, error) {
-	c := r.submit(RunKey{RunPredict, spec.Name, flavor, seed}, spec)
-	<-c.done
-	return c.pred, c.err
+func (r *Runner) Predict(spec workload.Spec, c Config) (*Predicted, error) {
+	k := r.submit(RunKey{RunPredict, spec.Name, c}, spec)
+	<-k.done
+	return k.pred, k.err
 }

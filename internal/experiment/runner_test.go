@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"systrace/internal/epoxie"
 	"systrace/internal/experiment"
 	"systrace/internal/kernel"
 	"systrace/internal/telemetry"
@@ -50,7 +51,7 @@ func TestRunnerParallelMatchesSequential(t *testing.T) {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				meas, err := r.Measure(s, kernel.Ultrix, 1)
+				meas, err := r.Measure(s, experiment.Config{Flavor: kernel.Ultrix, Seed: 1})
 				if err != nil {
 					errs <- err
 					return
@@ -61,7 +62,7 @@ func TestRunnerParallelMatchesSequential(t *testing.T) {
 			}()
 			go func() {
 				defer wg.Done()
-				pred, err := r.Predict(s, kernel.Ultrix, 2)
+				pred, err := r.Predict(s, experiment.Config{Flavor: kernel.Ultrix, Seed: 2})
 				if err != nil {
 					errs <- err
 					return
@@ -145,10 +146,10 @@ func TestRunnerRunTelemetry(t *testing.T) {
 	specs := specsFor(t, "sed")
 	r := experiment.NewRunner(2)
 	r.EnableRunTelemetry()
-	if _, err := r.Measure(specs[0], kernel.Ultrix, 1); err != nil {
+	if _, err := r.Measure(specs[0], experiment.Config{Flavor: kernel.Ultrix, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Predict(specs[0], kernel.Ultrix, 2); err != nil {
+	if _, err := r.Predict(specs[0], experiment.Config{Flavor: kernel.Ultrix, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	snaps := r.Snapshots()
@@ -200,7 +201,7 @@ func TestPageMappingVarianceMeanFraction(t *testing.T) {
 	}
 	var want float64
 	for _, seed := range seeds {
-		meas, err := r.Measure(specs[0], kernel.Mach, seed)
+		meas, err := r.Measure(specs[0], experiment.Config{Flavor: kernel.Mach, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,5 +214,51 @@ func TestPageMappingVarianceMeanFraction(t *testing.T) {
 	}
 	if res.SystemFraction <= 0 || res.SystemFraction >= 1 {
 		t.Errorf("SystemFraction = %v out of (0, 1)", res.SystemFraction)
+	}
+}
+
+// TestRunnerConfigsNeverAlias checks that the whole Config is the memo
+// key: predictions that differ only in flow mode, engine, drain or
+// buffer size are each simulated, under distinct run ids, and the
+// drain variant really ran its own drain.
+func TestRunnerConfigsNeverAlias(t *testing.T) {
+	sed := specsFor(t, "sed")[0]
+	base := experiment.Config{Flavor: kernel.Ultrix, Seed: 2}
+	variants := []experiment.Config{base, base, base, base, base}
+	variants[1].Flow = epoxie.FlowOff
+	variants[2].Engine = kernel.EngineReference
+	variants[3].Stream = kernel.DefaultStream()
+	variants[4].BufBytes = 1 << 20
+
+	r := experiment.NewRunner(2)
+	for _, c := range variants {
+		r.StartPredict(sed, c)
+	}
+	ids := map[string]bool{}
+	preds := make([]*experiment.Predicted, len(variants))
+	for i, c := range variants {
+		p, err := r.Predict(sed, c)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		preds[i] = p
+		ids[experiment.RunKey{Kind: experiment.RunPredict, Spec: sed.Name, Config: c}.String()] = true
+	}
+	if s := r.Stats(); s.Executed != uint64(len(variants)) {
+		t.Errorf("Executed = %d, want %d (one per config)", s.Executed, len(variants))
+	}
+	if len(ids) != len(variants) {
+		t.Errorf("%d distinct run ids for %d configs: %v", len(ids), len(variants), ids)
+	}
+	if preds[0].OverlapCycles != 0 {
+		t.Errorf("two-phase run overlapped %d analysis cycles", preds[0].OverlapCycles)
+	}
+	if preds[3].OverlapCycles == 0 {
+		t.Error("streaming run overlapped no analysis cycles: it shared the two-phase result")
+	}
+	for i, p := range preds[1:] {
+		if p.Result != preds[0].Result {
+			t.Errorf("%v: result %d, want %d", variants[i+1], p.Result, preds[0].Result)
+		}
 	}
 }

@@ -43,22 +43,16 @@ type Table1Row struct {
 var bothSystems = []kernel.Flavor{kernel.Mach, kernel.Ultrix}
 
 // Table1 runs the untraced suite on the Ultrix-like system and reports
-// the workload inventory with execution times.
-func Table1(specs []workload.Spec) ([]Table1Row, error) {
-	return NewRunner(0).Table1(specs)
-}
-
-// Table1 generates the workload inventory from the Runner's shared
-// results: the run set is submitted up front, so distinct runs
-// simulate in parallel and anything another table already requested is
-// served from the memo.
+// the workload inventory with execution times. The run set is
+// submitted up front, so distinct runs simulate in parallel and
+// anything another table already requested is served from the memo.
 func (r *Runner) Table1(specs []workload.Spec) ([]Table1Row, error) {
 	for _, s := range specs {
-		r.StartMeasure(s, kernel.Ultrix, 1)
+		r.StartMeasure(s, Config{Flavor: kernel.Ultrix, Seed: 1})
 	}
 	var rows []Table1Row
 	for _, s := range specs {
-		meas, err := r.Measure(s, kernel.Ultrix, 1)
+		meas, err := r.Measure(s, Config{Flavor: kernel.Ultrix, Seed: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -75,30 +69,24 @@ type Table2Row struct {
 }
 
 // Table2 reproduces the run-time validation: measured and predicted
-// execution times for both systems.
-func Table2(specs []workload.Spec) ([]Table2Row, error) {
-	return NewRunner(0).Table2(specs)
-}
-
-// Table2 generates the run-time validation from the Runner's shared
-// results. Its run set is identical to Table3's, so whichever runs
-// second costs nothing.
+// execution times for both systems. Its run set is identical to
+// Table3's, so whichever runs second costs nothing.
 func (r *Runner) Table2(specs []workload.Spec) ([]Table2Row, error) {
 	for _, s := range specs {
 		for _, fl := range bothSystems {
-			r.StartMeasure(s, fl, 1)
-			r.StartPredict(s, fl, 2)
+			r.StartMeasure(s, Config{Flavor: fl, Seed: 1})
+			r.StartPredict(s, Config{Flavor: fl, Seed: 2})
 		}
 	}
 	var rows []Table2Row
 	for _, s := range specs {
 		row := Table2Row{Name: s.Name}
 		for _, fl := range bothSystems {
-			meas, err := r.Measure(s, fl, 1)
+			meas, err := r.Measure(s, Config{Flavor: fl, Seed: 1})
 			if err != nil {
 				return nil, err
 			}
-			pred, err := r.Predict(s, fl, 2)
+			pred, err := r.Predict(s, Config{Flavor: fl, Seed: 2})
 			if err != nil {
 				return nil, err
 			}
@@ -135,29 +123,24 @@ type Table3Row struct {
 	UltrixMeasured, UltrixPredicted uint64
 }
 
-// Table3 reproduces the user-TLB-miss validation.
-func Table3(specs []workload.Spec) ([]Table3Row, error) {
-	return NewRunner(0).Table3(specs)
-}
-
-// Table3 generates the TLB-miss validation from the Runner's shared
-// results; the run set is Table2's, so a suite pays for it once.
+// Table3 reproduces the user-TLB-miss validation; the run set is
+// Table2's, so a suite pays for it once.
 func (r *Runner) Table3(specs []workload.Spec) ([]Table3Row, error) {
 	for _, s := range specs {
 		for _, fl := range bothSystems {
-			r.StartMeasure(s, fl, 1)
-			r.StartPredict(s, fl, 2)
+			r.StartMeasure(s, Config{Flavor: fl, Seed: 1})
+			r.StartPredict(s, Config{Flavor: fl, Seed: 2})
 		}
 	}
 	var rows []Table3Row
 	for _, s := range specs {
 		row := Table3Row{Name: s.Name}
 		for _, fl := range bothSystems {
-			meas, err := r.Measure(s, fl, 1)
+			meas, err := r.Measure(s, Config{Flavor: fl, Seed: 1})
 			if err != nil {
 				return nil, err
 			}
-			pred, err := r.Predict(s, fl, 2)
+			pred, err := r.Predict(s, Config{Flavor: fl, Seed: 2})
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +170,7 @@ type GrowthRow struct {
 func TextGrowth(specs []workload.Spec) ([]GrowthRow, error) {
 	var rows []GrowthRow
 	for _, s := range specs {
-		prog, err := program(s)
+		prog, err := program(s, epoxie.FlowOn)
 		if err != nil {
 			return nil, err
 		}
@@ -247,25 +230,19 @@ type DilationRow struct {
 
 // TimeDilation reproduces the §4.1 numbers: traced programs execute
 // "about fifteen times more slowly", and the clock is retuned to
-// match.
-func TimeDilation(specs []workload.Spec) ([]DilationRow, error) {
-	return NewRunner(0).TimeDilation(specs)
-}
-
-// TimeDilation generates the §4.1 dilation rows from the Runner's
-// shared results (the measurements are Table1's).
+// match. The measurements are Table1's.
 func (r *Runner) TimeDilation(specs []workload.Spec) ([]DilationRow, error) {
 	for _, s := range specs {
-		r.StartMeasure(s, kernel.Ultrix, 1)
-		r.StartPredict(s, kernel.Ultrix, 1)
+		r.StartMeasure(s, Config{Flavor: kernel.Ultrix, Seed: 1})
+		r.StartPredict(s, Config{Flavor: kernel.Ultrix, Seed: 1})
 	}
 	var rows []DilationRow
 	for _, s := range specs {
-		meas, err := r.Measure(s, kernel.Ultrix, 1)
+		meas, err := r.Measure(s, Config{Flavor: kernel.Ultrix, Seed: 1})
 		if err != nil {
 			return nil, err
 		}
-		pred, err := r.Predict(s, kernel.Ultrix, 1)
+		pred, err := r.Predict(s, Config{Flavor: kernel.Ultrix, Seed: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -298,53 +275,31 @@ type BufferRow struct {
 
 // BufferSizing reproduces the §4.3 analysis: larger in-kernel buffers
 // mean rarer generation/analysis transitions (the paper's 64 MB buffer
-// permitted ~32 M instructions of continuous execution).
-func BufferSizing(spec workload.Spec, sizes []uint32) ([]BufferRow, error) {
-	return BufferSizingWith(spec, sizes, kernel.StreamConfig{})
-}
-
-// BufferSizingWith is BufferSizing under a drain configuration: the
-// E9 "dirt" experiment re-measured with the epoch-ring streaming
-// drain, where a smaller buffer costs ring-slot stalls rather than
-// more frequent stop-the-world phases.
-func BufferSizingWith(spec workload.Spec, sizes []uint32, stream kernel.StreamConfig) ([]BufferRow, error) {
+// permitted ~32 M instructions of continuous execution). stream
+// selects the drain: under the epoch-ring streaming drain a smaller
+// buffer costs ring-slot stalls rather than more frequent
+// stop-the-world phases.
+func BufferSizing(spec workload.Spec, sizes []uint32, stream kernel.StreamConfig) ([]BufferRow, error) {
 	var rows []BufferRow
 	for _, size := range sizes {
-		kexe, err := kernelExe(kernel.Ultrix, true)
+		sys, _, err := Config{Flavor: kernel.Ultrix, Stream: stream, BufBytes: size}.boot(spec, true, nil)
 		if err != nil {
 			return nil, err
 		}
-		prog, err := program(spec)
-		if err != nil {
+		if err := sys.Run(runBudget); err != nil {
 			return nil, err
 		}
-		disk, err := kernel.BuildDiskImage(spec.Files)
-		if err != nil {
-			return nil, err
-		}
-		cfg := kernel.DefaultBoot(kernel.Ultrix)
-		cfg.DiskImage = disk
-		cfg.TraceBufBytes = size
-		cfg.ClockInterval *= IdleScale
-		cfg.Stream = stream
-		sys2, err := kernel.Boot(kexe, []kernel.BootProc{{Exe: prog.Instr}}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys2.Run(runBudget); err != nil {
-			return nil, err
-		}
-		sw := sys2.Doorbells
+		sw := sys.Doorbells
 		if sw == 0 {
 			sw = 1
 		}
 		rows = append(rows, BufferRow{
 			BufBytes:      size,
-			ModeSwitches:  sys2.Doorbells,
-			TracedInstr:   sys2.M.CPU.Stat.Instret,
-			InstrPerPhase: float64(sys2.M.CPU.Stat.Instret) / float64(sw),
-			Cycles:        sys2.M.Cycles(),
-			StallCycles:   sys2.StreamStats.StallCycles,
+			ModeSwitches:  sys.Doorbells,
+			TracedInstr:   sys.M.CPU.Stat.Instret,
+			InstrPerPhase: float64(sys.M.CPU.Stat.Instret) / float64(sw),
+			Cycles:        sys.M.Cycles(),
+			StallCycles:   sys.StreamStats.StallCycles,
 		})
 	}
 	return rows, nil
@@ -357,15 +312,10 @@ type CPIResult struct {
 	KernelInstr, UserInstr    uint64
 }
 
-// KernelCPI measures CPI by mode on a system-call-heavy workload.
-func KernelCPI(spec workload.Spec) (*CPIResult, error) {
-	return NewRunner(0).KernelCPI(spec)
-}
-
-// KernelCPI derives the CPI-by-mode result from the Runner's shared
-// measurement (the same run Table1 reports).
+// KernelCPI measures CPI by mode on a system-call-heavy workload, from
+// the same run Table1 reports.
 func (r *Runner) KernelCPI(spec workload.Spec) (*CPIResult, error) {
-	meas, err := r.Measure(spec, kernel.Ultrix, 1)
+	meas, err := r.Measure(spec, Config{Flavor: kernel.Ultrix, Seed: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -392,22 +342,17 @@ type VarianceResult struct {
 // PageMappingVariance runs the workload under the Mach-like system
 // with different page-placement seeds: "system policy in the
 // virtual-to-physical page selection can cause execution time to vary
-// by over 10%" while system activity is only ~1% (§4.4).
-func PageMappingVariance(spec workload.Spec, seeds []uint32) (*VarianceResult, error) {
-	return NewRunner(0).PageMappingVariance(spec, seeds)
-}
-
-// PageMappingVariance generates the §4.4 variance study from the
-// Runner's shared results; the per-seed runs simulate in parallel.
+// by over 10%" while system activity is only ~1% (§4.4). The per-seed
+// runs simulate in parallel.
 func (r *Runner) PageMappingVariance(spec workload.Spec, seeds []uint32) (*VarianceResult, error) {
 	for _, seed := range seeds {
-		r.StartMeasure(spec, kernel.Mach, seed)
+		r.StartMeasure(spec, Config{Flavor: kernel.Mach, Seed: seed})
 	}
 	res := &VarianceResult{}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	var fracSum float64
 	for _, seed := range seeds {
-		meas, err := r.Measure(spec, kernel.Mach, seed)
+		meas, err := r.Measure(spec, Config{Flavor: kernel.Mach, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -437,14 +382,9 @@ type ErrorAnatomy struct {
 	WBStallCycles   uint64
 }
 
-// ErrorSources explains the error structure for the paper's three
-// outliers (sed, compress, liv).
-func ErrorSources(names []string) ([]ErrorAnatomy, error) {
-	return NewRunner(0).ErrorSources(names)
-}
-
-// ErrorSources generates the §5.1 error anatomy from the Runner's
-// shared results (the same runs Table1 and Table2 report).
+// ErrorSources explains the §5.1 error structure for the paper's three
+// outliers (sed, compress, liv) from the same runs Table1 and Table2
+// report.
 func (r *Runner) ErrorSources(names []string) ([]ErrorAnatomy, error) {
 	specs := make([]workload.Spec, 0, len(names))
 	for _, n := range names {
@@ -453,17 +393,17 @@ func (r *Runner) ErrorSources(names []string) ([]ErrorAnatomy, error) {
 			return nil, fmt.Errorf("unknown workload %q", n)
 		}
 		specs = append(specs, spec)
-		r.StartMeasure(spec, kernel.Ultrix, 1)
-		r.StartPredict(spec, kernel.Ultrix, 2)
+		r.StartMeasure(spec, Config{Flavor: kernel.Ultrix, Seed: 1})
+		r.StartPredict(spec, Config{Flavor: kernel.Ultrix, Seed: 2})
 	}
 	var out []ErrorAnatomy
 	for _, spec := range specs {
 		n := spec.Name
-		meas, err := r.Measure(spec, kernel.Ultrix, 1)
+		meas, err := r.Measure(spec, Config{Flavor: kernel.Ultrix, Seed: 1})
 		if err != nil {
 			return nil, err
 		}
-		pred, err := r.Predict(spec, kernel.Ultrix, 2)
+		pred, err := r.Predict(spec, Config{Flavor: kernel.Ultrix, Seed: 2})
 		if err != nil {
 			return nil, err
 		}
@@ -542,7 +482,7 @@ func Figure2() string {
 // with a bogus value, and counts how many corruptions the parsing
 // library rejects.
 func CorruptionDetection(spec workload.Spec) (detected, total int, err error) {
-	sys, _, err := boot(spec, kernel.Ultrix, true, 1, nil, kernel.StreamConfig{}, 0)
+	sys, _, err := Config{Flavor: kernel.Ultrix, Seed: 1}.boot(spec, true, nil)
 	if err != nil {
 		return 0, 0, fmt.Errorf("corruption study: boot %s: %w", spec.Name, err)
 	}

@@ -142,6 +142,24 @@ type space struct {
 	cfg   *verify.CFG
 	entry expectSet // expectation for the stream's first record
 	st    streamState
+	// memo caches cfg.Reach per checker, so the per-record lookup is
+	// one unlocked map access even when concurrent checkers share the
+	// CFG; only a miss takes the CFG's lock.
+	memo map[uint32]*verify.ReachSet
+}
+
+func newSpace(g *verify.CFG) *space {
+	return &space{cfg: g, memo: map[uint32]*verify.ReachSet{}}
+}
+
+// reach is cfg.Reach(addr) through the space's memo.
+func (sp *space) reach(addr uint32) *verify.ReachSet {
+	s, ok := sp.memo[addr]
+	if !ok {
+		s = sp.cfg.Reach(addr)
+		sp.memo[addr] = s
+	}
+	return s
 }
 
 // frame saves the kernel stream context across a nested exception,
@@ -207,13 +225,15 @@ func (c *Checker) SetKernel(e *obj.Executable) error {
 	return nil
 }
 
-// SetKernelCFG is SetKernel for an already-derived CFG (shared across
-// checkers; note a CFG memoizes in place and is not goroutine-safe).
+// SetKernelCFG is SetKernel for an already-derived CFG. A CFG may be
+// shared by any number of checkers, including ones running on other
+// goroutines.
 func (c *Checker) SetKernelCFG(g *verify.CFG) {
-	sp := &space{cfg: g, entry: top()}
+	sp := newSpace(g)
+	sp.entry = top()
 	sp.st.exp = sp.entry
 	if addr, ok := g.Exe.Symbol("kentry"); ok {
-		c.kentry = expectSet{a: g.Reach(addr)}
+		c.kentry = expectSet{a: sp.reach(addr)}
 	}
 	c.kernel = sp
 	c.inKern = true
@@ -230,9 +250,11 @@ func (c *Checker) AddProcess(pid int, e *obj.Executable) error {
 	return nil
 }
 
-// AddProcessCFG is AddProcess for an already-derived CFG.
+// AddProcessCFG is AddProcess for an already-derived CFG (shareable
+// like SetKernelCFG's).
 func (c *Checker) AddProcessCFG(pid int, g *verify.CFG) {
-	sp := &space{cfg: g, entry: expectSet{a: g.Reach(g.Exe.Entry)}}
+	sp := newSpace(g)
+	sp.entry = expectSet{a: sp.reach(g.Exe.Entry)}
 	sp.st.exp = sp.entry
 	c.procs[pid] = sp
 }
@@ -455,17 +477,16 @@ func (c *Checker) special(n *verify.CFGNode) {
 // accepted block's terminator.
 func (c *Checker) advance(sp *space, n *verify.CFGNode) {
 	st := &sp.st
-	g := sp.cfg
 	switch n.Term {
 	case verify.TermFall:
-		st.exp = expectSet{a: g.Reach(n.Next)}
+		st.exp = expectSet{a: sp.reach(n.Next)}
 	case verify.TermBranch:
-		st.exp = expectSet{a: g.Reach(n.Target), b: g.Reach(n.Next)}
+		st.exp = expectSet{a: sp.reach(n.Target), b: sp.reach(n.Next)}
 	case verify.TermJump:
-		st.exp = expectSet{a: g.Reach(n.Target)}
+		st.exp = expectSet{a: sp.reach(n.Target)}
 	case verify.TermCall:
-		callee := g.Reach(n.Target)
-		ret := g.Reach(n.Next)
+		callee := sp.reach(n.Target)
+		ret := sp.reach(n.Next)
 		if !callee.Top && len(callee.Records) == 0 {
 			// Call into invisible code (a silent helper like
 			// idle_pause): no record, no visible return — the next
@@ -480,7 +501,7 @@ func (c *Checker) advance(sp *space, n *verify.CFGNode) {
 			st.exp = expectSet{a: callee, b: ret}
 		}
 	case verify.TermCallReg:
-		st.ret = append(st.ret, g.Reach(n.Next))
+		st.ret = append(st.ret, sp.reach(n.Next))
 		st.exp = top()
 	case verify.TermRet:
 		if len(st.ret) == 0 {

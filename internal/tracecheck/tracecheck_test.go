@@ -3,6 +3,7 @@ package tracecheck_test
 import (
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"systrace/internal/epoxie"
@@ -13,6 +14,7 @@ import (
 	"systrace/internal/telemetry"
 	"systrace/internal/trace"
 	"systrace/internal/tracecheck"
+	"systrace/internal/verify"
 )
 
 // conformModule builds a program that exercises every terminator kind
@@ -416,5 +418,38 @@ func TestMetricsRegister(t *testing.T) {
 	}
 	if recs != float64(res.Records) {
 		t.Errorf("tracecheck_records_total = %v, want %d", recs, res.Records)
+	}
+}
+
+// TestSharedCFGConcurrentCheckers checks one stream with several
+// checkers at once over a single CFG, the way concurrent experiment
+// runs share the cached graph of an image. Run under -race it fails if
+// the CFG's Reach memo is written without synchronization; every
+// checker must also reach the sequential checker's verdict.
+func TestSharedCFGConcurrentCheckers(t *testing.T) {
+	b, words := buildConform(t)
+	want := runChecker(t, b, words)
+	g, err := verify.NewCFG(b.Instr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([]*tracecheck.Result, 4)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := tracecheck.New("test")
+			c.AddProcessCFG(0, g)
+			c.Check(words)
+			res[i] = c.Finish()
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range res {
+		if !r.Clean() || r.Records != want.Records || !reflect.DeepEqual(r.Checks, want.Checks) {
+			t.Errorf("checker %d: %d records, checks %v, %d diags; want %d records, checks %v, clean",
+				i, r.Records, r.Checks, len(r.Diags), want.Records, want.Checks)
+		}
 	}
 }

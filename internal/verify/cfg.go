@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"systrace/internal/isa"
 	"systrace/internal/obj"
@@ -107,8 +108,11 @@ func (s *ReachSet) Has(rec uint32) bool {
 }
 
 // CFG is the post-rewrite control-flow graph of one instrumented
-// executable. Reach memoizes its closures in place, so a CFG must not
-// be shared across goroutines.
+// executable. It is safe for concurrent use: the graph is read-only
+// after NewCFG, and Reach serializes its memo behind a mutex. Hot
+// callers keep their own memo in front of Reach (tracecheck does, per
+// checked address space), so the lock is taken once per distinct
+// address, not once per query.
 type CFG struct {
 	Exe *obj.Executable
 	// Nodes maps post-rewrite head addresses of recorded blocks.
@@ -122,7 +126,9 @@ type CFG struct {
 
 	bb, mt, mtsp uint32
 	hasSP        bool
-	memo         map[uint32]*ReachSet
+
+	mu   sync.Mutex // guards memo
+	memo map[uint32]*ReachSet
 }
 
 // reachCap bounds the instruction closure of one Reach query; silent
@@ -248,8 +254,11 @@ func (g *CFG) classify(n *CFGNode) {
 // enters addr. Entering a recorded block yields exactly its record;
 // entering silent code walks the instruction closure until recorded
 // blocks (collected), a silent return (MayReturn), or a dynamic
-// transfer (Top). Results are memoized on the CFG.
+// transfer (Top). Results are memoized on the CFG; the returned set is
+// shared and must not be modified.
 func (g *CFG) Reach(addr uint32) *ReachSet {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if s, ok := g.memo[addr]; ok {
 		return s
 	}

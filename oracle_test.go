@@ -85,15 +85,9 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced, observe bo
 	if !ok {
 		t.Fatalf("no workload %q", wl)
 	}
-	sys, pid, err := experiment.Boot(spec, kernel.Ultrix, traced, 1)
+	sys, pid, err := experiment.Config{Flavor: kernel.Ultrix, Seed: 1, Engine: engine}.Boot(spec, traced)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Pin the engine the same way kernel.Boot applies BootConfig.Engine
-	// (experiment.Boot's cache shares the images, so the engine is set
-	// on the booted machine directly).
-	if engine == kernel.EngineReference {
-		sys.M.CPU.SetPredecode(false)
 	}
 	obs := &streamObs{}
 	if observe {
@@ -136,7 +130,7 @@ func runFlowEngine(t *testing.T, wl string, flow epoxie.FlowMode) (engineResult,
 	if !ok {
 		t.Fatalf("no workload %q", wl)
 	}
-	sys, pid, err := experiment.BootFlow(spec, kernel.Ultrix, true, 1, flow)
+	sys, pid, err := experiment.Config{Flavor: kernel.Ultrix, Seed: 1, Flow: flow}.Boot(spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
