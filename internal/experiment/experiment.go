@@ -491,9 +491,7 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 		return nil, err
 	}
 
-	var events uint64
 	var perr, cerr error
-	buf := make([]trace.Event, 0, 1<<16)
 	compressed := c.checkEpochs(sys, chk, &cerr)
 	sys.OnTrace = func(words []uint32) {
 		// Nests under the kernel host's trace_drain span (or the
@@ -504,16 +502,9 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 		if !compressed {
 			chk.Check(words)
 		}
-		if perr != nil {
-			return
+		if perr == nil {
+			perr = p.ParseTo(words, sim)
 		}
-		var evs []trace.Event
-		evs, perr = p.Parse(words, buf[:0])
-		if perr != nil {
-			return
-		}
-		events += uint64(len(evs))
-		sim.Events(evs)
 	}
 	if err := sys.Run(runBudget); err != nil {
 		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, c, err)
@@ -547,7 +538,7 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 		Seconds:        machine.Seconds(total),
 		IdleInstr:      sim.IdleInstr,
 		TraceWords:     sys.DrainedWords,
-		Events:         events,
+		Events:         p.Fetches + p.MemRefs,
 		UTLBMisses:     sim.TLB.Misses,
 		ModeSwitches:   sys.Doorbells,
 		Result:         sys.ExitStatus(pid),

@@ -8,14 +8,18 @@ import (
 )
 
 // TestPinnedCounts pins the simulated counts of one measurement per
-// kernel, one prediction, and two buffer-sizing boots. The differential oracle compares engines
-// against each other with no stall model attached; these numbers
-// additionally hold the execution-driven Timing model's event timing
-// (Measure) and the traced two-phase pipeline (Predict) fixed, so a
-// change to the run loops or the execution tiers that shifts an
-// interrupt or a doorbell by one instruction shows up here. The
-// buffer-sizing rows hold its traced boots (Ultrix, page-mapping
-// seed 0, two-phase drain, non-default buffers) to the same counts.
+// kernel, two predictions (two-phase Ultrix, streaming Mach) down to
+// the trace-driven simulator's counters, and two buffer-sizing boots.
+// The differential oracle compares engines against each other with no
+// stall model attached; these numbers additionally hold the
+// execution-driven Timing model's event timing (Measure), the traced
+// pipelines (Predict, PredictStream) and the trace analysis that
+// consumes them fixed, so a change to the run loops or the execution
+// tiers that shifts an interrupt or a doorbell by one instruction, or
+// a change to the parser or the simulator that moves one cache or TLB
+// probe, shows up here. The buffer-sizing rows hold its traced boots
+// (Ultrix, page-mapping seed 0, two-phase drain, non-default buffers)
+// to the same counts.
 func TestPinnedCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload boots")
@@ -47,6 +51,28 @@ func TestPinnedCounts(t *testing.T) {
 			"want 4119458 32853918 883222 3633285",
 			p.Cycles, p.TracedCycles, p.TraceWords, p.Events)
 	}
+	checkSim(t, "Predict(sed, Ultrix)", p, simCounts{
+		instr: 3301173, idle: 61,
+		ic: [2]uint64{3301173, 632}, dc: [2]uint64{258705, 1334}, tlb: [2]uint64{2220267, 3},
+		wbWrites: 21065,
+	})
+	// The streaming drain runs the same analysis on the consumer
+	// goroutine, over a compressed four-epoch ring.
+	ps, err := experiment.PredictStream(sed, kernel.Mach, 1, 1<<20, kernel.DefaultStream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Cycles != 4991656 || ps.TraceWords != 1250439 || ps.Events != 4698242 ||
+		ps.UTLBMisses != 15 || ps.ModeSwitches != 6 {
+		t.Errorf("PredictStream(sed, Mach, 1 MB): cycles %d trace words %d events %d utlb %d mode switches %d, "+
+			"want 4991656 1250439 4698242 15 6",
+			ps.Cycles, ps.TraceWords, ps.Events, ps.UTLBMisses, ps.ModeSwitches)
+	}
+	checkSim(t, "PredictStream(sed, Mach, 1 MB)", ps, simCounts{
+		instr: 4125818, idle: 145,
+		ic: [2]uint64{4125818, 2141}, dc: [2]uint64{422214, 2832}, tlb: [2]uint64{2521750, 15},
+		wbWrites: 98003,
+	})
 	rows, err := experiment.BufferSizing(sed, []uint32{256 << 10, 1 << 20}, kernel.StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -61,5 +87,29 @@ func TestPinnedCounts(t *testing.T) {
 				want.BufBytes, r.ModeSwitches, r.TracedInstr, r.Cycles,
 				want.ModeSwitches, want.TracedInstr, want.Cycles)
 		}
+	}
+}
+
+// simCounts pins a prediction's trace-driven simulator: instructions,
+// idle-loop instructions, {accesses, misses} of each cache and the TLB,
+// and write-buffer writes.
+type simCounts struct {
+	instr, idle uint64
+	ic, dc, tlb [2]uint64
+	wbWrites    uint64
+}
+
+func checkSim(t *testing.T, what string, p *experiment.Predicted, want simCounts) {
+	t.Helper()
+	s := p.Sim
+	got := simCounts{
+		instr: s.Instr, idle: s.IdleInstr,
+		ic:       [2]uint64{s.IC.Accesses, s.IC.Misses},
+		dc:       [2]uint64{s.DC.Accesses, s.DC.Misses},
+		tlb:      [2]uint64{s.TLB.Accesses, s.TLB.Misses},
+		wbWrites: s.WB.Writes,
+	}
+	if got != want {
+		t.Errorf("%s simulator: got %+v, want %+v", what, got, want)
 	}
 }

@@ -113,43 +113,73 @@ func (s *TraceSim) synthesizeUTLB(asid uint32, va uint32) {
 	}
 }
 
-// Event consumes one parsed trace event.
-func (s *TraceSim) Event(ev trace.Event) {
-	switch ev.Kind {
-	case trace.EvIFetch:
-		s.Instr++
+// Fetch consumes a run of n sequential instruction fetches starting at
+// ev.Addr (trace.Sink). It translates and probes the I-cache once per
+// cache line the run touches and charges the line's other fetches to
+// the counters directly: a TLB or cache hit changes nothing but the
+// access count, a page crossing is always a line crossing (lines are
+// smaller than pages), and no other reference falls between fetches of
+// one run, so the rest of a line's fetches would all hit what the
+// first one loaded.
+func (s *TraceSim) Fetch(ev trace.Event, n int) {
+	line := s.cfg.LineSize
+	for n > 0 {
+		// Fetches of the run that fall in ev.Addr's line (≥ 1).
+		k := int((line - ev.Addr&(line-1) + 3) / 4)
+		if k > n {
+			k = n
+		}
+		s.Instr += uint64(k)
 		if ev.Idle {
-			s.IdleInstr++
+			s.IdleInstr += uint64(k)
 		}
 		pa, cached := s.translate(&ev)
+		if ev.Addr < cpu.KUSegEnd {
+			s.TLB.Accesses += uint64(k - 1)
+		}
 		if !cached {
-			s.UncachedStalls += uint64(s.cfg.UncachedPenalty)
-			return
+			s.UncachedStalls += uint64(k) * uint64(s.cfg.UncachedPenalty)
+		} else {
+			if !s.IC.Access(pa) {
+				s.ICacheStalls += uint64(s.cfg.ReadMissPenalty)
+			}
+			s.IC.Accesses += uint64(k - 1)
 		}
-		if !s.IC.Access(pa) {
-			s.ICacheStalls += uint64(s.cfg.ReadMissPenalty)
-		}
+		ev.Addr += uint32(k) * 4
+		n -= k
+	}
+}
+
+// Ref consumes one load or store (trace.Sink).
+func (s *TraceSim) Ref(ev trace.Event) {
+	pa, cached := s.translate(&ev)
+	if !cached {
+		s.UncachedStalls += uint64(s.cfg.UncachedPenalty)
+		return
+	}
+	switch ev.Kind {
 	case trace.EvLoad:
-		pa, cached := s.translate(&ev)
-		if !cached {
-			s.UncachedStalls += uint64(s.cfg.UncachedPenalty)
-			return
-		}
 		if !s.DC.Access(pa) {
 			s.DCacheStalls += uint64(s.cfg.ReadMissPenalty)
 		}
 	case trace.EvStore:
-		pa, cached := s.translate(&ev)
-		if !cached {
-			s.UncachedStalls += uint64(s.cfg.UncachedPenalty)
-			return
-		}
 		s.DC.Update(pa)
 		if st := s.WB.Write(s.now()); st > 0 {
 			s.WBStalls += st
 			s.wbStallHist.Observe(st)
 		}
 	}
+}
+
+// Event consumes one parsed trace event: a fetch is a run of one.
+// Feeding a parse's expanded events through Event is the
+// per-reference oracle for the run-granular Fetch.
+func (s *TraceSim) Event(ev trace.Event) {
+	if ev.Kind == trace.EvIFetch {
+		s.Fetch(ev, 1)
+		return
+	}
+	s.Ref(ev)
 }
 
 // Events consumes a batch.

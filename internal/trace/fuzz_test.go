@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"systrace/internal/obj"
@@ -71,6 +72,87 @@ func FuzzParse(f *testing.F) {
 			if b := table.Lookup(w); b != nil && b.RecordAddr != w {
 				t.Errorf("Lookup(%08x) returned block with RecordAddr %08x", w, b.RecordAddr)
 			}
+		}
+	})
+}
+
+// runSink records ParseTo's sink calls expanded to one event per
+// reference, checking each call's shape.
+type runSink struct {
+	t   *testing.T
+	evs []trace.Event
+}
+
+func (r *runSink) Fetch(ev trace.Event, n int) {
+	if n < 1 || ev.Kind != trace.EvIFetch {
+		r.t.Fatalf("Fetch(%+v, %d): want a run of at least one instruction fetch", ev, n)
+	}
+	for i := 0; i < n; i++ {
+		r.evs = append(r.evs, ev)
+		ev.Addr += 4
+	}
+}
+
+func (r *runSink) Ref(ev trace.Event) {
+	if ev.Kind != trace.EvLoad && ev.Kind != trace.EvStore {
+		r.t.Fatalf("Ref(%+v): want a load or store", ev)
+	}
+	r.evs = append(r.evs, ev)
+}
+
+// FuzzParseSink holds the two parse entry points to one stream: for
+// arbitrary words, the events Parse returns equal the expansion of
+// ParseTo's sink calls, the two return the same error, and they leave
+// the parsers in the same state. The words are fed in two calls, so
+// block state carried across a call boundary is covered too.
+func FuzzParseSink(f *testing.F) {
+	seed := func(split uint16, words ...uint32) {
+		b := make([]byte, 4*len(words))
+		for i, w := range words {
+			binary.BigEndian.PutUint32(b[4*i:], w)
+		}
+		f.Add(split, b)
+	}
+	seed(2, 0x0040010c, 0x10000004, 0x0040014c, 0x10000100, 0x10000102)
+	seed(1, trace.MarkCtxSw|1, 0x0040010c, 0x10000004, 0x00400200)
+	seed(0, trace.MarkExcEnter, trace.MarkModeSw, 0x0040014c, trace.MarkExcExit)
+	seed(3, 0xdeadbeef, 0xffffffff, 0)
+
+	table := fuzzTable()
+	f.Fuzz(func(t *testing.T, split uint16, data []byte) {
+		n := len(data) / 4
+		if n > 4096 {
+			n = 4096
+		}
+		words := make([]uint32, n)
+		for i := range words {
+			words[i] = binary.BigEndian.Uint32(data[4*i:])
+		}
+		cut := int(split) % (n + 1)
+
+		newParser := func() *trace.Parser {
+			p := trace.NewParser(nil)
+			p.AddProcess(0, table)
+			p.AddProcess(1, table)
+			return p
+		}
+		pEv, pRun := newParser(), newParser()
+		sink := &runSink{t: t}
+		evs, errEv := pEv.Parse(words[:cut], nil)
+		errRun := pRun.ParseTo(words[:cut], sink)
+		if errEv == nil && errRun == nil {
+			evs, errEv = pEv.Parse(words[cut:], evs)
+			errRun = pRun.ParseTo(words[cut:], sink)
+		}
+		if !reflect.DeepEqual(errEv, errRun) {
+			t.Fatalf("Parse error %v, ParseTo error %v", errEv, errRun)
+		}
+		if !reflect.DeepEqual(evs, sink.evs) && (len(evs) != 0 || len(sink.evs) != 0) {
+			t.Fatalf("Parse returned %d events, ParseTo's sink calls expand to %d:\n%+v\n%+v",
+				len(evs), len(sink.evs), evs, sink.evs)
+		}
+		if !reflect.DeepEqual(pEv, pRun) {
+			t.Fatalf("parser state diverged:\n Parse   %+v\n ParseTo %+v", *pEv, *pRun)
 		}
 	})
 }

@@ -235,17 +235,51 @@ func (p *Parser) table() *SideTable {
 	return p.user[p.cur]
 }
 
+// Sink consumes a reconstructed reference stream. A block's fetch
+// addresses are static — the record address plus the side table's
+// block description (§3.5) — so sequential fetches travel as runs, not
+// one event each: Fetch is a run of n sequential instruction fetches,
+// the first at ev.Addr (the rest at ev.Addr+4, ev.Addr+8, ... with the
+// same attribution). Ref is one load or store. A run never spans a
+// memory reference: the parser ends it at every load or store.
+type Sink interface {
+	Fetch(ev Event, n int)
+	Ref(ev Event)
+}
+
 // Parse consumes raw trace words and appends reconstructed events to
-// out, returning it. Parsing is incremental: call it once per analysis
-// phase with the same Parser to preserve pending block state across
-// buffer flush boundaries.
+// out, one per reference (fetch runs expanded), returning it; on error
+// out holds the events reconstructed before the bad word. It is
+// ParseTo with a slice-appending sink.
 func (p *Parser) Parse(words []uint32, out []Event) ([]Event, error) {
+	es := eventSlice(out)
+	err := p.ParseTo(words, &es)
+	return es, err
+}
+
+// eventSlice is the Sink behind Parse.
+type eventSlice []Event
+
+func (es *eventSlice) Fetch(ev Event, n int) {
+	for ; n > 0; n-- {
+		*es = append(*es, ev)
+		ev.Addr += 4
+	}
+}
+
+func (es *eventSlice) Ref(ev Event) { *es = append(*es, ev) }
+
+// ParseTo consumes raw trace words and feeds the reconstructed stream
+// to sink in trace order. Parsing is incremental: call it once per
+// analysis phase with the same Parser to preserve pending block state
+// across buffer flush boundaries.
+func (p *Parser) ParseTo(words []uint32, sink Sink) error {
 	p.Words += uint64(len(words))
 	for i, w := range words {
 		if IsMarker(w) {
 			p.Markers++
 			if err := p.marker(i, w); err != nil {
-				return out, err
+				return err
 			}
 			continue
 		}
@@ -263,32 +297,28 @@ func (p *Parser) Parse(words []uint32, out []Event) ([]Event, error) {
 			m := s.block.Mem[s.nextMem]
 			if !m.Load {
 				if t := p.table(); t != nil && t.textHi > t.textLo && w >= t.textLo && w < t.textHi {
-					return out, &ParseError{i, w, "store into text segment (trace slipped?)"}
+					return &ParseError{i, w, "store into text segment (trace slipped?)"}
 				}
 			}
-			// Emit fetches up to and including the memory instruction.
-			for s.instrAt <= int(m.Index) {
-				out = p.emitFetch(out, s)
-			}
-			out = append(out, p.event(kindOf(m.Load), w, m.Size, s))
+			// Fetches up to and including the memory instruction.
+			p.fetchTo(sink, s, int(m.Index)+1)
+			sink.Ref(p.event(kindOf(m.Load), w, m.Size, s))
 			s.nextMem++
 			p.MemRefs++
 			if s.nextMem >= len(s.block.Mem) {
 				// Tail fetches after the last memory reference.
-				for s.instrAt < int(s.block.NInstr) {
-					out = p.emitFetch(out, s)
-				}
+				p.fetchTo(sink, s, int(s.block.NInstr))
 			}
 			continue
 		}
 		// Expecting a block record.
 		t := p.table()
 		if t == nil {
-			return out, &ParseError{i, w, fmt.Sprintf("no side table for address space %d", p.curSpace())}
+			return &ParseError{i, w, fmt.Sprintf("no side table for address space %d", p.curSpace())}
 		}
 		b := t.Lookup(w)
 		if b == nil {
-			return out, &ParseError{i, w, fmt.Sprintf("not a valid basic block record for address space %d", p.curSpace())}
+			return &ParseError{i, w, fmt.Sprintf("not a valid basic block record for address space %d", p.curSpace())}
 		}
 		p.Records++
 		if p.blockCounts != nil {
@@ -302,12 +332,10 @@ func (p *Parser) Parse(words []uint32, out []Event) ([]Event, error) {
 		}
 		*s = blockState{block: b}
 		if len(b.Mem) == 0 {
-			for s.instrAt < int(b.NInstr) {
-				out = p.emitFetch(out, s)
-			}
+			p.fetchTo(sink, s, int(b.NInstr))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func kindOf(load bool) EventKind {
@@ -336,17 +364,23 @@ func (p *Parser) event(k EventKind, addr uint32, size int8, s *blockState) Event
 	}
 }
 
-func (p *Parser) emitFetch(out []Event, s *blockState) []Event {
+// fetchTo emits the open block's fetches up to (not including)
+// instruction index upto as one run.
+func (p *Parser) fetchTo(sink Sink, s *blockState, upto int) {
+	n := upto - s.instrAt
+	if n <= 0 {
+		return
+	}
 	ev := p.event(EvIFetch, s.block.OrigAddr+uint32(s.instrAt)*4, 4, s)
-	s.instrAt++
-	p.Fetches++
+	s.instrAt = upto
+	p.Fetches += uint64(n)
 	if ev.Idle {
-		p.IdleInstr++
+		p.IdleInstr += uint64(n)
 	}
 	if p.CounterOn {
-		p.CountedInst++
+		p.CountedInst += uint64(n)
 	}
-	return append(out, ev)
+	sink.Fetch(ev, n)
 }
 
 // TruncatedNestError reports a trace that ended while one or more

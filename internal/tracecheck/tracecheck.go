@@ -62,10 +62,30 @@ const (
 	RuleSpecial  = "special"
 )
 
+// Rule positions in Rules: the Checker counts checks into an array
+// indexed by them.
+const (
+	ruleRecord = iota
+	ruleCFGEdge
+	ruleMemCount
+	ruleMemAddr
+	ruleNest
+	ruleSched
+	ruleEpoch
+	ruleSpecial
+	nRules
+)
+
 // Rules lists every rule identifier in report order.
 var Rules = []string{
-	RuleRecord, RuleCFGEdge, RuleMemCount, RuleMemAddr,
-	RuleNest, RuleSched, RuleEpoch, RuleSpecial,
+	ruleRecord:   RuleRecord,
+	ruleCFGEdge:  RuleCFGEdge,
+	ruleMemCount: RuleMemCount,
+	ruleMemAddr:  RuleMemAddr,
+	ruleNest:     RuleNest,
+	ruleSched:    RuleSched,
+	ruleEpoch:    RuleEpoch,
+	ruleSpecial:  RuleSpecial,
 }
 
 // Diag is one conformance finding.
@@ -199,7 +219,8 @@ type Checker struct {
 	dec      *trace.Decoder
 	decWords []uint32
 
-	res *Result
+	checks [nRules]int // checks performed per rule, by position in Rules
+	res    *Result
 }
 
 // New builds a checker for a stream with no kernel (bare-runtime
@@ -273,7 +294,7 @@ func (c *Checker) curSpace() int {
 	return c.cur
 }
 
-func (c *Checker) check(rule string) { c.res.Checks[rule]++ }
+func (c *Checker) check(rule int) { c.checks[rule]++ }
 
 func (c *Checker) diag(block uint32, rule, format string, args ...any) {
 	if len(c.res.Diags) >= maxDiags {
@@ -347,7 +368,7 @@ func (c *Checker) word(w uint32) {
 		sp := c.space()
 		if sp == nil || sp.cfg.ByRecord[w] == nil {
 			c.dirt++
-			c.check(RuleEpoch)
+			c.check(ruleEpoch)
 			if !c.dirtFlagged && c.kernel != nil && c.dirt > c.kernel.cfg.MaxMem {
 				c.dirtFlagged = true
 				c.diag(0, RuleEpoch,
@@ -360,7 +381,7 @@ func (c *Checker) word(w uint32) {
 	}
 	sp := c.space()
 	if sp == nil {
-		c.check(RuleSched)
+		c.check(ruleSched)
 		if !c.schedMute[c.cur] {
 			c.schedMute[c.cur] = true
 			c.diag(0, RuleSched, "trace words attributed to unknown address space %d", c.curSpace())
@@ -380,7 +401,7 @@ func (c *Checker) memRef(sp *space, w uint32) {
 	st := &sp.st
 	m := st.open.Info.Mem[st.mem]
 	c.res.MemRefs++
-	c.check(RuleMemAddr)
+	c.check(ruleMemAddr)
 	switch m.Size {
 	case 2:
 		if w&1 != 0 {
@@ -400,7 +421,7 @@ func (c *Checker) memRef(sp *space, w uint32) {
 	}
 	// A kuseg process only ever references user addresses; kernel and
 	// bare (kseg0-linked) streams may touch anything.
-	c.check(RuleSched)
+	c.check(ruleSched)
 	if !c.inKern && e.TextBase < 0x80000000 && w >= 0x80000000 {
 		c.diag(origOf(st.open), RuleSched,
 			"user stream references kernel address 0x%08x", w)
@@ -424,7 +445,7 @@ func (c *Checker) record(sp *space, w uint32) {
 		st.resync = false
 		st.exp = top()
 	}
-	c.check(RuleRecord)
+	c.check(ruleRecord)
 	if n == nil {
 		c.diag(0, RuleRecord,
 			"0x%08x is not a record of address space %d", w, c.curSpace())
@@ -433,7 +454,7 @@ func (c *Checker) record(sp *space, w uint32) {
 	}
 	c.res.Records++
 
-	c.check(RuleCFGEdge)
+	c.check(ruleCFGEdge)
 	if !st.exp.has(w) {
 		c.diag(origOf(n), RuleCFGEdge,
 			"record 0x%08x (orig 0x%08x) is not a legal successor in this stream", w, n.Info.OrigAddr)
@@ -451,7 +472,7 @@ func (c *Checker) record(sp *space, w uint32) {
 
 // special checks the §3.5 special-block behaviors at a record.
 func (c *Checker) special(n *verify.CFGNode) {
-	c.check(RuleSpecial)
+	c.check(ruleSpecial)
 	fl := n.Info.Flags
 	if fl&obj.BBIdleLoop != 0 && !c.inKern {
 		c.diag(origOf(n), RuleSpecial, "idle-loop block recorded in a user stream")
@@ -524,7 +545,7 @@ func (c *Checker) marker(w uint32) {
 		c.cur = int(trace.MarkerArg(w))
 		c.inKern = false
 	case trace.MarkKernEnter:
-		c.check(RuleNest)
+		c.check(ruleNest)
 		if c.inKern {
 			c.diag(0, RuleNest, "kernel-enter marker while already in kernel context")
 		}
@@ -533,7 +554,7 @@ func (c *Checker) marker(w uint32) {
 			c.kernel.st = streamState{exp: c.kentry}
 		}
 	case trace.MarkKernExit:
-		c.check(RuleNest)
+		c.check(ruleNest)
 		if !c.inKern {
 			c.diag(0, RuleNest, "kernel-exit marker while not in kernel context")
 		}
@@ -552,7 +573,7 @@ func (c *Checker) marker(w uint32) {
 		}
 		c.inKern = true
 	case trace.MarkExcExit:
-		c.check(RuleNest)
+		c.check(ruleNest)
 		if len(c.kstack) == 0 {
 			c.diag(0, RuleNest, "exception-exit marker with empty nesting stack")
 			return
@@ -569,7 +590,7 @@ func (c *Checker) marker(w uint32) {
 		}
 		c.inKern = fr.inKern
 	case trace.MarkModeSw:
-		c.check(RuleEpoch)
+		c.check(ruleEpoch)
 		if !c.inKern {
 			c.diag(0, RuleEpoch, "mode-switch marker outside kernel context")
 		}
@@ -588,7 +609,7 @@ func (c *Checker) marker(w uint32) {
 	case trace.MarkProcExit:
 		pid := int(trace.MarkerArg(w))
 		if sp := c.procs[pid]; sp != nil {
-			c.check(RuleMemCount)
+			c.check(ruleMemCount)
 			if sp.st.open != nil {
 				cp, ck := c.cur, c.inKern
 				c.cur, c.inKern = pid, false
@@ -601,7 +622,7 @@ func (c *Checker) marker(w uint32) {
 		}
 		delete(c.schedMute, pid)
 	default:
-		c.check(RuleEpoch)
+		c.check(ruleEpoch)
 		c.diag(0, RuleEpoch, "unknown marker 0x%08x", w)
 	}
 }
@@ -617,12 +638,12 @@ func (c *Checker) kernelState() streamState {
 // Finish checks end-of-stream invariants and returns the result. The
 // checker must not be used after Finish.
 func (c *Checker) Finish() *Result {
-	c.check(RuleNest)
+	c.check(ruleNest)
 	if len(c.kstack) > 0 {
 		c.diag(0, RuleNest, "stream ends inside %d open nested exception(s)", len(c.kstack))
 	}
 	if c.kernel != nil {
-		c.check(RuleMemCount)
+		c.check(ruleMemCount)
 		if s := &c.kernel.st; s.open != nil {
 			c.diag(origOf(s.open), RuleMemCount,
 				"kernel stream ends mid-block (%d of %d references seen)",
@@ -635,12 +656,17 @@ func (c *Checker) Finish() *Result {
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		c.check(RuleMemCount)
+		c.check(ruleMemCount)
 		if s := &c.procs[pid].st; s.open != nil {
 			c.cur, c.inKern = pid, false
 			c.diag(origOf(s.open), RuleMemCount,
 				"process %d stream ends mid-block (%d of %d references seen)",
 				pid, s.mem, len(s.open.Info.Mem))
+		}
+	}
+	for rule, n := range c.checks {
+		if n != 0 {
+			c.res.Checks[Rules[rule]] = n
 		}
 	}
 	sort.Slice(c.res.Diags, func(i, j int) bool {

@@ -46,7 +46,8 @@ go run ./cmd/guestlint -q
 
 echo "== fuzz smoke (10s each) =="
 go test -run='^$' -fuzz=FuzzDisasm -fuzztime=10s ./internal/isa/
-go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/trace/
+go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/trace/
+go test -run='^$' -fuzz='^FuzzParseSink$' -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz=FuzzStreamCodec -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz=FuzzConformance -fuzztime=10s ./internal/tracecheck/
 go test -run='^$' -fuzz=FuzzExecEquivalence -fuzztime=10s ./internal/cpu/
