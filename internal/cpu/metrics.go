@@ -48,6 +48,9 @@ func (c *CPU) RegisterMetrics(r *telemetry.Registry, labels ...telemetry.Label) 
 	r.Sample("cpu_superblock_entry_rejects_total",
 		"dispatch entries refused by the guard (delay slot, TLB generation, pending state)",
 		func() uint64 { return c.sb.entryRejects }, labels...)
+	r.Sample("cpu_superblock_instructions_total",
+		"instructions retired inside superblock dispatch",
+		func() uint64 { return c.sb.instrs }, labels...)
 	for _, e := range []struct {
 		reason string
 		n      *uint64

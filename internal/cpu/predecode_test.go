@@ -276,21 +276,75 @@ func TestLockstepStepNRandomPrograms(t *testing.T) {
 	}
 }
 
+// loopProgram assembles a structured program for 0x80001000 that
+// drives every superblock exit path: a counted loop over a pseudo-random
+// value (x = 9x+c) whose forward branches go either way by data
+// (mispredict links), a JAL into a routine with a counted inner
+// self-loop whose final fall-through mispredicts, a JR return into the
+// hot chain after the call site (chain-to-chain linking), and a
+// data-dependent store that patches an instruction of the chained
+// routine (invalidation with pdExit mid-dispatch). r varies the trip
+// count, the seed value, the increment and the branch masks.
+func loopProgram(r *rand.Rand) []isa.Word {
+	S0, S5, T0, T1, T2 := isa.RegS0, isa.RegS5, isa.RegT0, isa.RegT1, isa.RegT2
+	T3, T4, T5, T6, T7, T8 := isa.RegT3, isa.RegT4, isa.RegT5, isa.RegT6, isa.RegT7, isa.RegT8
+	const base, fn = 0x80001000, 22 // fn: word index of the routine
+	patch := uint32(base + (fn+4)*4)
+	alt := isa.SLL(T6, T0, uint32(3+r.Intn(4)))
+	m1 := uint16(1) << (1 + r.Intn(3))
+	m2 := uint16(3) << (4 + r.Intn(3))
+	return []isa.Word{
+		isa.ORI(S0, 0, uint16(20+r.Intn(40))), // trip count
+		isa.ORI(T0, 0, uint16(r.Uint32())),    // x
+		isa.LUI(S5, uint16(patch>>16)),
+		isa.ORI(S5, S5, uint16(patch)),
+		isa.LUI(T7, uint16(uint32(alt)>>16)),
+		isa.ORI(T7, T7, uint16(alt)),
+		// loop (word 6):
+		isa.SLL(T1, T0, 3),
+		isa.ADDU(T0, T0, T1),
+		isa.ADDIU(T0, T0, uint16(r.Intn(64)*2+1)),
+		isa.ANDI(T2, T0, m1),
+		isa.BNE(T2, 0, 7), // forward to skip: predicted not-taken
+		isa.ADDU(T3, T3, T0),
+		isa.JAL((base + fn*4) >> 2 & 0x03ffffff),
+		isa.ADDIU(T4, T4, 1),
+		// ret (word 14): the JR lands here
+		isa.ANDI(T2, T0, m2),
+		isa.BNE(T2, 0, 2), // skip the patch store unless both bits clear
+		isa.NOP,
+		isa.SW(T7, S5, 0), // rewrite the inner loop's delay slot
+		// skip (word 18):
+		isa.ADDIU(S0, S0, 0xffff),
+		isa.BGTZ(S0, -14), // back to loop
+		isa.NOP,
+		isa.BREAK(0),
+		// fn (word 22):
+		isa.ORI(T8, 0, uint16(2+r.Intn(3))),
+		isa.ADDU(T5, T5, T0), // inner: a self-loop superblock
+		isa.ADDIU(T8, T8, 0xffff),
+		isa.BGTZ(T8, -3),
+		isa.SLL(T6, T0, 2), // slot; patch target
+		isa.JR(isa.RegRA),
+		isa.ADDU(T5, T5, T6),
+	}
+}
+
 // TestLockstepSuperblockRandomPrograms covers the superblock tier:
 // with the build threshold forced to 1, every repeated batch head and
-// taken-jump target chains into a superblock, so the random programs
-// execute almost entirely through execSB. The reference engine runs
-// per-Step; state is compared at 100-instruction checkpoints so a
-// divergence is localized to the chain that caused it.
+// taken-jump target chains into a superblock, so the programs execute
+// almost entirely through execSB. The corpus is 40 random programs
+// plus 12 loopPrograms: random words rarely form loops, so only the
+// structured programs reach mispredict links and mid-dispatch
+// invalidation. The reference engine runs per-Step; state
+// is compared at 100-instruction checkpoints so a divergence is
+// localized to the chain that caused it.
 func TestLockstepSuperblockRandomPrograms(t *testing.T) {
-	var built uint64
-	for seed := int64(1); seed <= 40; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	var sum cpu.SuperblockStats
+	run := func(name string, seed int64, gen func(r *rand.Rand) []uint32) {
+		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			words := make([]uint32, 0x3000/4)
-			for i := range words {
-				words[i] = randInstr(r)
-			}
+			words := gen(r)
 			ref, fast, _, _ := lockstepPair(r, words)
 			ref.CPU.Obs = nil
 			fast.CPU.Obs = nil
@@ -310,14 +364,54 @@ func TestLockstepSuperblockRandomPrograms(t *testing.T) {
 					break
 				}
 			}
-			built += fast.CPU.SuperblockStats().Built
+			st := fast.CPU.SuperblockStats()
+			sum.Built += st.Built
+			sum.ExitEnd += st.ExitEnd
+			sum.ExitMispred += st.ExitMispred
+			sum.ExitBudget += st.ExitBudget
+			sum.ExitPDExit += st.ExitPDExit
+			sum.ExitExc += st.ExitExc
+			sum.Instructions += st.Instructions
 		})
 	}
-	// Many seeds are chain-ender soup (random words), but across the
-	// corpus the tier must actually have run.
-	if built == 0 {
-		t.Fatal("no superblocks built over any seed: the tier was not exercised")
+	for seed := int64(1); seed <= 40; seed++ {
+		run(fmt.Sprintf("seed%d", seed), seed, func(r *rand.Rand) []uint32 {
+			words := make([]uint32, 0x3000/4)
+			for i := range words {
+				words[i] = randInstr(r)
+			}
+			return words
+		})
 	}
+	for seed := int64(1); seed <= 12; seed++ {
+		run(fmt.Sprintf("loop%d", seed), seed, func(r *rand.Rand) []uint32 {
+			words := make([]uint32, 0x3000/4)
+			for i, w := range loopProgram(r) {
+				words[0x1000/4+i] = uint32(w)
+			}
+			return words
+		})
+	}
+	if sum.Built == 0 {
+		t.Fatal("no superblocks built over any program: the tier was not exercised")
+	}
+	// Every way out of a dispatch must be taken somewhere in the
+	// corpus, or the exit's state restoration goes untested here.
+	for _, e := range []struct {
+		name string
+		n    uint64
+	}{
+		{"ExitEnd", sum.ExitEnd},
+		{"ExitMispred", sum.ExitMispred},
+		{"ExitBudget", sum.ExitBudget},
+		{"ExitPDExit", sum.ExitPDExit},
+		{"ExitExc", sum.ExitExc},
+	} {
+		if e.n == 0 {
+			t.Errorf("%s = 0 across the corpus: that exit path was not exercised", e.name)
+		}
+	}
+	t.Logf("exits across the corpus: %+v", sum)
 }
 
 // TestSuperblockChainEndsAtJumpTarget pins the walk's exit PC when a
@@ -386,11 +480,18 @@ func FuzzExecEquivalence(f *testing.F) {
 		isa.BEQ(0, 0, -2),
 		isa.ADDIU(isa.RegT0, isa.RegT0, 1),
 	}
-	var sb []byte
-	for _, w := range seedProg {
-		sb = binary.BigEndian.AppendUint32(sb, uint32(w))
+	progBytes := func(ws []isa.Word) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.BigEndian.AppendUint32(b, uint32(w))
+		}
+		return b
 	}
-	f.Add(sb, int64(3))
+	f.Add(progBytes(seedProg), int64(3))
+	// A loop with data-dependent forward branches and a JR return, so
+	// the superblock face starts from mispredict and chain-to-chain
+	// linking.
+	f.Add(progBytes(loopProgram(rand.New(rand.NewSource(1)))), int64(4))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		if len(data) > 0x2000 {
 			data = data[:0x2000]

@@ -8,9 +8,9 @@ package cpu
 // jump-table loop with the per-instruction work of StepN hoisted out:
 // the PC is implicit in the step index (materialized only at exits),
 // CP0.Random and Stat.Instret advance once per exit instead of once
-// per instruction, and runs of same-base word loads/stores are fused
-// into single micro-ops that pay one translation-cache check for the
-// whole run.
+// per instruction. A chain that closes on its own entry wraps in place,
+// and a chain end or a mispredicted branch links straight into the
+// superblock at the real successor without leaving the dispatch loop.
 //
 // Soundness leans on the same two pillars as the predecode cache:
 //
@@ -60,17 +60,8 @@ const (
 	sbMinSteps = 3
 	// sbMaxPages bounds the page guards one superblock may carry.
 	sbMaxPages = 8
-	// sbMaxRunLen bounds one fused load/store run.
-	sbMaxRunLen = 64
 	// sbMaxBlocks is a runaway backstop on resident superblocks.
 	sbMaxBlocks = 1024
-)
-
-// Fused micro-ops, produced only by the superblock builder (decodeUop
-// never emits them, so the pdOp spaces cannot collide).
-const (
-	sbLWRun pdOp = 128 + iota
-	sbSWRun
 )
 
 // sbStep flags.
@@ -87,9 +78,8 @@ const (
 )
 
 // sbStep is one dispatch step: a widened uop with its own PC (for
-// exits and exceptions), the absolute predicted-taken target baked
-// into imm for branches and jumps, and a retirement weight (1, or the
-// sub-access count for fused runs).
+// exits and exceptions) and the absolute predicted-taken target baked
+// into imm for branches and jumps.
 type sbStep struct {
 	op    pdOp
 	rs    uint8
@@ -97,23 +87,9 @@ type sbStep struct {
 	rd    uint8
 	sh    uint8
 	flags uint8
-	wt    uint8
 	cls   Class
 	imm   uint32
 	pc    uint32
-}
-
-// sbMemSub is one access of a fused load/store run.
-type sbMemSub struct {
-	rt  uint8
-	off uint32 // sign-extended displacement from the shared base
-}
-
-// sbRun is the side table of a fused run: the displacement envelope
-// (for the single same-page check) and the per-access list.
-type sbRun struct {
-	lo, hi uint32
-	subs   []sbMemSub
 }
 
 // sbPage is one TLB-mapped page guard: entry under a new translation
@@ -126,7 +102,6 @@ type sbPage struct {
 type superblock struct {
 	entryVA uint32
 	steps   []sbStep
-	runs    []sbRun
 	// pages holds guards for the TLB-mapped pages the chain fetches
 	// from (kseg0 pages have fixed translations and need none).
 	pages []sbPage
@@ -172,6 +147,7 @@ type sbState struct {
 	exitBudget   uint64
 	exitPDExit   uint64
 	exitExc      uint64
+	instrs       uint64 // instructions retired inside execSB
 
 	chainHist *telemetry.Histogram // chain length at build, in instructions
 }
@@ -187,6 +163,7 @@ type SuperblockStats struct {
 	ExitBudget   uint64
 	ExitPDExit   uint64
 	ExitExc      uint64
+	Instructions uint64 // instructions retired inside superblock dispatch
 }
 
 // SetSuperblockThreshold overrides the build threshold (0 restores the
@@ -204,6 +181,7 @@ func (c *CPU) SuperblockStats() SuperblockStats {
 		ExitBudget:   c.sb.exitBudget,
 		ExitPDExit:   c.sb.exitPDExit,
 		ExitExc:      c.sb.exitExc,
+		Instructions: c.sb.instrs,
 	}
 }
 
@@ -459,7 +437,7 @@ func (c *CPU) sbBuild(entry uint32) {
 	mkStep := func(u *uop, pc uint32, flags uint8) sbStep {
 		return sbStep{
 			op: u.op, rs: u.rs, rt: u.rt, rd: u.rd, sh: u.sh,
-			flags: flags, wt: 1, cls: u.cls, imm: u.imm, pc: pc,
+			flags: flags, cls: u.cls, imm: u.imm, pc: pc,
 		}
 	}
 
@@ -559,7 +537,6 @@ walk:
 	if len(s.steps) < sbMinSteps {
 		return
 	}
-	c.sbFuseRuns(s)
 
 	// pdFrameFor above may have tripped the pdMaxFrames backstop and
 	// dropped the whole predecode cache mid-walk; a superblock whose
@@ -593,76 +570,8 @@ walk:
 	c.sb.count++
 	c.sb.built++
 	if c.sb.chainHist != nil {
-		var instrs uint64
-		for i := range s.steps {
-			instrs += uint64(s.steps[i].wt)
-		}
-		c.sb.chainHist.Observe(instrs)
+		c.sb.chainHist.Observe(uint64(len(s.steps)))
 	}
-}
-
-// sbFuseRuns rewrites maximal runs of consecutive non-slot word
-// loads (or stores) off one base register into single fused micro-ops.
-// Within a run the only register hazard is a load clobbering the base:
-// such a load may be the final member (it still reads the old base)
-// but nothing may follow it. Displacements must be word-aligned with
-// an envelope under a page so one endpoints-on-page check covers every
-// access.
-func (c *CPU) sbFuseRuns(s *superblock) {
-	steps := s.steps
-	out := steps[:0:0]
-	for i := 0; i < len(steps); {
-		st := steps[i]
-		if (st.op != pdLW && st.op != pdSW) || st.flags != 0 {
-			out = append(out, st)
-			i++
-			continue
-		}
-		base := st.rs
-		j := i
-		lo, hi := st.imm, st.imm
-		for j < len(steps) && j-i < sbMaxRunLen {
-			s2 := &steps[j]
-			if s2.op != st.op || s2.flags != 0 || s2.rs != base || s2.imm&3 != 0 {
-				break
-			}
-			nlo, nhi := lo, hi
-			if int32(s2.imm) < int32(nlo) {
-				nlo = s2.imm
-			}
-			if int32(s2.imm) > int32(nhi) {
-				nhi = s2.imm
-			}
-			if uint32(int32(nhi)-int32(nlo)) >= PageSize {
-				break
-			}
-			lo, hi = nlo, nhi
-			j++
-			if st.op == pdLW && s2.rt == base {
-				break // base clobbered: include the load, stop the run
-			}
-		}
-		if j-i < 2 {
-			out = append(out, st)
-			i++
-			continue
-		}
-		run := sbRun{lo: lo, hi: hi}
-		for k := i; k < j; k++ {
-			run.subs = append(run.subs, sbMemSub{rt: steps[k].rt, off: steps[k].imm})
-		}
-		fop := sbLWRun
-		if st.op == pdSW {
-			fop = sbSWRun
-		}
-		out = append(out, sbStep{
-			op: fop, rs: base, wt: uint8(j - i), cls: st.cls,
-			imm: uint32(len(s.runs)), pc: st.pc,
-		})
-		s.runs = append(s.runs, run)
-		i = j
-	}
-	s.steps = out
 }
 
 // advanceRandom applies n iterations of the per-instruction Random
@@ -723,7 +632,6 @@ dispatch:
 			goto out
 		}
 		st := &steps[i]
-		k := uint64(1)
 		switch st.op {
 		case pdADDU:
 			g[st.rd] = g[st.rs] + g[st.rt]
@@ -784,122 +692,6 @@ dispatch:
 					c.sb.exitExc++
 					goto out
 				}
-			}
-		case sbLWRun:
-			run := &s.runs[st.imm]
-			k = uint64(st.wt)
-			if n+k > max {
-				c.PC = st.pc
-				c.sb.exitBudget++
-				goto out
-			}
-			base := g[st.rs]
-			if base&3 == 0 && (base+run.lo)&EntryHiVPN == c.dcache.vpage &&
-				(base+run.hi)&EntryHiVPN == c.dcache.vpage && c.dcache.ram != nil {
-				r := c.dcache.ram
-				for _, sub := range run.subs {
-					off := (base + sub.off) & (PageSize - 1)
-					g[sub.rt] = uint32(r[off])<<24 | uint32(r[off+1])<<16 | uint32(r[off+2])<<8 | uint32(r[off+3])
-				}
-				g[0] = 0
-			} else {
-				// Slow run: per-access load() with exact PC, exception,
-				// and device-exit behavior. No sub before the last can
-				// write the base register (build rule), so the shared
-				// base read stays valid.
-				for j := range run.subs {
-					sub := run.subs[j]
-					c.PC = st.pc + uint32(j)*4
-					c.Stat.Instret += n - flushed
-					flushed = n
-					v, lok := c.load(base+sub.off, 4)
-					n++
-					clsAcc[st.cls]++
-					if !lok {
-						c.sb.exitExc++
-						goto out
-					}
-					g[sub.rt] = uint32(v)
-					g[0] = 0
-					if c.pdExit {
-						c.PC = st.pc + uint32(j+1)*4
-						c.sb.exitPDExit++
-						goto out
-					}
-				}
-				i++
-				if i == len(steps) {
-					goto chainEnd
-				}
-				continue
-			}
-		case sbSWRun:
-			run := &s.runs[st.imm]
-			k = uint64(st.wt)
-			if n+k > max {
-				c.PC = st.pc
-				c.sb.exitBudget++
-				goto out
-			}
-			base := g[st.rs]
-			if base&3 == 0 && (base+run.lo)&EntryHiVPN == c.wcache.vpage &&
-				(base+run.hi)&EntryHiVPN == c.wcache.vpage && c.wcache.ram != nil {
-				if fn := c.wcache.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
-					c.dropFrame(fn)
-					if c.pdExit {
-						// The run stores into live decoded text (the
-						// executing frame or one chained into this
-						// superblock): retire only the first store and
-						// bail so the generic path refetches fresh code,
-						// exactly like the per-instruction engines.
-						sub := run.subs[0]
-						r := c.wcache.ram
-						off := (base + sub.off) & (PageSize - 1)
-						v := g[sub.rt]
-						r[off] = byte(v >> 24)
-						r[off+1] = byte(v >> 16)
-						r[off+2] = byte(v >> 8)
-						r[off+3] = byte(v)
-						n++
-						clsAcc[st.cls]++
-						c.PC = st.pc + 4
-						c.sb.exitPDExit++
-						goto out
-					}
-				}
-				r := c.wcache.ram
-				for _, sub := range run.subs {
-					off := (base + sub.off) & (PageSize - 1)
-					v := g[sub.rt]
-					r[off] = byte(v >> 24)
-					r[off+1] = byte(v >> 16)
-					r[off+2] = byte(v >> 8)
-					r[off+3] = byte(v)
-				}
-			} else {
-				for j := range run.subs {
-					sub := run.subs[j]
-					c.PC = st.pc + uint32(j)*4
-					c.Stat.Instret += n - flushed
-					flushed = n
-					sok := c.store(base+sub.off, 4, uint64(g[sub.rt]))
-					n++
-					clsAcc[st.cls]++
-					if !sok {
-						c.sb.exitExc++
-						goto out
-					}
-					if c.pdExit {
-						c.PC = st.pc + uint32(j+1)*4
-						c.sb.exitPDExit++
-						goto out
-					}
-				}
-				i++
-				if i == len(steps) {
-					goto chainEnd
-				}
-				continue
 			}
 		case pdBEQ, pdBNE, pdBLEZ, pdBGTZ, pdBLTZ, pdBGEZ:
 			var taken bool
@@ -1140,8 +932,8 @@ dispatch:
 				goto out
 			}
 		}
-		n += k
-		clsAcc[st.cls] += k
+		n++
+		clsAcc[st.cls]++
 		i++
 		if linkPending && st.flags&sbSlot != 0 {
 			// The slot of a mispredicted branch just retired; resume at
@@ -1174,8 +966,7 @@ chainEnd:
 	if s.exitSlot {
 		c.PC = c.delayTarget
 	} else {
-		last := &steps[len(steps)-1]
-		c.PC = last.pc + uint32(last.wt)*4
+		c.PC = steps[len(steps)-1].pc + 4
 	}
 	if c.pdExit || c.Halted {
 		c.sb.exitPDExit++
@@ -1203,6 +994,7 @@ link:
 out:
 	c.CP0.Random = advanceRandom(r0, n)
 	c.Stat.Instret += n - flushed
+	c.sb.instrs += n
 	for ci, v := range clsAcc {
 		if v != 0 {
 			c.Stat.Classes[ci] += v

@@ -209,3 +209,104 @@ func TestSuperblockTLBGenerationGuard(t *testing.T) {
 		t.Error("remapped entry was never rejected: the generation guard did not fire")
 	}
 }
+
+// TestSuperblockDelaySlotFault: a memory op in a chained delay slot
+// faults on an unmapped kuseg address while the chain is dispatching.
+// The slow path must raise the exception as a delay-slot one (Cause.BD
+// set, EPC on the branch), exactly as the reference engine does. Each
+// loop walks a pointer table whose first entries are valid kseg0 data
+// and whose seventh is unmapped, so the superblock (threshold 1) is
+// resident before the faulting iteration; both vectors hold BREAK, so
+// the machines halt on exception entry.
+func TestSuperblockDelaySlotFault(t *testing.T) {
+	S0, S1, T0, T1, T2, T3 := isa.RegS0, isa.RegS1, isa.RegT0, isa.RegT1, isa.RegT2, isa.RegT3
+	head := []isa.Word{
+		isa.LUI(S1, 0x8000),
+		isa.ORI(S1, S1, 0x3000), // pointer table
+		isa.ORI(S0, 0, 0),       // iteration counter
+		// loop (0x8000100c):
+		isa.LW(T1, S1, 0),
+		isa.ADDIU(S1, S1, 4),
+		isa.ADDIU(S0, S0, 1),
+	}
+	for _, tc := range []struct {
+		name     string
+		body     []isa.Word
+		branchPC uint32
+	}{
+		{
+			// LW in the slot of a forward BNE, predicted (and
+			// actually) not taken.
+			name: "lw-bne",
+			body: []isa.Word{
+				isa.ANDI(T2, S0, 0x100),
+				isa.BNE(T2, 0, 1), // 0x8000101c
+				isa.LW(T3, T1, 0),
+				isa.SLTI(T0, S0, 10),
+				isa.BNE(T0, 0, -8), // back to loop
+				isa.NOP,
+				isa.BREAK(0),
+			},
+			branchPC: 0x8000101c,
+		},
+		{
+			// SB in the slot of the JR that ends the chain.
+			name: "sb-jr",
+			body: []isa.Word{
+				isa.JAL(0x80001040 >> 2 & 0x03ffffff),
+				isa.NOP,
+				isa.SLTI(T0, S0, 10),
+				isa.BNE(T0, 0, -7), // back to loop
+				isa.NOP,
+				isa.BREAK(0),
+				isa.NOP, isa.NOP, isa.NOP, isa.NOP,
+				// 0x80001040:
+				isa.ADDU(T3, T3, S0),
+				isa.JR(isa.RegRA), // 0x80001044
+				isa.SB(T3, T1, 0),
+			},
+			branchPC: 0x80001044,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			setup := func(m *machine.Machine) {
+				put(m, cpu.VecUTLB, isa.BREAK(0))
+				put(m, cpu.VecGeneral, isa.BREAK(0))
+				put(m, 0x80001000, append(append([]isa.Word{}, head...), tc.body...)...)
+				for i := uint32(0); i < 10; i++ {
+					p := uint32(0x80002000)
+					if i == 6 {
+						p = 0x00400000 // unmapped kuseg
+					}
+					m.RAM.WriteWord(0x3000+4*i, p)
+				}
+				m.CPU.PC = 0x80001000
+			}
+			fast := newM()
+			fast.CPU.SetSuperblockThreshold(1)
+			setup(fast)
+			if err := fast.Run(1000); err != nil {
+				t.Fatal(err)
+			}
+			ref := newM()
+			ref.CPU.SetPredecode(false)
+			setup(ref)
+			if err := ref.Run(1000); err != nil {
+				t.Fatal(err)
+			}
+			c := fast.CPU
+			if c.CP0.Cause&cpu.CauseBD == 0 {
+				t.Error("Cause.BD not set for the faulting delay-slot access")
+			}
+			if c.CP0.EPC != tc.branchPC {
+				t.Errorf("EPC = 0x%08x, want the branch at 0x%08x", c.CP0.EPC, tc.branchPC)
+			}
+			if st := c.SuperblockStats(); st.ExitExc == 0 {
+				t.Errorf("no superblock exception exit (%+v): the fault was not taken inside a chain", st)
+			}
+			if d := diffState(ref.CPU, c); d != "" {
+				t.Errorf("engines diverge: %s", d)
+			}
+		})
+	}
+}

@@ -75,6 +75,7 @@ type engineResult struct {
 	doorbells uint64
 	cycles    uint64
 	sbBuilt   uint64
+	sbInstr   uint64
 }
 
 // runEngine boots wl on engine and runs it to completion, hashing the
@@ -105,6 +106,7 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced, observe bo
 		t.Fatalf("%s engine=%v: %v", wl, engine, err)
 	}
 	c := sys.M.CPU
+	sb := c.SuperblockStats()
 	res := engineResult{
 		gpr: c.GPR, hi: c.HI, lo: c.LO, pc: c.PC,
 		cp0: c.CP0, tlb: c.TLB, stat: c.Stat,
@@ -113,7 +115,8 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced, observe bo
 		console: sys.Console(), exit: sys.ExitStatus(pid),
 		drained: sys.DrainedWords, doorbells: sys.Doorbells,
 		cycles:  sys.M.Cycles(),
-		sbBuilt: c.SuperblockStats().Built,
+		sbBuilt: sb.Built,
+		sbInstr: sb.Instructions,
 	}
 	for i, f := range c.FPR {
 		res.fprBits[i] = math.Float64bits(f)
@@ -317,6 +320,13 @@ func TestWorkloadDifferentialOracle(t *testing.T) {
 				}
 				if def.sbBuilt == 0 {
 					t.Error("default engine built no superblocks: the tier was not exercised")
+				}
+				if ref.sbInstr != 0 {
+					t.Errorf("reference engine retired %d instructions in superblocks", ref.sbInstr)
+				}
+				if def.sbInstr == 0 || def.sbInstr > def.stat.Instret {
+					t.Errorf("default engine retired %d of %d instructions in superblocks, want 1..Instret",
+						def.sbInstr, def.stat.Instret)
 				}
 				if traced {
 					// The observed face runs the same engine with an
