@@ -245,10 +245,11 @@ type CPU struct {
 	pd       predecoder
 	ipd      *pdFrame
 	ipdFrame uint32
-	// pdExit asks StepN's batch loop to return to its caller after the
-	// current instruction: set on exceptions, COP0 dispatch, and device
-	// (bus) accesses — exactly the operations that can change interrupt
-	// or device-event state mid-batch.
+	// pdExit asks superblock dispatch to return to StepN after the
+	// current instruction: set on exceptions, COP0 dispatch, device
+	// (bus) accesses, and invalidation of the executing chain — exactly
+	// the operations that can change interrupt, translation, text or
+	// device-event state mid-chain.
 	pdExit bool
 
 	// Superblock engine state: linearized multi-block chains built on

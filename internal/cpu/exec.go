@@ -245,20 +245,15 @@ func (c *CPU) Step() bool {
 	return c.stepSlow()
 }
 
-// StepN retires up to max instructions in one tight loop on the
-// predecode fast path and returns the number retired (possibly 0).
-//
-// The per-Step checks Step repeats every instruction are hoisted to
-// the loop entry, which is only sound because nothing inside the batch
-// can change them unnoticed: interrupt lines rise only in device
-// Advance calls (between machine bursts, never mid-batch), and the
-// pieces the CPU itself can change route through c.pdExit — Exception
-// sets it (Status stack push), COP0 dispatch sets it (MTC0/RFE/TLB
-// ops), and device bus accesses set it (a store can reprogram a device
-// event or ack an interrupt line). The loop returns after any such
-// instruction, and the caller re-enters through Step, which performs
-// the full per-instruction checks. An attached observer disables the
-// batch entirely so event streams stay per-instruction exact.
+// StepN runs one dispatch step and returns the instructions it retired,
+// counting a single Step as one. When nothing can change mid-chain (no
+// observer, no pending interrupt, no pending delay slot, aligned PC)
+// and a superblock is enterable at the PC, the step is that chain's
+// dispatch for up to max instructions; otherwise, or when the chain
+// retired nothing, it is exactly one Step. So execSB is the only
+// batched dispatcher, and the chain's own pdExit discipline (see
+// superblock.go) is what makes the hoisted checks sound: it leaves at
+// every exception, COP0 op, device access and invalidation.
 func (c *CPU) StepN(max uint64) uint64 {
 	if c.Halted || max == 0 {
 		return 0
@@ -266,86 +261,23 @@ func (c *CPU) StepN(max uint64) uint64 {
 	if (c.Obs != nil) != c.obsAny {
 		c.syncObs()
 	}
-	if c.obsAny || c.IRQPending() {
-		return 0
-	}
-	ipd := c.ipd
-	if ipd == nil {
-		return 0
-	}
-	// A profiler batch ends exactly on the sample boundary, so the
-	// sampler below the loop observes the boundary PC; one branch
-	// here, amortized over the whole batch (see obs.go).
+	// The chain ends exactly on the sample boundary, and the sampler
+	// below observes the boundary PC (see obs.go).
 	if c.prof.fn != nil {
 		max = c.profClamp(max)
 	}
-	c.pdExit = false
 	var n uint64
-	// Superblock entry: a hot batch head may open straight into a
-	// linearized chain (superblock.go). The chain exits with the
-	// architectural state of the equivalent per-uop execution; a
-	// pdExit-class exit ends the batch below, anything else falls
-	// through to the generic loop. sbEnterable may build (and in the
-	// worst case roll the frame cache over), so ipd is re-read after.
-	if !c.inDelay && c.PC&3 == 0 {
+	if !c.obsAny && !c.inDelay && c.PC&3 == 0 && !c.IRQPending() {
 		if s := c.sbEnterable(c.PC); s != nil {
+			c.pdExit = false
 			n = c.execSB(s, max)
-		}
-		ipd = c.ipd
-	}
-	// The frame pointer and instruction page are loop invariants: the
-	// only thing that can change them mid-batch is a store into the
-	// executing frame, and dropFrame raises pdExit for exactly that.
-	vpage := c.icache.vpage
-	if ipd == nil || c.pdExit || c.Halted {
-		// The superblock ended the batch (or rolled the frame cache
-		// over while building); the per-uop loop must not run.
-		goto done
-	}
-	for n < max {
-		pc := c.PC
-		if pc&EntryHiVPN != vpage || pc&3 != 0 {
-			break
-		}
-		u := &ipd.ops[pc>>2&(pdFrameWords-1)]
-		nextPC := pc + 4
-		jumped := false
-		if c.inDelay {
-			nextPC = c.delayTarget
-			c.inDelay = false
-			c.execInSlot = true
-			jumped = nextPC != pc+4
-		}
-		if c.CP0.Random <= TLBWired {
-			c.CP0.Random = NTLB - 1
-		} else {
-			c.CP0.Random--
-		}
-		// The observer check above leaves execU's event hooks off.
-		ok := c.execU(u)
-		c.Stat.Instret++
-		c.Stat.Classes[u.cls]++
-		c.execInSlot = false
-		n++
-		if ok {
-			c.PC = nextPC
-		}
-		if c.pdExit || c.Halted {
-			break
-		}
-		if jumped && !c.inDelay {
-			// A taken jump may land on a hot superblock head; chain
-			// straight into it without surrendering the batch.
-			if s := c.sbEnterable(c.PC); s != nil && n < max {
-				n += c.execSB(s, max-n)
-			}
-			if c.pdExit || c.Halted || ipd != c.ipd {
-				break
-			}
+			c.pd.hits += n
 		}
 	}
-done:
-	c.pd.hits += n
+	if n == 0 {
+		c.Step()
+		n = 1
+	}
 	if c.prof.fn != nil && c.Stat.Instret >= c.prof.next {
 		c.profSample()
 	}

@@ -46,7 +46,7 @@ func (c *CPU) RegisterMetrics(r *telemetry.Registry, labels ...telemetry.Label) 
 		"superblocks dropped after a store, DMA, or flush hit a chained frame",
 		func() uint64 { return c.sb.invalidated }, labels...)
 	r.Sample("cpu_superblock_entry_rejects_total",
-		"dispatch entries refused by the guard (delay slot, TLB generation, pending state)",
+		"dispatch entries refused by the guard (kernel-only chain in user mode, failed page-guard revalidation)",
 		func() uint64 { return c.sb.entryRejects }, labels...)
 	r.Sample("cpu_superblock_instructions_total",
 		"instructions retired inside superblock dispatch",

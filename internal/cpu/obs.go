@@ -17,7 +17,7 @@ var (
 	// a = TLB index written, b = EntryHi (VPN|ASID).
 	evTLBWrite = obs.RegisterEvent("cpu_tlb_write")
 	// a = physical frame number whose predecode was dropped,
-	// b = 1 when it was the executing frame (forced a pdExit).
+	// b = 1 when it was the executing frame (forced a re-decode).
 	evFrameDrop = obs.RegisterEvent("cpu_frame_drop")
 	// a = physical address, b = 1 store / 0 load (device space only —
 	// the pdExit reason that isn't an exception or COP0 op).
@@ -39,10 +39,10 @@ func (c *CPU) devAccess(pa uint32, store uint64) {
 	obs.Emit(evDevAccess, uint64(pa), store)
 }
 
-// profiler holds the guest-PC sampling state. StepN clamps its batch
-// to the next sample boundary and samples once on exit, so sampling
-// adds no per-instruction work — one comparison per batch plus the
-// callback every `every` retired instructions.
+// profiler holds the guest-PC sampling state. StepN clamps its
+// superblock dispatch to the next sample boundary and samples once on
+// exit, so sampling adds no per-instruction work — one comparison per
+// StepN plus the callback every `every` retired instructions.
 type profiler struct {
 	fn    func(pc uint32, kernel bool, pid uint32, instret uint64)
 	every uint64
@@ -52,10 +52,10 @@ type profiler struct {
 // SetProfiler attaches (or, with a nil fn or zero period, detaches) a
 // guest-PC sampler: fn is called with the simulated PC, mode, and
 // address-space id (equal to the guest pid under both kernels) every
-// `every` retired instructions. The sampled PC is the batch-boundary
-// PC nearest the period, which is exact to within one batch on the
-// reference path and exact on the predecode path (StepN cuts batches
-// at sample boundaries).
+// `every` retired instructions. The sample is exact whenever the
+// machine runs through StepN (no stall model: StepN cuts its chain at
+// the boundary and samples on exit) and lands within one burst of the
+// boundary under a stall model, where ProfPoll samples between bursts.
 func (c *CPU) SetProfiler(every uint64, fn func(pc uint32, kernel bool, pid uint32, instret uint64)) {
 	if fn == nil || every == 0 {
 		c.prof = profiler{}
@@ -85,10 +85,9 @@ func (c *CPU) profClamp(max uint64) uint64 {
 	return max
 }
 
-// ProfPoll takes a sample if one is due. The machine run loop calls
-// it once per burst for the instructions StepN did not batch (the
-// reference engine, an attached observer, the single Steps between
-// batches), bounding sample skew by the burst length instead of adding
+// ProfPoll takes a sample if one is due. The machine's stall-model
+// loop, which runs one Step at a time rather than StepN, calls it once
+// per burst, bounding sample skew by the burst length instead of adding
 // a per-Step check.
 func (c *CPU) ProfPoll() {
 	if c.prof.fn != nil && c.Stat.Instret >= c.prof.next {

@@ -224,9 +224,6 @@ func (c *CPU) dropFrame(fn uint32) {
 	if c.ipd != nil && c.ipdFrame == fn {
 		c.ipd = nil
 		c.icache.vpage = 1
-		// StepN caches the frame pointer across its batch; force it
-		// back to the caller so the next fetch re-decodes.
-		c.pdExit = true
 		executing = 1
 	}
 	c.sbInvalidateFrame(fn)

@@ -230,16 +230,10 @@ func TestLockstepRandomPrograms(t *testing.T) {
 }
 
 // runBatched drives a CPU the way machine.Run's no-stall loop does:
-// StepN batches as far as it can, and a single Step makes progress
-// over whatever the batch refused (interrupts, page crossings, COP0,
-// exceptions) before the batch resumes.
+// one StepN per iteration, each a superblock dispatch or one Step.
 func runBatched(c *cpu.CPU, target uint64) {
 	for c.Stat.Instret < target && !c.Halted {
-		if c.StepN(target-c.Stat.Instret) == 0 {
-			if !c.Step() {
-				break
-			}
-		}
+		c.StepN(target - c.Stat.Instret)
 	}
 }
 
@@ -271,6 +265,80 @@ func TestLockstepStepNRandomPrograms(t *testing.T) {
 			runBatched(fast.CPU, target)
 			if d := diffState(ref.CPU, fast.CPU); d != "" {
 				t.Fatalf("after %d instructions: %s", ref.CPU.Stat.Instret, d)
+			}
+		})
+	}
+}
+
+// TestStepNStepsOnceBehindGuards: whenever a chain may not run (an
+// observer attached, an enabled interrupt pending, a delay slot
+// pending, an uncached kseg1 PC, the reference engine, a misaligned
+// PC), one StepN must do exactly one Step's work. Each case prepares
+// twin machines, both warmed until a superblock is resident at the PC,
+// and compares one StepN on one twin with one Step on the other.
+func TestStepNStepsOnceBehindGuards(t *testing.T) {
+	T0, T1, T2, T3 := isa.RegT0, isa.RegT1, isa.RegT2, isa.RegT3
+	const head = 0x80001000
+	warm := func() *machine.Machine {
+		m := newM()
+		m.CPU.SetSuperblockThreshold(1)
+		put(m, head-4,
+			isa.BEQ(0, 0, 5), // delay-slot case only: its slot is the head
+			isa.ADDIU(T0, T0, 1),
+			isa.ADDU(T1, T1, T0),
+			isa.SLTI(T2, T0, 30000),
+			isa.BNE(T2, 0, -4), // back to head
+			isa.ADDIU(T3, T3, 2),
+			isa.BREAK(0),
+		)
+		m.CPU.PC = head
+		runBatched(m.CPU, 200)
+		// Stop at the head, which follows a retired delay slot.
+		for m.CPU.PC != head {
+			m.CPU.Step()
+		}
+		return m
+	}
+	if n := warm().CPU.StepN(1000); n <= 1 {
+		t.Fatalf("unguarded StepN retired %d instructions; want a superblock dispatch", n)
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(m *machine.Machine)
+	}{
+		{"observer", func(m *machine.Machine) { m.CPU.Obs = &recObs{} }},
+		{"irq", func(m *machine.Machine) {
+			m.CPU.CP0.Status |= cpu.StIEc | 1<<(cpu.StIMShift+2)
+			m.CPU.SetIRQ(2, true)
+		}},
+		{"delay-slot", func(m *machine.Machine) {
+			m.CPU.PC = head - 4
+			m.CPU.Step() // the BEQ: its slot is the chain's entry
+		}},
+		{"kseg1", func(m *machine.Machine) { m.CPU.PC = head - cpu.KSeg0Base + cpu.KSeg1Base }},
+		{"reference", func(m *machine.Machine) { m.CPU.SetPredecode(false) }},
+		{"misaligned", func(m *machine.Machine) { m.CPU.PC = head + 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := warm(), warm()
+			tc.setup(a)
+			tc.setup(b)
+			if n := a.CPU.StepN(1000); n != 1 {
+				t.Errorf("StepN returned %d, want 1", n)
+			}
+			b.CPU.Step()
+			if d := diffState(a.CPU, b.CPU); d != "" {
+				t.Fatalf("StepN vs Step: %s", d)
+			}
+			if a.CPU.Stat.Instret != b.CPU.Stat.Instret {
+				t.Fatalf("Instret %d vs %d", a.CPU.Stat.Instret, b.CPU.Stat.Instret)
+			}
+			if oa, ok := a.CPU.Obs.(*recObs); ok {
+				ob := b.CPU.Obs.(*recObs)
+				if oa.n != ob.n || oa.h != ob.h {
+					t.Fatalf("observer streams diverge (%d events hash %x vs %d events hash %x)",
+						oa.n, oa.h, ob.n, ob.h)
+				}
 			}
 		})
 	}

@@ -1,11 +1,12 @@
 package cpu
 
-// Superblock tier: when a jump target keeps appearing at the head of a
-// StepN batch, the builder walks the predecoded micro-ops from that
-// address, chaining fall-through edges and statically predicted direct
+// Superblock tier: every StepN probes the entry table at its PC, and a
+// chain probes at the continuation it exits to. When an address keeps
+// coming up, the builder walks the predecoded micro-ops from it,
+// chaining fall-through edges and statically predicted direct
 // branches across basic-block (and frame) boundaries into one
 // linearized step array. Dispatch runs that array in a dense
-// jump-table loop with the per-instruction work of StepN hoisted out:
+// jump-table loop with the per-instruction work of Step hoisted out:
 // the PC is implicit in the step index (materialized only at exits),
 // CP0.Random and Stat.Instret advance once per exit instead of once
 // per instruction. A chain that closes on its own entry wraps in place,
@@ -29,15 +30,16 @@ package cpu
 //     host writes via the RAM write hook, device DMA via the machine's
 //     WriteNotifier) invalidates the dependents — raising pdExit if
 //     one of them is currently executing, so the dispatch loop bails
-//     after the in-flight instruction exactly like StepN does.
+//     after the in-flight instruction.
 //
 // Branch prediction is static backward-taken/forward-not-taken (plus
 // always-taken for unconditional jumps and compare-equal BEQ r,r);
-// a mispredicted branch retires normally and then bails with the
-// architectural inDelay/delayTarget state set, so the generic path
-// executes the delay slot. The engine is proven bit-identical to the
-// reference interpreter by the lockstep/fuzz oracle in this package
-// and the whole-workload oracle at the repo root.
+// a mispredicted branch retires, its delay slot runs inline, and
+// dispatch continues at the real target: in the superblock there if
+// one is enterable, else in the Steps that follow. The engine is
+// proven bit-identical to the reference interpreter by the
+// lockstep/fuzz oracle in this package and the whole-workload oracle
+// at the repo root.
 
 import (
 	"systrace/internal/isa"
@@ -49,9 +51,9 @@ const (
 	sbIndexBits = 12
 	sbIndexSize = 1 << sbIndexBits
 
-	// sbDefaultThreshold is how many times an address must head a
-	// batch (or be the target of a taken jump inside one) before a
-	// superblock is built over it.
+	// sbDefaultThreshold is how many times an address must be probed
+	// as an entry (a StepN at that PC, or a chain exiting to it)
+	// before a superblock is built over it.
 	sbDefaultThreshold = 16
 
 	// sbMaxSteps bounds one superblock's linearized chain.
@@ -229,8 +231,11 @@ func (c *CPU) sbInvalidateFrame(fn uint32) {
 
 // sbEnterable returns the superblock at va if one exists and its entry
 // guards pass; a miss feeds the hotness table and may trigger a build.
-// The caller must ensure no delay slot is pending and no observer is
-// attached (StepN already guarantees both).
+// The guards reject a kernel-only chain entered in user mode and a
+// mapped chain whose page guards fail revalidation. The caller must
+// ensure no delay slot is pending and no observer is attached: StepN
+// checks both before it probes, and execSB links only at clean
+// instruction boundaries.
 func (c *CPU) sbEnterable(va uint32) *superblock {
 	if c.sb.idx == nil {
 		if c.pd.off {
@@ -294,12 +299,7 @@ func (c *CPU) sbMiss(va uint32) {
 // current generation so subsequent entries are O(1) again.
 func (c *CPU) sbRevalidate(s *superblock) bool {
 	for _, p := range s.pages {
-		i := c.lookupTLB(p.vpage)
-		if i < 0 {
-			return false
-		}
-		lo := c.TLB[i].Lo
-		if lo&EloV == 0 || lo&EloN != 0 || lo&EloPFN != p.ppage {
+		if ppage, _, _, _, ok := c.sbProbeText(p.vpage); !ok || ppage != p.ppage {
 			return false
 		}
 	}
@@ -598,9 +598,8 @@ func advanceRandom(r uint32, n uint64) uint32 {
 // execSB dispatches one superblock for up to max instructions and
 // returns the number retired. On return the architectural state is
 // exactly what the reference interpreter would hold after the same
-// retirement count; c.pdExit is set when the caller must leave the
-// batch (exception, device access, invalidation), exactly as after a
-// StepN step.
+// retirement count; c.pdExit is set when dispatch stopped early for
+// an exception, a device access or an invalidation.
 func (c *CPU) execSB(s *superblock, max uint64) uint64 {
 	steps := s.steps
 	g := &c.GPR
@@ -624,7 +623,7 @@ dispatch:
 			if st.flags&sbSlot != 0 {
 				// Stopping between a branch and its slot: the branch
 				// already set delayTarget; restore the architectural
-				// in-delay state for the generic path.
+				// in-delay state for the next Step.
 				c.inDelay = true
 			}
 			c.PC = st.pc

@@ -171,8 +171,12 @@ func TestSuperblockTLBGenerationGuard(t *testing.T) {
 		m.RAM.WriteWord(pa+8, uint32(isa.JR(RA)))
 		m.RAM.WriteWord(pa+12, uint32(isa.NOP))
 	}
-	routine(0x5000, 5)
-	routine(0x6000, 9)
+	// The routine sits 0x40 into its page: at offset 0 it would share
+	// a heat slot (va>>2 & 4095) with the loop head at 0x80001000, and
+	// since every stepped PC probes the entry table the two would evict
+	// each other's heat before the routine ever got built.
+	routine(0x5040, 5)
+	routine(0x6040, 9)
 	m.CPU.TLB[8] = cpu.TLBEntry{Hi: 0x1000, Lo: 0x5000 | eloVD}
 	put(m, 0x80001000,
 		isa.ADDIU(T6, T6, 1), // loop head: call counter
@@ -183,13 +187,13 @@ func TestSuperblockTLBGenerationGuard(t *testing.T) {
 		isa.MTC0(K0, isa.C0EntryHi),
 		isa.MTC0(K1, isa.C0EntryLo),
 		isa.MTC0(T5, isa.C0Index),
-		isa.TLBWI(), // va 0x1000 now names the 0x6000 frame
+		isa.TLBWI(), // page 0x1000 now names the 0x6000 frame
 		isa.SLTI(T7, T6, 8),
 		isa.BNE(T7, 0, -11), // back to the loop head
 		isa.NOP,
 		isa.BREAK(0),
 	)
-	m.CPU.GPR[T8] = 0x1000
+	m.CPU.GPR[T8] = 0x1040
 	m.CPU.GPR[K0] = 0x1000
 	m.CPU.GPR[K1] = 0x6000 | eloVD
 	m.CPU.GPR[T5] = 8

@@ -192,19 +192,16 @@ func (m *Machine) Run(maxInstr uint64) error {
 	// A stall model adds time on every instruction, so only the burst
 	// bound keeps event delivery close: bursts stay at 64 instructions
 	// and run one Step at a time (the observer that feeds the model
-	// makes StepN refuse to batch anyway). Events are checked only
-	// between bursts: the measured numbers depend on it.
+	// keeps StepN off superblock chains anyway). Events are checked
+	// only between bursts: the measured numbers depend on it.
 	//
 	// Without one, machine time advances in instruction-sized steps
 	// except at doorbell writes (an active analysis handler adds cycles
 	// there), so bursts run long and the mid-burst checks deliver any
 	// overdue event right after the doorbell or device write that made
-	// it due. StepN batches the stretches where nothing can change
-	// mid-burst (it returns at every exception, COP0 op, and device
-	// access) and a single Step makes progress over whatever the batch
-	// refused. StepN returns 0 on the reference engine and with an
-	// observer attached, which leaves the same loop stepping one
-	// instruction at a time with the same checks.
+	// it due. Each StepN is one superblock dispatch or one Step, and a
+	// chain leaves at every exception, COP0 op, and device access, so
+	// the check after each call is as close as stepping one at a time.
 	maxBurst := uint64(64)
 	if m.stall == nil {
 		maxBurst = 16384
@@ -227,17 +224,13 @@ func (m *Machine) Run(maxInstr uint64) error {
 					break
 				}
 			}
+			// Guest-PC sampling for the stepped burst: skew bounded by
+			// the burst (StepN samples exactly on its own).
+			c.ProfPoll()
 		} else {
 			ne := m.nextEvent
-			for i := uint64(0); i < burst; {
+			for i := uint64(0); i < burst && !c.Halted; {
 				i += c.StepN(burst - i)
-				if i >= burst || m.nextEvent != ne || m.Cycles() >= ne {
-					break
-				}
-				if !c.Step() {
-					break
-				}
-				i++
 				if m.nextEvent != ne || m.Cycles() >= ne {
 					break
 				}
@@ -246,9 +239,6 @@ func (m *Machine) Run(maxInstr uint64) error {
 		if c.FaultMsg != "" {
 			return fmt.Errorf("machine fault at pc=0x%08x: %s", c.PC, c.FaultMsg)
 		}
-		// Guest-PC sampling for the stretches StepN refuses (stall
-		// model, observer, reference engine): skew bounded by the burst.
-		c.ProfPoll()
 		if now = m.Cycles(); now >= m.nextEvent {
 			m.Clock.Advance(now)
 			m.Disk.Advance(now)

@@ -17,7 +17,7 @@
 //     as a JSON timeline or a text Gantt (tracestat -spans);
 //   - a guest-PC sampling profiler (profile.go): the CPU core samples
 //     the simulated PC on an instruction-count period amortized over
-//     its batched dispatch loop, and samples are attributed to guest
+//     its superblock dispatch, and samples are attributed to guest
 //     functions through the images' symbol tables and emitted as
 //     folded stacks (flamegraph input) plus a host-time table.
 //
@@ -25,7 +25,7 @@
 // emission is a handful of uncontended atomic stores with no locks, no
 // allocation, and no time syscalls; span operations take a mutex but
 // run only at phase boundaries; the profiler costs one branch per
-// dispatch batch. The end-to-end benchmark (perfbench/run.sh) runs
+// StepN. The end-to-end benchmark (perfbench/run.sh) runs
 // with the recorder armed, so its cost shows in every workload's
 // wall time and guest MIPS.
 package obs

@@ -11,10 +11,10 @@ import (
 )
 
 // Guest-PC sampling profiler. The CPU core samples the simulated PC
-// on an instruction-count period: StepN clamps its batch to the next
-// sample boundary and samples once on exit, so the per-instruction
-// dispatch loop carries no profiling code at all — the cost is one
-// branch per batch plus one time.Now per sample. Each sample charges
+// on an instruction-count period: StepN clamps its superblock dispatch
+// to the next sample boundary and samples once on exit, so the
+// per-instruction dispatch loop carries no profiling code at all — the
+// cost is one branch per StepN plus one time.Now per sample. Each sample charges
 // the host time since the previous sample to the sampled guest PC,
 // which is sound for the same reason the pdExit discipline is: StepN
 // only runs straight-line guest work between exits, so the PC observed

@@ -23,6 +23,12 @@ go build ./...
 echo "== perfbench: go vet + go build (nested module) =="
 (cd perfbench && go vet ./... && go build -o /dev/null ./...)
 
+# The bench smoke: every op's exit status, trace conformance and pinned
+# counts, so a change that breaks one fails here rather than only in a
+# bench run. Writes no files.
+echo "== perfbench: go test -short (nested module) =="
+(cd perfbench && go test -short -count=1 .)
+
 echo "== go test ./... =="
 go test ./...
 
