@@ -106,8 +106,16 @@ type Bus interface {
 // system simulator (the "direct measurement" side of the validation)
 // attaches here. All methods must be cheap; kernel is the mode, and
 // cached reflects kseg1 bypass.
+//
+// FetchRun(va, pa, n, kernel, cached) is exactly n Fetch calls at va,
+// va+4, ..., va+4(n-1) (physical pa, pa+4, ...), all within one page.
+// Superblock dispatch reports a chain's sequential fetches this way,
+// once per run; every other event of an instruction in the run follows
+// the whole run, so a run never has a load, store, FP op or exception
+// between its fetches.
 type Observer interface {
 	Fetch(va, pa uint32, kernel, cached bool)
+	FetchRun(va, pa uint32, n int, kernel, cached bool)
 	Load(va, pa uint32, size int, kernel, cached bool)
 	Store(va, pa uint32, size int, kernel, cached bool)
 	Exception(code int, vector uint32)
@@ -265,15 +273,10 @@ type CPU struct {
 	// word of a device-streaming loop.
 	lastDevKey uint64
 
-	// Per-port observer flags, re-synced by Step when c.Obs changes
-	// nil-ness; they hoist the interface nil check out of every
+	// obsAny caches c.Obs != nil, re-derived at every Step and StepN;
+	// it hoists the interface nil check out of every
 	// fetch/load/store/exception/FP event.
-	obsAny   bool
-	obsFetch bool
-	obsLoad  bool
-	obsStore bool
-	obsExc   bool
-	obsFP    bool
+	obsAny bool
 
 	// Halted is set by the machine (e.g. final process exit) to stop
 	// Run loops.
@@ -365,7 +368,7 @@ func (c *CPU) Exception(code int, vector uint32) {
 	c.inDelay = false
 	c.execInSlot = false
 	c.PC = vector
-	if c.obsExc {
+	if c.obsAny {
 		c.Obs.Exception(code, vector)
 	}
 }

@@ -70,7 +70,7 @@ func (c *CPU) fetchWord(va uint32) (uint32, bool) {
 		}
 	}
 	pa := c.icache.ppage | va&(PageSize-1)
-	if c.obsFetch {
+	if c.obsAny {
 		c.Obs.Fetch(va, pa, c.KernelMode(), c.icache.cached)
 	}
 	if r := c.icache.ram; r != nil {
@@ -96,7 +96,7 @@ func (c *CPU) load(va uint32, size int) (uint64, bool) {
 		}
 	}
 	pa := c.dcache.ppage | va&(PageSize-1)
-	if c.obsLoad {
+	if c.obsAny {
 		c.Obs.Load(va, pa, size, c.KernelMode(), c.dcache.cached)
 	}
 	if r := c.dcache.ram; r != nil {
@@ -144,7 +144,7 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 		}
 	}
 	pa := c.wcache.ppage | va&(PageSize-1)
-	if c.obsStore {
+	if c.obsAny {
 		c.Obs.Store(va, pa, size, c.KernelMode(), c.wcache.cached)
 	}
 	// Stores into a predecoded text frame drop its stale micro-ops
@@ -206,11 +206,9 @@ func (c *CPU) Step() bool {
 		return false
 	}
 	// Observers are attached by plain assignment to c.Obs (machine
-	// timing models, tests); fold the nil check into per-port flags
-	// once per attach/detach instead of per event.
-	if (c.Obs != nil) != c.obsAny {
-		c.syncObs()
-	}
+	// timing models, tests); fold the nil check into obsAny once per
+	// Step instead of per event.
+	c.obsAny = c.Obs != nil
 	if c.IRQPending() {
 		c.Stat.Interrupts++
 		c.Exception(ExcInt, VecGeneral)
@@ -219,7 +217,7 @@ func (c *CPU) Step() bool {
 	if pc&EntryHiVPN == c.icache.vpage && c.ipd != nil && pc&3 == 0 {
 		c.pd.hits++
 		u := &c.ipd.ops[pc>>2&(pdFrameWords-1)]
-		if c.obsFetch {
+		if c.obsAny {
 			c.Obs.Fetch(pc, c.icache.ppage|pc&(PageSize-1), c.KernelMode(), c.icache.cached)
 		}
 		nextPC := pc + 4
@@ -247,27 +245,27 @@ func (c *CPU) Step() bool {
 
 // StepN runs one dispatch step and returns the instructions it retired,
 // counting a single Step as one. When nothing can change mid-chain (no
-// observer, no pending interrupt, no pending delay slot, aligned PC)
-// and a superblock is enterable at the PC, the step is that chain's
-// dispatch for up to max instructions; otherwise, or when the chain
-// retired nothing, it is exactly one Step. So execSB is the only
-// batched dispatcher, and the chain's own pdExit discipline (see
+// pending interrupt, no pending delay slot, aligned PC) and a
+// superblock is enterable at the PC, the step is that chain's dispatch
+// for up to max instructions; otherwise, or when the chain retired
+// nothing, it is exactly one Step. So execSB is the only batched
+// dispatcher, and the chain's own pdExit discipline (see
 // superblock.go) is what makes the hoisted checks sound: it leaves at
-// every exception, COP0 op, device access and invalidation.
+// every exception, COP0 op, device access and invalidation. An
+// attached observer sees the same event stream either way: a chain
+// reports its fetches one FetchRun per sequential run.
 func (c *CPU) StepN(max uint64) uint64 {
 	if c.Halted || max == 0 {
 		return 0
 	}
-	if (c.Obs != nil) != c.obsAny {
-		c.syncObs()
-	}
+	c.obsAny = c.Obs != nil
 	// The chain ends exactly on the sample boundary, and the sampler
 	// below observes the boundary PC (see obs.go).
 	if c.prof.fn != nil {
 		max = c.profClamp(max)
 	}
 	var n uint64
-	if !c.obsAny && !c.inDelay && c.PC&3 == 0 && !c.IRQPending() {
+	if !c.inDelay && c.PC&3 == 0 && !c.IRQPending() {
 		if s := c.sbEnterable(c.PC); s != nil {
 			c.pdExit = false
 			n = c.execSB(s, max)
@@ -316,17 +314,6 @@ func (c *CPU) stepSlow() bool {
 	c.execInSlot = false
 	c.PC = nextPC
 	return !c.Halted
-}
-
-// syncObs re-derives the per-port observer flags from c.Obs.
-func (c *CPU) syncObs() {
-	has := c.Obs != nil
-	c.obsAny = has
-	c.obsFetch = has
-	c.obsLoad = has
-	c.obsStore = has
-	c.obsExc = has
-	c.obsFP = has
 }
 
 // opClass maps a primary opcode to its instruction class. Unused
@@ -692,7 +679,7 @@ func (c *CPU) execCOP1(w uint32, rs, rt int) bool {
 			c.branch(c.PC + 8)
 		}
 	case isa.Cop1Dbl:
-		if c.obsFP {
+		if c.obsAny {
 			c.Obs.FPOp(isa.FPLatency(w))
 		}
 		fd := int(w >> 6 & 31)

@@ -52,10 +52,9 @@ type profiler struct {
 // SetProfiler attaches (or, with a nil fn or zero period, detaches) a
 // guest-PC sampler: fn is called with the simulated PC, mode, and
 // address-space id (equal to the guest pid under both kernels) every
-// `every` retired instructions. The sample is exact whenever the
-// machine runs through StepN (no stall model: StepN cuts its chain at
-// the boundary and samples on exit) and lands within one burst of the
-// boundary under a stall model, where ProfPoll samples between bursts.
+// `every` retired instructions. The sample is exact: StepN cuts its
+// chain at the boundary and samples on exit, and the machine runs
+// every instruction through StepN.
 func (c *CPU) SetProfiler(every uint64, fn func(pc uint32, kernel bool, pid uint32, instret uint64)) {
 	if fn == nil || every == 0 {
 		c.prof = profiler{}
@@ -83,14 +82,4 @@ func (c *CPU) profClamp(max uint64) uint64 {
 		return rem
 	}
 	return max
-}
-
-// ProfPoll takes a sample if one is due. The machine's stall-model
-// loop, which runs one Step at a time rather than StepN, calls it once
-// per burst, bounding sample skew by the burst length instead of adding
-// a per-Step check.
-func (c *CPU) ProfPoll() {
-	if c.prof.fn != nil && c.Stat.Instret >= c.prof.next {
-		c.profSample()
-	}
 }

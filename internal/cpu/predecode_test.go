@@ -46,6 +46,13 @@ func b2u(b bool) uint32 {
 func (o *recObs) Fetch(va, pa uint32, kernel, cached bool) {
 	o.mix(1, va, pa, b2u(kernel), b2u(cached))
 }
+
+// FetchRun is its n Fetch calls, by the Observer contract.
+func (o *recObs) FetchRun(va, pa uint32, n int, kernel, cached bool) {
+	for k := uint32(0); k < uint32(n); k++ {
+		o.Fetch(va+4*k, pa+4*k, kernel, cached)
+	}
+}
 func (o *recObs) Load(va, pa uint32, size int, kernel, cached bool) {
 	o.mix(2, va, pa, uint32(size), b2u(kernel), b2u(cached))
 }
@@ -239,9 +246,8 @@ func runBatched(c *cpu.CPU, target uint64) {
 
 // TestLockstepStepNRandomPrograms covers the batched fast path: the
 // reference engine runs per-Step while the predecoded engine runs
-// through StepN (which only batches with no observer attached), and
-// the full architectural state must match at the same retirement
-// count.
+// through StepN, and the full architectural state must match at the
+// same retirement count.
 func TestLockstepStepNRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -251,9 +257,9 @@ func TestLockstepStepNRandomPrograms(t *testing.T) {
 				words[i] = randInstr(r)
 			}
 			ref, fast, _, _ := lockstepPair(r, words)
-			// No observers: an attached observer makes StepN refuse
-			// to batch, which would silently fall back to the
-			// already-covered per-Step path.
+			// No observers: this face covers unobserved dispatch at
+			// the default build threshold; the superblock face below
+			// runs observed.
 			ref.CPU.Obs = nil
 			fast.CPU.Obs = nil
 			const target = 3000
@@ -271,11 +277,14 @@ func TestLockstepStepNRandomPrograms(t *testing.T) {
 }
 
 // TestStepNStepsOnceBehindGuards: whenever a chain may not run (an
-// observer attached, an enabled interrupt pending, a delay slot
-// pending, an uncached kseg1 PC, the reference engine, a misaligned
-// PC), one StepN must do exactly one Step's work. Each case prepares
-// twin machines, both warmed until a superblock is resident at the PC,
-// and compares one StepN on one twin with one Step on the other.
+// enabled interrupt pending, a delay slot pending, an uncached kseg1
+// PC, the reference engine, a misaligned PC), one StepN must do exactly
+// one Step's work. Each case prepares twin machines, both warmed until
+// a superblock is resident at the PC, and compares one StepN on one
+// twin with as many Steps on the other as the StepN retired. The
+// observer case is not a guard: the chain runs with an observer
+// attached, and must leave the same state and event stream as the
+// same number of Steps.
 func TestStepNStepsOnceBehindGuards(t *testing.T) {
 	T0, T1, T2, T3 := isa.RegT0, isa.RegT1, isa.RegT2, isa.RegT3
 	const head = 0x80001000
@@ -303,30 +312,37 @@ func TestStepNStepsOnceBehindGuards(t *testing.T) {
 		t.Fatalf("unguarded StepN retired %d instructions; want a superblock dispatch", n)
 	}
 	for _, tc := range []struct {
-		name  string
-		setup func(m *machine.Machine)
+		name    string
+		setup   func(m *machine.Machine)
+		batches bool // StepN dispatches the chain
 	}{
-		{"observer", func(m *machine.Machine) { m.CPU.Obs = &recObs{} }},
+		{"observer", func(m *machine.Machine) { m.CPU.Obs = &recObs{} }, true},
 		{"irq", func(m *machine.Machine) {
 			m.CPU.CP0.Status |= cpu.StIEc | 1<<(cpu.StIMShift+2)
 			m.CPU.SetIRQ(2, true)
-		}},
+		}, false},
 		{"delay-slot", func(m *machine.Machine) {
 			m.CPU.PC = head - 4
 			m.CPU.Step() // the BEQ: its slot is the chain's entry
-		}},
-		{"kseg1", func(m *machine.Machine) { m.CPU.PC = head - cpu.KSeg0Base + cpu.KSeg1Base }},
-		{"reference", func(m *machine.Machine) { m.CPU.SetPredecode(false) }},
-		{"misaligned", func(m *machine.Machine) { m.CPU.PC = head + 2 }},
+		}, false},
+		{"kseg1", func(m *machine.Machine) { m.CPU.PC = head - cpu.KSeg0Base + cpu.KSeg1Base }, false},
+		{"reference", func(m *machine.Machine) { m.CPU.SetPredecode(false) }, false},
+		{"misaligned", func(m *machine.Machine) { m.CPU.PC = head + 2 }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := warm(), warm()
 			tc.setup(a)
 			tc.setup(b)
-			if n := a.CPU.StepN(1000); n != 1 {
+			n := a.CPU.StepN(1000)
+			if tc.batches && n <= 1 {
+				t.Errorf("StepN returned %d, want a superblock dispatch", n)
+			}
+			if !tc.batches && n != 1 {
 				t.Errorf("StepN returned %d, want 1", n)
 			}
-			b.CPU.Step()
+			for k := uint64(0); k < n; k++ {
+				b.CPU.Step()
+			}
 			if d := diffState(a.CPU, b.CPU); d != "" {
 				t.Fatalf("StepN vs Step: %s", d)
 			}
@@ -398,24 +414,50 @@ func loopProgram(r *rand.Rand) []isa.Word {
 	}
 }
 
+// memProgram assembles a counted loop for 0x80001000 whose chain runs
+// every inline memory micro-op (LW, LBU, LB, SW, SB) over a buffer on
+// the data page at 0x80002000, so an observed dispatch must report
+// each of them itself. r varies the trip count and the buffer start.
+func memProgram(r *rand.Rand) []isa.Word {
+	S0, S1, T0, T1, T2 := isa.RegS0, isa.RegS1, isa.RegT0, isa.RegT1, isa.RegT2
+	return []isa.Word{
+		isa.ORI(S0, 0, uint16(20+r.Intn(40))), // trip count
+		isa.LUI(S1, 0x8000),
+		isa.ORI(S1, S1, uint16(0x2000+r.Intn(64)*4)),
+		// loop (word 3):
+		isa.LW(T0, S1, 0),
+		isa.LBU(T1, S1, 1),
+		isa.LB(T2, S1, 2),
+		isa.ADDU(T0, T0, T1),
+		isa.ADDU(T0, T0, T2),
+		isa.SW(T0, S1, 4),
+		isa.SB(T0, S1, 8),
+		isa.ADDIU(S1, S1, 4),
+		isa.ADDIU(S0, S0, 0xffff),
+		isa.BGTZ(S0, -10), // back to loop
+		isa.NOP,
+		isa.BREAK(0),
+	}
+}
+
 // TestLockstepSuperblockRandomPrograms covers the superblock tier:
 // with the build threshold forced to 1, every repeated batch head and
 // taken-jump target chains into a superblock, so the programs execute
 // almost entirely through execSB. The corpus is 40 random programs
-// plus 12 loopPrograms: random words rarely form loops, so only the
-// structured programs reach mispredict links and mid-dispatch
-// invalidation. The reference engine runs per-Step; state
-// is compared at 100-instruction checkpoints so a divergence is
-// localized to the chain that caused it.
+// plus 12 loopPrograms and 12 memPrograms: random words rarely form
+// loops, so only the structured programs reach mispredict links,
+// mid-dispatch invalidation and the inline memory ops. The reference engine runs per-Step; state and the
+// observer event streams (attached on both engines, so chains report
+// their fetches as FetchRuns) are compared at 100-instruction
+// checkpoints, so a divergence is localized to the chain that caused
+// it, and every checkpoint cuts a chain's fetch run at the budget.
 func TestLockstepSuperblockRandomPrograms(t *testing.T) {
 	var sum cpu.SuperblockStats
 	run := func(name string, seed int64, gen func(r *rand.Rand) []uint32) {
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			words := gen(r)
-			ref, fast, _, _ := lockstepPair(r, words)
-			ref.CPU.Obs = nil
-			fast.CPU.Obs = nil
+			ref, fast, oref, ofast := lockstepPair(r, words)
 			fast.CPU.SetSuperblockThreshold(1)
 			const target = 3000
 			for chk := uint64(100); chk <= target; chk += 100 {
@@ -427,6 +469,10 @@ func TestLockstepSuperblockRandomPrograms(t *testing.T) {
 				runBatched(fast.CPU, chk)
 				if d := diffState(ref.CPU, fast.CPU); d != "" {
 					t.Fatalf("after %d instructions: %s", ref.CPU.Stat.Instret, d)
+				}
+				if oref.n != ofast.n || oref.h != ofast.h {
+					t.Fatalf("after %d instructions: observer streams diverge (%d events hash %x vs %d events hash %x)",
+						ref.CPU.Stat.Instret, oref.n, oref.h, ofast.n, ofast.h)
 				}
 				if ref.CPU.Halted {
 					break
@@ -460,8 +506,21 @@ func TestLockstepSuperblockRandomPrograms(t *testing.T) {
 			return words
 		})
 	}
-	if sum.Built == 0 {
-		t.Fatal("no superblocks built over any program: the tier was not exercised")
+	for seed := int64(1); seed <= 12; seed++ {
+		run(fmt.Sprintf("mem%d", seed), seed, func(r *rand.Rand) []uint32 {
+			words := make([]uint32, 0x3000/4)
+			for i, w := range memProgram(r) {
+				words[0x1000/4+i] = uint32(w)
+			}
+			for i := 0x2000 / 4; i < len(words); i++ {
+				words[i] = r.Uint32()
+			}
+			return words
+		})
+	}
+	if sum.Built == 0 || sum.Instructions == 0 {
+		t.Fatalf("%d superblocks built and %d instructions retired in them with observers attached: the tier was not exercised",
+			sum.Built, sum.Instructions)
 	}
 	// Every way out of a dispatch must be taken somewhere in the
 	// corpus, or the exit's state restoration goes untested here.
@@ -573,9 +632,8 @@ func FuzzExecEquivalence(f *testing.F) {
 		lockstepRun(t, 500, ref, fast, oref, ofast)
 
 		// Second face: the same program through the batched StepN
-		// loop (observers detached so StepN batches),
-		// compared against a per-Step reference at the same
-		// retirement count.
+		// loop with observers detached, compared against a per-Step
+		// reference at the same retirement count.
 		r = rand.New(rand.NewSource(seed))
 		ref2, fast2, _, _ := lockstepPair(r, words)
 		ref2.CPU.Obs = nil
@@ -593,20 +651,29 @@ func FuzzExecEquivalence(f *testing.F) {
 
 		// Third face: the superblock tier, threshold forced to 1 so
 		// every repeated batch head chains immediately — any fuzz
-		// input that builds a wrong chain diverges here.
+		// input that builds a wrong chain diverges here. Observers
+		// stay attached and are compared at 100-instruction
+		// checkpoints, which cut fetch runs at the budget.
 		r = rand.New(rand.NewSource(seed))
-		ref3, fast3, _, _ := lockstepPair(r, words)
-		ref3.CPU.Obs = nil
-		fast3.CPU.Obs = nil
+		ref3, fast3, oref3, ofast3 := lockstepPair(r, words)
 		fast3.CPU.SetSuperblockThreshold(1)
-		for ref3.CPU.Stat.Instret < target {
-			if !ref3.CPU.Step() {
+		for chk := uint64(100); chk <= target; chk += 100 {
+			for ref3.CPU.Stat.Instret < chk {
+				if !ref3.CPU.Step() {
+					break
+				}
+			}
+			runBatched(fast3.CPU, chk)
+			if d := diffState(ref3.CPU, fast3.CPU); d != "" {
+				t.Fatalf("superblock run diverges after %d instructions: %s", ref3.CPU.Stat.Instret, d)
+			}
+			if oref3.n != ofast3.n || oref3.h != ofast3.h {
+				t.Fatalf("superblock run: observer streams diverge after %d instructions (%d events hash %x vs %d events hash %x)",
+					ref3.CPU.Stat.Instret, oref3.n, oref3.h, ofast3.n, ofast3.h)
+			}
+			if ref3.CPU.Halted {
 				break
 			}
-		}
-		runBatched(fast3.CPU, target)
-		if d := diffState(ref3.CPU, fast3.CPU); d != "" {
-			t.Fatalf("superblock run diverges: %s", d)
 		}
 	})
 }

@@ -81,7 +81,8 @@ const (
 
 // sbStep is one dispatch step: a widened uop with its own PC (for
 // exits and exceptions) and the absolute predicted-taken target baked
-// into imm for branches and jumps.
+// into imm for branches and jumps. run is nonzero on the first step of
+// each fetch run (see sbStampRuns) and holds the run's length.
 type sbStep struct {
 	op    pdOp
 	rs    uint8
@@ -90,6 +91,7 @@ type sbStep struct {
 	sh    uint8
 	flags uint8
 	cls   Class
+	run   uint8
 	imm   uint32
 	pc    uint32
 }
@@ -104,6 +106,10 @@ type sbPage struct {
 type superblock struct {
 	entryVA uint32
 	steps   []sbStep
+	// pas holds each step's physical fetch address, for the observer's
+	// FetchRun. The page guards keep it valid, and dropping any frame
+	// it names invalidates the superblock.
+	pas []uint32
 	// pages holds guards for the TLB-mapped pages the chain fetches
 	// from (kseg0 pages have fixed translations and need none).
 	pages []sbPage
@@ -233,9 +239,8 @@ func (c *CPU) sbInvalidateFrame(fn uint32) {
 // guards pass; a miss feeds the hotness table and may trigger a build.
 // The guards reject a kernel-only chain entered in user mode and a
 // mapped chain whose page guards fail revalidation. The caller must
-// ensure no delay slot is pending and no observer is attached: StepN
-// checks both before it probes, and execSB links only at clean
-// instruction boundaries.
+// ensure no delay slot is pending: StepN checks before it probes, and
+// execSB links only at clean instruction boundaries.
 func (c *CPU) sbEnterable(va uint32) *superblock {
 	if c.sb.idx == nil {
 		if c.pd.off {
@@ -382,14 +387,15 @@ func (c *CPU) sbBuild(entry uint32) {
 
 	// Page cursor for the walk. Fetching from a new page resolves its
 	// translation, records the guards, and binds the decoded frame.
-	var curVP uint32 = 1
+	var curVP, curPP uint32 = 1, 0
 	var frame *pdFrame
-	fetch := func(va uint32) (*uop, bool) {
+	fetch := func(va uint32) (*uop, uint32, bool) {
 		if va&EntryHiVPN != curVP {
 			ppage, ram, mapped, kernel, ok := c.sbProbeText(va)
 			if !ok {
-				return nil, false
+				return nil, 0, false
 			}
+			curPP = ppage
 			fn := ppage >> PageShift
 			seen := false
 			for _, f := range s.frames {
@@ -400,7 +406,7 @@ func (c *CPU) sbBuild(entry uint32) {
 			}
 			if !seen {
 				if len(s.frames) >= sbMaxPages {
-					return nil, false
+					return nil, 0, false
 				}
 				s.frames = append(s.frames, fn)
 				if mapped {
@@ -422,7 +428,7 @@ func (c *CPU) sbBuild(entry uint32) {
 				}
 				if !guarded {
 					if len(s.pages) >= sbMaxPages {
-						return nil, false
+						return nil, 0, false
 					}
 					s.pages = append(s.pages, sbPage{vpage: va & EntryHiVPN, ppage: ppage})
 					s.mapped = true
@@ -431,7 +437,7 @@ func (c *CPU) sbBuild(entry uint32) {
 			frame = c.pdFrameFor(ppage, ram)
 			curVP = va & EntryHiVPN
 		}
-		return &frame.ops[va>>2&(pdFrameWords-1)], true
+		return &frame.ops[va>>2&(pdFrameWords-1)], curPP | va&(PageSize-1), true
 	}
 
 	mkStep := func(u *uop, pc uint32, flags uint8) sbStep {
@@ -439,6 +445,10 @@ func (c *CPU) sbBuild(entry uint32) {
 			op: u.op, rs: u.rs, rt: u.rt, rd: u.rd, sh: u.sh,
 			flags: flags, cls: u.cls, imm: u.imm, pc: pc,
 		}
+	}
+	add := func(st sbStep, pa uint32) {
+		s.steps = append(s.steps, st)
+		s.pas = append(s.pas, pa)
 	}
 
 	va := entry
@@ -450,13 +460,13 @@ func (c *CPU) sbBuild(entry uint32) {
 	viaJump := false
 walk:
 	for len(s.steps) < sbMaxSteps {
-		u, ok := fetch(va)
+		u, pa, ok := fetch(va)
 		if !ok || sbChainEnder(u) {
 			s.exitSlot = viaJump
 			break
 		}
 		if !sbIsBranch(u) {
-			s.steps = append(s.steps, mkStep(u, va, 0))
+			add(mkStep(u, va, 0), pa)
 			va += 4
 			viaJump = false
 			continue
@@ -465,7 +475,7 @@ walk:
 			s.exitSlot = viaJump
 			break
 		}
-		slot, ok := fetch(va + 4)
+		slot, slotPA, ok := fetch(va + 4)
 		if !ok || sbChainEnder(slot) || sbIsBranch(slot) {
 			// A slot the dispatcher can't run linearized (or can't
 			// fetch): end the chain before the branch.
@@ -499,8 +509,8 @@ walk:
 				chain = true
 			}
 		}
-		s.steps = append(s.steps, st)
-		s.steps = append(s.steps, mkStep(slot, va+4, sbSlot))
+		add(st, pa)
+		add(mkStep(slot, va+4, sbSlot), slotPA)
 		switch {
 		case ends:
 			s.exitSlot = true
@@ -537,6 +547,7 @@ walk:
 	if len(s.steps) < sbMinSteps {
 		return
 	}
+	sbStampRuns(s)
 
 	// pdFrameFor above may have tripped the pdMaxFrames backstop and
 	// dropped the whole predecode cache mid-walk; a superblock whose
@@ -574,6 +585,33 @@ walk:
 	}
 }
 
+// sbStampRuns marks the chain's fetch runs: maximal spans of steps
+// whose fetches are sequential within one page and that dispatch can
+// report to an observer as one FetchRun ahead of running them. The
+// first step of each run holds its length. A run ends after any step
+// that reports an event of its own or may leave the chain before the
+// next step (a load, store or COP op: every op execSB does not run
+// purely inline), after any delay slot (a mispredict diverges there),
+// at a PC or physical-address discontinuity, at a page boundary, at
+// the chain's end, and after 255 steps.
+func sbStampRuns(s *superblock) {
+	for i := 0; i < len(s.steps); {
+		j := i
+		for {
+			st := &s.steps[j]
+			j++
+			if j == len(s.steps) || j-i == 255 ||
+				st.op >= pdLB || st.op == pdReserved || st.flags&sbSlot != 0 ||
+				s.steps[j].pc != st.pc+4 || s.pas[j] != s.pas[j-1]+4 ||
+				s.steps[j].pc&(PageSize-1) == 0 {
+				break
+			}
+		}
+		s.steps[i].run = uint8(j - i)
+		i = j
+	}
+}
+
 // advanceRandom applies n iterations of the per-instruction Random
 // decrement (8..63 cycling with period 56) in O(1). Dispatch batches
 // the update because nothing inside a superblock can read Random —
@@ -600,6 +638,16 @@ func advanceRandom(r uint32, n uint64) uint32 {
 // exactly what the reference interpreter would hold after the same
 // retirement count; c.pdExit is set when dispatch stopped early for
 // an exception, a device access or an invalidation.
+//
+// An attached observer gets each fetch run (see sbStampRuns) as one
+// FetchRun when dispatch reaches the run's first step, clamped to the
+// budget so a budget exit reports exactly the fetches it retired; the
+// inline loads and stores report themselves, and the slow paths
+// (load, store, execU) emit their own events. The observer state and
+// the mode are read where they are used rather than held in locals:
+// the dispatch loop is register-bound, and both are fixed for the
+// whole dispatch (every mode change is an exception or a COP0 op, and
+// both leave the chain).
 func (c *CPU) execSB(s *superblock, max uint64) uint64 {
 	steps := s.steps
 	g := &c.GPR
@@ -631,6 +679,13 @@ dispatch:
 			goto out
 		}
 		st := &steps[i]
+		if c.obsAny && st.run != 0 {
+			k := uint64(st.run)
+			if k > max-n {
+				k = max - n
+			}
+			c.Obs.FetchRun(st.pc, s.pas[i], int(k), c.KernelMode(), true)
+		}
 		switch st.op {
 		case pdADDU:
 			g[st.rd] = g[st.rs] + g[st.rt]
@@ -641,6 +696,9 @@ dispatch:
 		case pdLW:
 			va := g[st.rs] + st.imm
 			if va&EntryHiVPN == c.dcache.vpage && va&3 == 0 && c.dcache.ram != nil {
+				if c.obsAny {
+					c.Obs.Load(va, c.dcache.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
+				}
 				r := c.dcache.ram
 				off := va & (PageSize - 1)
 				g[st.rt] = uint32(r[off])<<24 | uint32(r[off+1])<<16 | uint32(r[off+2])<<8 | uint32(r[off+3])
@@ -666,6 +724,9 @@ dispatch:
 		case pdSW:
 			va := g[st.rs] + st.imm
 			if va&EntryHiVPN == c.wcache.vpage && va&3 == 0 && c.wcache.ram != nil {
+				if c.obsAny {
+					c.Obs.Store(va, c.wcache.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
+				}
 				if fn := c.wcache.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
 				}
@@ -845,6 +906,9 @@ dispatch:
 		case pdLB:
 			va := g[st.rs] + st.imm
 			if va&EntryHiVPN == c.dcache.vpage && c.dcache.ram != nil {
+				if c.obsAny {
+					c.Obs.Load(va, c.dcache.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
+				}
 				g[st.rt] = uint32(int32(int8(c.dcache.ram[va&(PageSize-1)])))
 				g[0] = 0
 			} else {
@@ -868,6 +932,9 @@ dispatch:
 		case pdLBU:
 			va := g[st.rs] + st.imm
 			if va&EntryHiVPN == c.dcache.vpage && c.dcache.ram != nil {
+				if c.obsAny {
+					c.Obs.Load(va, c.dcache.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
+				}
 				g[st.rt] = uint32(c.dcache.ram[va&(PageSize-1)])
 				g[0] = 0
 			} else {
@@ -891,6 +958,9 @@ dispatch:
 		case pdSB:
 			va := g[st.rs] + st.imm
 			if va&EntryHiVPN == c.wcache.vpage && c.wcache.ram != nil {
+				if c.obsAny {
+					c.Obs.Store(va, c.wcache.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
+				}
 				if fn := c.wcache.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
 				}

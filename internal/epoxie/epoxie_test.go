@@ -56,6 +56,13 @@ func (o *refObserver) Fetch(va, pa uint32, kernel, cached bool) {
 	}
 }
 
+// FetchRun is its n Fetch calls, by the Observer contract.
+func (o *refObserver) FetchRun(va, pa uint32, n int, kernel, cached bool) {
+	for k := uint32(0); k < uint32(n); k++ {
+		o.Fetch(va+4*k, pa+4*k, kernel, cached)
+	}
+}
+
 func (o *refObserver) Load(va, pa uint32, size int, kernel, cached bool) {
 	if o.inRegion {
 		o.events = append(o.events, trace.Event{Kind: trace.EvLoad, Addr: va, Size: int8(size)})

@@ -186,22 +186,22 @@ func (m *Machine) Run(maxInstr uint64) error {
 	limit := c.Stat.Instret + maxInstr
 	m.refreshNextEvent()
 	// Step in bursts between device events to keep the per-instruction
-	// loop overhead low. Two loops, chosen by whether a stall model is
-	// attached:
+	// loop overhead low, one StepN (a superblock dispatch or one Step)
+	// per iteration. Whether a stall model is attached picks the burst
+	// length and whether events are checked mid-burst:
 	//
 	// A stall model adds time on every instruction, so only the burst
-	// bound keeps event delivery close: bursts stay at 64 instructions
-	// and run one Step at a time (the observer that feeds the model
-	// keeps StepN off superblock chains anyway). Events are checked
-	// only between bursts: the measured numbers depend on it.
+	// bound keeps event delivery close: bursts stay at 64 instructions,
+	// and events are checked only between bursts. The measured numbers
+	// depend on it: checking mid-burst delivers interrupts earlier.
 	//
 	// Without one, machine time advances in instruction-sized steps
 	// except at doorbell writes (an active analysis handler adds cycles
 	// there), so bursts run long and the mid-burst checks deliver any
 	// overdue event right after the doorbell or device write that made
-	// it due. Each StepN is one superblock dispatch or one Step, and a
-	// chain leaves at every exception, COP0 op, and device access, so
-	// the check after each call is as close as stepping one at a time.
+	// it due. A chain leaves at every exception, COP0 op, and device
+	// access, so the check after each call is as close as stepping one
+	// at a time.
 	maxBurst := uint64(64)
 	if m.stall == nil {
 		maxBurst = 16384
@@ -218,22 +218,11 @@ func (m *Machine) Run(maxInstr uint64) error {
 		if c.Stat.Instret+burst > limit {
 			burst = limit - c.Stat.Instret
 		}
-		if m.stall != nil {
-			for i := uint64(0); i < burst; i++ {
-				if !c.Step() {
-					break
-				}
-			}
-			// Guest-PC sampling for the stepped burst: skew bounded by
-			// the burst (StepN samples exactly on its own).
-			c.ProfPoll()
-		} else {
-			ne := m.nextEvent
-			for i := uint64(0); i < burst && !c.Halted; {
-				i += c.StepN(burst - i)
-				if m.nextEvent != ne || m.Cycles() >= ne {
-					break
-				}
+		ne := m.nextEvent
+		for i := uint64(0); i < burst && !c.Halted; {
+			i += c.StepN(burst - i)
+			if m.stall == nil && (m.nextEvent != ne || m.Cycles() >= ne) {
+				break
 			}
 		}
 		if c.FaultMsg != "" {

@@ -72,6 +72,23 @@ func TestWriteBufferStalls(t *testing.T) {
 	}
 }
 
+// TestWriteBufferWriteAllocationFree: the in-flight FIFO is a fixed
+// ring, so a store on the measured path never allocates.
+func TestWriteBufferWriteAllocationFree(t *testing.T) {
+	wb := memsys.NewWriteBuffer(6, 5)
+	now := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		wb.Write(now)
+		now += 3 // slower than the drain: the buffer fills and stalls
+	})
+	if allocs != 0 {
+		t.Errorf("Write allocates %.1f times per call, want 0", allocs)
+	}
+	if wb.StallCycles == 0 {
+		t.Error("buffer never filled: the full-buffer path was not exercised")
+	}
+}
+
 func TestTLBSimBasics(t *testing.T) {
 	tl := memsys.NewTLBSim(7)
 	if tl.Access(1, 0x1000) {

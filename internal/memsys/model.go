@@ -116,9 +116,11 @@ func (c *Cache) MissRate() float64 {
 type WriteBuffer struct {
 	depth  int
 	retire uint64
-	// doneAt holds completion cycles of in-flight writes (FIFO).
-	doneAt []uint64
-	last   uint64
+	// doneAt is a ring of depth slots holding the completion cycles of
+	// in-flight writes: n of them, oldest at head.
+	doneAt  []uint64
+	head, n int
+	last    uint64
 
 	Writes      uint64
 	StallCycles uint64
@@ -127,20 +129,32 @@ type WriteBuffer struct {
 // NewWriteBuffer builds a buffer of the given depth and per-entry
 // retire time.
 func NewWriteBuffer(depth, retireCycles int) *WriteBuffer {
-	return &WriteBuffer{depth: depth, retire: uint64(retireCycles)}
+	return &WriteBuffer{depth: depth, retire: uint64(retireCycles), doneAt: make([]uint64, depth)}
+}
+
+// pop retires the oldest in-flight write and returns its completion
+// cycle.
+func (w *WriteBuffer) pop() uint64 {
+	d := w.doneAt[w.head]
+	w.head++
+	if w.head == w.depth {
+		w.head = 0
+	}
+	w.n--
+	return d
 }
 
 // Write records a store issued at cycle now and returns the stall.
 func (w *WriteBuffer) Write(now uint64) (stall uint64) {
 	w.Writes++
 	// Drain retired entries.
-	for len(w.doneAt) > 0 && w.doneAt[0] <= now {
-		w.doneAt = w.doneAt[1:]
+	for w.n > 0 && w.doneAt[w.head] <= now {
+		w.pop()
 	}
-	if len(w.doneAt) >= w.depth {
-		stall = w.doneAt[0] - now
-		now = w.doneAt[0]
-		w.doneAt = w.doneAt[1:]
+	if w.n >= w.depth {
+		d := w.pop()
+		stall = d - now
+		now = d
 		w.StallCycles += stall
 	}
 	start := now
@@ -148,7 +162,12 @@ func (w *WriteBuffer) Write(now uint64) (stall uint64) {
 		start = w.last
 	}
 	w.last = start + w.retire
-	w.doneAt = append(w.doneAt, w.last)
+	tail := w.head + w.n
+	if tail >= w.depth {
+		tail -= w.depth
+	}
+	w.doneAt[tail] = w.last
+	w.n++
 	return stall
 }
 

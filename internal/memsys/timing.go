@@ -69,7 +69,8 @@ func (t *Timing) charge(c uint64, kernel bool) {
 	}
 }
 
-// Fetch implements cpu.Observer.
+// Fetch implements cpu.Observer. It is the per-reference oracle that
+// FuzzTimingFetchRun holds FetchRun to.
 func (t *Timing) Fetch(va, pa uint32, kernel, cached bool) {
 	t.instr++
 	if kernel {
@@ -85,6 +86,43 @@ func (t *Timing) Fetch(va, pa uint32, kernel, cached bool) {
 	if !t.IC.Access(pa) {
 		t.ICacheStalls += uint64(t.cfg.ReadMissPenalty)
 		t.charge(uint64(t.cfg.ReadMissPenalty), kernel)
+	}
+}
+
+// FetchRun implements cpu.Observer: n sequential fetches from pa, all
+// in one page. It probes the I-cache once per line the run touches and
+// adds the line's other fetches to IC.Accesses directly: no other
+// reference falls between the fetches of one run, so they all hit the
+// line the first one loaded, and a hit changes nothing but the access
+// count. Stalls land in the same counters as n Fetch calls, and nothing
+// in a run reads now(), so the order of the charges does not matter.
+func (t *Timing) FetchRun(va, pa uint32, n int, kernel, cached bool) {
+	t.instr += uint64(n)
+	if kernel {
+		t.KernelInstr += uint64(n)
+	} else {
+		t.UserInstr += uint64(n)
+	}
+	if !cached {
+		c := uint64(n) * uint64(t.cfg.UncachedPenalty)
+		t.UncachedStalls += c
+		t.charge(c, kernel)
+		return
+	}
+	line := t.cfg.LineSize
+	for n > 0 {
+		// Fetches of the run that fall in pa's line (≥ 1).
+		k := int((line - pa&(line-1) + 3) / 4)
+		if k > n {
+			k = n
+		}
+		if !t.IC.Access(pa) {
+			t.ICacheStalls += uint64(t.cfg.ReadMissPenalty)
+			t.charge(uint64(t.cfg.ReadMissPenalty), kernel)
+		}
+		t.IC.Accesses += uint64(k - 1)
+		pa += uint32(k) * 4
+		n -= k
 	}
 }
 
