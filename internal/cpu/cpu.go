@@ -247,12 +247,9 @@ type CPU struct {
 	tc2w  [tc2Sets]tlbCache
 	tcGen uint64
 
-	// Predecode engine state: the frame cache, the decoded frame for
-	// the current instruction page (nil forces the slow path), and its
-	// physical frame number for invalidation matching.
-	pd       predecoder
-	ipd      *pdFrame
-	ipdFrame uint32
+	// Engine switch and the store-path bitmap of the frames resident
+	// superblocks draw from (see predecode.go).
+	pd predecoder
 	// pdExit asks superblock dispatch to return to StepN after the
 	// current instruction: set on exceptions, COP0 dispatch, device
 	// (bus) accesses, and invalidation of the executing chain — exactly
@@ -260,8 +257,8 @@ type CPU struct {
 	// device-event state mid-chain.
 	pdExit bool
 
-	// Superblock engine state: linearized multi-block chains built on
-	// top of the predecode cache (see superblock.go).
+	// Superblock engine state: linearized multi-block chains decoded
+	// from RAM (see superblock.go).
 	sb sbState
 
 	// prof is the guest-PC sampling profiler hook (see SetProfiler in

@@ -7,9 +7,7 @@ import (
 	"systrace/internal/obs"
 )
 
-// refill fills a one-entry translation cache for va. Instruction-side
-// refills (fetch) also bind c.ipd to the predecoded frame for the new
-// physical page, decoding it on first execution.
+// refill fills a one-entry translation cache for va.
 //
 // Data refills go through the second-level cache: a hit copies the
 // saved translation without walking the TLB. A hit still recloses the
@@ -46,13 +44,6 @@ func (c *CPU) refill(tc *tlbCache, va uint32, store, fetch bool) bool {
 			c.tc2w[vp>>PageShift&(tc2Sets-1)] = *tc
 		} else {
 			c.tc2r[vp>>PageShift&(tc2Sets-1)] = *tc
-		}
-	}
-	if fetch {
-		c.ipd = nil
-		if tc.ram != nil && !c.pd.off {
-			c.ipdFrame = tc.ppage >> PageShift
-			c.ipd = c.pdFrameFor(tc.ppage, tc.ram)
 		}
 	}
 	return true
@@ -147,10 +138,11 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 	if c.obsAny {
 		c.Obs.Store(va, pa, size, c.KernelMode(), c.wcache.cached)
 	}
-	// Stores into a predecoded text frame drop its stale micro-ops
-	// (self-modifying code, the kernel's exec-time text copy, epoxie
-	// images written as data). Device pages have frame numbers past
-	// the bitmap, so the common store never reaches dropFrame.
+	// Stores into a frame a resident superblock draws from drop the
+	// stale chains (self-modifying code, the kernel's exec-time text
+	// copy, epoxie images written as data). Device pages have frame
+	// numbers past the bitmap, so the common store never reaches
+	// dropFrame.
 	if fn := pa >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 		c.dropFrame(fn)
 	}
@@ -195,12 +187,11 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 // Step executes one instruction (or takes one exception/interrupt).
 // It reports whether the CPU can continue.
 //
-// The hot path dispatches a micro-op straight out of the predecoded
-// frame for the current instruction page: no byte reassembly, no field
-// extraction, retirement class batched from the uop instead of the
-// opClass table lookup. Anything that can't use it — page crossing,
-// uncached or device fetch, misaligned PC, predecode disabled — falls
-// through to stepSlow, which is the retained reference interpreter.
+// Step is the reference interpreter: per-instruction fetch from the
+// live RAM slice with byte reassembly, and the full decode switch in
+// exec. It needs no invalidation of its own, since every fetch reads
+// current memory; superblock dispatch (StepN) is the fast path checked
+// against it.
 func (c *CPU) Step() bool {
 	if c.Halted {
 		return false
@@ -213,34 +204,29 @@ func (c *CPU) Step() bool {
 		c.Stat.Interrupts++
 		c.Exception(ExcInt, VecGeneral)
 	}
-	pc := c.PC
-	if pc&EntryHiVPN == c.icache.vpage && c.ipd != nil && pc&3 == 0 {
-		c.pd.hits++
-		u := &c.ipd.ops[pc>>2&(pdFrameWords-1)]
-		if c.obsAny {
-			c.Obs.Fetch(pc, c.icache.ppage|pc&(PageSize-1), c.KernelMode(), c.icache.cached)
-		}
-		nextPC := pc + 4
-		if c.inDelay {
-			nextPC = c.delayTarget
-			c.inDelay = false
-			c.execInSlot = true
-		}
-		if c.CP0.Random <= TLBWired {
-			c.CP0.Random = NTLB - 1
-		} else {
-			c.CP0.Random--
-		}
-		ok := c.execU(u)
-		c.Stat.Instret++ // a faulting instruction still issued
-		c.Stat.Classes[u.cls]++
-		c.execInSlot = false
-		if ok {
-			c.PC = nextPC
-		}
+	w, ok := c.fetchWord(c.PC)
+	if !ok {
 		return !c.Halted
 	}
-	return c.stepSlow()
+	nextPC := c.PC + 4
+	if c.inDelay {
+		nextPC = c.delayTarget
+		c.inDelay = false
+		c.execInSlot = true
+	}
+	if c.CP0.Random <= TLBWired {
+		c.CP0.Random = NTLB - 1
+	} else {
+		c.CP0.Random--
+	}
+	ok = c.exec(w)
+	c.Stat.Instret++ // a faulting instruction still issued
+	c.Stat.Classes[opClass[w>>26]]++
+	c.execInSlot = false
+	if ok {
+		c.PC = nextPC
+	}
+	return !c.Halted
 }
 
 // StepN runs one dispatch step and returns the instructions it retired,
@@ -269,7 +255,6 @@ func (c *CPU) StepN(max uint64) uint64 {
 		if s := c.sbEnterable(c.PC); s != nil {
 			c.pdExit = false
 			n = c.execSB(s, max)
-			c.pd.hits += n
 		}
 	}
 	if n == 0 {
@@ -280,40 +265,6 @@ func (c *CPU) StepN(max uint64) uint64 {
 		c.profSample()
 	}
 	return n
-}
-
-// stepSlow is the reference interpreter path: per-instruction fetch
-// with byte reassembly and the full decode switch in exec. It serves
-// fetches the predecode cache cannot (and the whole engine when
-// SetPredecode(false) selects the reference engine).
-func (c *CPU) stepSlow() bool {
-	w, ok := c.fetchWord(c.PC)
-	if !ok {
-		return !c.Halted
-	}
-	nextPC := c.PC + 4
-	if c.inDelay {
-		nextPC = c.delayTarget
-		c.inDelay = false
-		c.execInSlot = true
-	}
-	if c.CP0.Random <= TLBWired {
-		c.CP0.Random = NTLB - 1
-	} else {
-		c.CP0.Random--
-	}
-	if !c.exec(w) {
-		// Exception raised (PC already set) or fault.
-		c.Stat.Instret++ // the faulting instruction still issued
-		c.Stat.Classes[opClass[w>>26]]++
-		c.execInSlot = false
-		return !c.Halted
-	}
-	c.Stat.Instret++
-	c.Stat.Classes[opClass[w>>26]]++
-	c.execInSlot = false
-	c.PC = nextPC
-	return !c.Halted
 }
 
 // opClass maps a primary opcode to its instruction class. Unused

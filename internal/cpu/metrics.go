@@ -31,16 +31,13 @@ func (c *CPU) RegisterMetrics(r *telemetry.Registry, labels ...telemetry.Label) 
 	r.Sample("cpu_syscalls_total", "syscall instructions executed",
 		func() uint64 { return s.Syscalls }, labels...)
 	r.Sample("cpu_predecode_hits_total",
-		"instructions dispatched from a predecoded text frame",
-		func() uint64 { return c.pd.hits }, labels...)
-	r.Sample("cpu_predecode_misses_total",
-		"physical text frames decoded into micro-op arrays",
-		func() uint64 { return c.pd.misses }, labels...)
+		"instructions dispatched from decoded micro-ops, all inside superblock dispatch (equals cpu_superblock_instructions_total)",
+		func() uint64 { return c.sb.instrs }, labels...)
 	r.Sample("cpu_predecode_invalidations_total",
-		"predecoded frames dropped after stores or DMA into their page",
+		"superblock text frames dropped after stores or DMA into their page",
 		func() uint64 { return c.pd.invalidations }, labels...)
 	r.Sample("cpu_superblocks_built_total",
-		"superblocks linearized from hot predecoded frames",
+		"superblocks linearized from hot text decoded from RAM",
 		func() uint64 { return c.sb.built }, labels...)
 	r.Sample("cpu_superblock_invalidations_total",
 		"superblocks dropped after a store, DMA, or flush hit a chained frame",

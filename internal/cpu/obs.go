@@ -16,8 +16,8 @@ var (
 	evIRQ = obs.RegisterEvent("cpu_irq_edge")
 	// a = TLB index written, b = EntryHi (VPN|ASID).
 	evTLBWrite = obs.RegisterEvent("cpu_tlb_write")
-	// a = physical frame number whose predecode was dropped,
-	// b = 1 when it was the executing frame (forced a re-decode).
+	// a = physical frame number whose superblocks were dropped,
+	// b = 1 when the dispatching chain drew from it (raised pdExit).
 	evFrameDrop = obs.RegisterEvent("cpu_frame_drop")
 	// a = physical address, b = 1 store / 0 load (device space only —
 	// the pdExit reason that isn't an exception or COP0 op).

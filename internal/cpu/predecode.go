@@ -1,29 +1,26 @@
 package cpu
 
-// Predecode cache: the first time a physical text frame is executed,
-// all 1024 words are decoded into a dense array of micro-ops — internal
-// opcode index, pre-extracted register numbers and shift amount,
-// sign/zero-extended immediate, precomputed jump-target pieces, and the
-// retirement class — and Step dispatches off that array with no byte
-// reassembly and no field re-extraction. Frames are keyed by *physical*
-// frame number, so virtual aliases (multiple mappings of one text
-// frame, or the same frame under different ASIDs) share one decode and
-// branch/jump targets are formed from the current PC at execution time.
+// Micro-op decoding for the superblock tier. The builder (sbBuild)
+// decodes each instruction it walks straight from the text frame's RAM
+// into a micro-op — internal opcode index, pre-extracted register
+// numbers and shift amount, sign/zero-extended immediate, precomputed
+// jump-target pieces, and the retirement class — and execSB dispatches
+// off the linearized array with no byte reassembly and no field
+// re-extraction. Step decodes nothing: it is the reference interpreter
+// (fetchWord + exec) and reads live memory on every fetch.
 //
 // Correctness is a write-invalidation discipline plus a differential
-// oracle (predecode_test.go): a frame is dropped when anything stores
-// into it — guest stores (the bitmap check in store()), host-side
-// writes through the mem.RAM API (the machine registers InvalidatePhys
-// as the RAM write hook), and RAMPage-bypassing device DMA (the machine
-// forwards dev.WriteNotifier callbacks here). The retained reference
-// interpreter (SetPredecode(false) — the exact pre-predecode fetch +
-// decode + exec path) is stepped in lockstep against this engine over
-// random instruction sequences and full workload boots.
+// oracle (predecode_test.go): a superblock is dropped when anything
+// stores into a frame it draws from — guest stores (the bitmap check
+// in store() and the inline SW/SB), host-side writes through the
+// mem.RAM API (the machine registers InvalidatePhys as the RAM write
+// hook), and RAMPage-bypassing device DMA (the machine forwards
+// dev.WriteNotifier callbacks here). The reference engine
+// (SetPredecode(false), which never builds a chain) is run against
+// superblock dispatch over random instruction sequences and full
+// workload boots.
 
 import (
-	"encoding/binary"
-	"math"
-
 	"systrace/internal/isa"
 	"systrace/internal/obs"
 )
@@ -85,7 +82,9 @@ const (
 	pdXORI
 	pdLUI
 
-	// Memory (imm sign-extended displacement).
+	// Memory. The ops execSB runs inline (LB, LBU, LW, SB, SW) hold
+	// the sign-extended displacement in imm; the rest keep the raw
+	// word there and dispatch through exec.
 	pdLB
 	pdLBU
 	pdLH
@@ -98,13 +97,13 @@ const (
 	pdSWC1
 
 	// System and FP coprocessor ops are rare; they keep the raw word
-	// (in imm) and dispatch through the reference helpers so their
-	// semantics are identical by construction.
+	// (in imm) and dispatch through exec so their semantics are
+	// identical by construction.
 	pdCOP0
 	pdCOP1
 )
 
-// uop is one predecoded instruction. 12 bytes; a frame of 1024 is 12 KB.
+// uop is one decoded instruction.
 type uop struct {
 	op  pdOp
 	rs  uint8
@@ -115,86 +114,31 @@ type uop struct {
 	imm uint32
 }
 
-// pdFrameWords is the number of instruction slots per physical frame.
-const pdFrameWords = PageSize / 4
-
-// pdFrame is the decoded image of one physical text frame.
-type pdFrame struct {
-	ops [pdFrameWords]uop
-}
-
-// pdMaxFrames bounds resident decoded frames (48 MB of micro-ops); the
-// cache is dropped wholesale beyond it. Real workloads execute a few
-// dozen text frames, so this is a runaway backstop, not a working-set
-// knob.
-const pdMaxFrames = 4096
-
-// predecoder is the per-CPU cache state. frames and bitmap are both
-// indexed by physical frame number (pa >> PageShift); the bitmap is the
-// store-path fast test, the map holds the decoded arrays.
+// predecoder is the per-CPU invalidation state. bitmap is indexed by
+// physical frame number (pa >> PageShift) and marks the frames that
+// resident superblocks draw from: the store-path fast test.
 type predecoder struct {
-	frames map[uint32]*pdFrame
 	bitmap []uint64
 	off    bool
 
-	hits          uint64 // instructions dispatched from a decoded frame
-	misses        uint64 // frames decoded
 	invalidations uint64 // frames dropped after a write into their page
 }
 
 // SetPredecode selects the execution engine: true (the default) runs
-// the fast path — the predecode cache under Step and StepN, with
-// superblock chains on top — and false keeps the reference interpreter
-// (per-instruction fetch, byte reassembly, the full decode switch in
-// exec) that the lockstep and workload oracles compare against.
+// superblock chains under StepN, and false keeps every instruction on
+// the reference interpreter (per-instruction fetch, byte reassembly,
+// the full decode switch in exec) that the lockstep and workload
+// oracles compare against. Step is the reference interpreter on both.
 func (c *CPU) SetPredecode(on bool) {
 	c.pd.off = !on
-	c.dropAllFrames()
-	c.ipd = nil
-	c.icache.vpage = 1
+	c.sbDropAll()
 }
 
-// PredecodeStats reports the cache counters: instructions dispatched
-// from decoded frames, frames decoded, and frames invalidated by
-// writes.
-func (c *CPU) PredecodeStats() (hits, misses, invalidations uint64) {
-	return c.pd.hits, c.pd.misses, c.pd.invalidations
-}
-
-// pdFrameFor returns the decoded frame for the physical frame holding
-// ppage, decoding it from ram (the 4 KB host slice for the frame) on
-// first execution.
-func (c *CPU) pdFrameFor(ppage uint32, ram []byte) *pdFrame {
-	fn := ppage >> PageShift
-	if f, ok := c.pd.frames[fn]; ok {
-		return f
-	}
-	if len(c.pd.frames) >= pdMaxFrames {
-		c.dropAllFrames()
-	}
-	c.pd.misses++
-	f := &pdFrame{}
-	for i := 0; i < pdFrameWords; i++ {
-		f.ops[i] = decodeUop(binary.BigEndian.Uint32(ram[i*4:]))
-	}
-	if c.pd.frames == nil {
-		c.pd.frames = make(map[uint32]*pdFrame)
-	}
-	c.pd.frames[fn] = f
-	w := int(fn >> 6)
-	if w >= len(c.pd.bitmap) {
-		nb := make([]uint64, w+1)
-		copy(nb, c.pd.bitmap)
-		c.pd.bitmap = nb
-	}
-	c.pd.bitmap[w] |= 1 << (fn & 63)
-	return f
-}
-
-// InvalidatePhys drops any predecoded frames overlapping the physical
-// range [p, p+n). The machine registers it as the RAM write hook and
-// forwards device DMA notifications here, so every store path that
-// bypasses the CPU's own write port still invalidates stale decodes.
+// InvalidatePhys drops every superblock drawing from a frame that
+// overlaps the physical range [p, p+n). The machine registers it as
+// the RAM write hook and forwards device DMA notifications here, so
+// every store path that bypasses the CPU's own write port still
+// invalidates stale chains.
 func (c *CPU) InvalidatePhys(p, n uint32) {
 	if n == 0 || len(c.pd.bitmap) == 0 {
 		return
@@ -209,38 +153,20 @@ func (c *CPU) InvalidatePhys(p, n uint32) {
 	}
 }
 
-// dropFrame invalidates one physical frame if it is decoded. If the
-// CPU is currently executing from it, the instruction-side caches are
-// flushed so the next fetch re-decodes current memory.
+// dropFrame invalidates the superblocks drawing from one physical
+// frame if its bitmap bit is set.
 func (c *CPU) dropFrame(fn uint32) {
 	w := int(fn >> 6)
 	if w >= len(c.pd.bitmap) || c.pd.bitmap[w]&(1<<(fn&63)) == 0 {
 		return
 	}
 	c.pd.bitmap[w] &^= 1 << (fn & 63)
-	delete(c.pd.frames, fn)
 	c.pd.invalidations++
-	executing := uint64(0)
-	if c.ipd != nil && c.ipdFrame == fn {
-		c.ipd = nil
-		c.icache.vpage = 1
-		executing = 1
+	dispatching := uint64(0)
+	if c.sbInvalidateFrame(fn) {
+		dispatching = 1
 	}
-	c.sbInvalidateFrame(fn)
-	obs.Emit(evFrameDrop, uint64(fn), executing)
-}
-
-// dropAllFrames empties the cache (engine switch or the pdMaxFrames
-// backstop). The caller re-establishes c.ipd.
-func (c *CPU) dropAllFrames() {
-	c.pd.invalidations += uint64(len(c.pd.frames))
-	c.pd.frames = nil
-	for i := range c.pd.bitmap {
-		c.pd.bitmap[i] = 0
-	}
-	c.ipd = nil
-	// Superblocks are built from decoded frames; none may outlive them.
-	c.sbDropAll()
+	obs.Emit(evFrameDrop, uint64(fn), dispatching)
 }
 
 // decodeUop translates one machine word into a micro-op. The case
@@ -364,20 +290,25 @@ func decodeUop(w uint32) uop {
 		u.op = pdLBU
 	case isa.OpLH:
 		u.op = pdLH
+		u.imm = w
 	case isa.OpLHU:
 		u.op = pdLHU
+		u.imm = w
 	case isa.OpLW:
 		u.op = pdLW
 	case isa.OpSB:
 		u.op = pdSB
 	case isa.OpSH:
 		u.op = pdSH
+		u.imm = w
 	case isa.OpSW:
 		u.op = pdSW
 	case isa.OpLWC1:
 		u.op = pdLWC1
+		u.imm = w
 	case isa.OpSWC1:
 		u.op = pdSWC1
+		u.imm = w
 	case isa.OpCOP0:
 		u.op = pdCOP0
 		u.imm = w
@@ -386,214 +317,4 @@ func decodeUop(w uint32) uop {
 		u.imm = w
 	}
 	return u
-}
-
-// execU executes one predecoded instruction; like exec it returns
-// false when an exception decided control flow.
-func (c *CPU) execU(u *uop) bool {
-	g := &c.GPR
-	switch u.op {
-	case pdADDU:
-		g[u.rd] = g[u.rs] + g[u.rt]
-	case pdADDIU:
-		g[u.rt] = g[u.rs] + u.imm
-	case pdLW:
-		v, ok := c.load(g[u.rs]+u.imm, 4)
-		if !ok {
-			return false
-		}
-		g[u.rt] = uint32(v)
-	case pdSW:
-		return c.store(g[u.rs]+u.imm, 4, uint64(g[u.rt]))
-	case pdBEQ:
-		if g[u.rs] == g[u.rt] {
-			c.branch(c.PC + 4 + u.imm)
-		} else {
-			c.branch(c.PC + 8)
-		}
-	case pdBNE:
-		if g[u.rs] != g[u.rt] {
-			c.branch(c.PC + 4 + u.imm)
-		} else {
-			c.branch(c.PC + 8)
-		}
-	case pdSLL:
-		g[u.rd] = g[u.rt] << u.sh
-	case pdSRL:
-		g[u.rd] = g[u.rt] >> u.sh
-	case pdSRA:
-		g[u.rd] = uint32(int32(g[u.rt]) >> u.sh)
-	case pdSLLV:
-		g[u.rd] = g[u.rt] << (g[u.rs] & 31)
-	case pdSRLV:
-		g[u.rd] = g[u.rt] >> (g[u.rs] & 31)
-	case pdSRAV:
-		g[u.rd] = uint32(int32(g[u.rt]) >> (g[u.rs] & 31))
-	case pdJR:
-		c.branch(g[u.rs])
-	case pdJALR:
-		t := g[u.rs]
-		g[u.rd] = c.PC + 8
-		c.branch(t)
-	case pdSYSCALL:
-		c.Stat.Syscalls++
-		c.Exception(ExcSyscall, VecGeneral)
-		return false
-	case pdBREAK:
-		if c.HaltOnBreak {
-			c.Halted = true
-			return false
-		}
-		c.Exception(ExcBreak, VecGeneral)
-		return false
-	case pdMFHI:
-		g[u.rd] = c.HI
-	case pdMTHI:
-		c.HI = g[u.rs]
-	case pdMFLO:
-		g[u.rd] = c.LO
-	case pdMTLO:
-		c.LO = g[u.rs]
-	case pdMULT:
-		p := int64(int32(g[u.rs])) * int64(int32(g[u.rt]))
-		c.LO = uint32(p)
-		c.HI = uint32(p >> 32)
-	case pdMULTU:
-		p := uint64(g[u.rs]) * uint64(g[u.rt])
-		c.LO = uint32(p)
-		c.HI = uint32(p >> 32)
-	case pdDIV:
-		if g[u.rt] != 0 {
-			c.LO = uint32(int32(g[u.rs]) / int32(g[u.rt]))
-			c.HI = uint32(int32(g[u.rs]) % int32(g[u.rt]))
-		}
-	case pdDIVU:
-		if g[u.rt] != 0 {
-			c.LO = g[u.rs] / g[u.rt]
-			c.HI = g[u.rs] % g[u.rt]
-		}
-	case pdSUBU:
-		g[u.rd] = g[u.rs] - g[u.rt]
-	case pdAND:
-		g[u.rd] = g[u.rs] & g[u.rt]
-	case pdOR:
-		g[u.rd] = g[u.rs] | g[u.rt]
-	case pdXOR:
-		g[u.rd] = g[u.rs] ^ g[u.rt]
-	case pdNOR:
-		g[u.rd] = ^(g[u.rs] | g[u.rt])
-	case pdSLT:
-		if int32(g[u.rs]) < int32(g[u.rt]) {
-			g[u.rd] = 1
-		} else {
-			g[u.rd] = 0
-		}
-	case pdSLTU:
-		if g[u.rs] < g[u.rt] {
-			g[u.rd] = 1
-		} else {
-			g[u.rd] = 0
-		}
-	case pdBLTZ:
-		if int32(g[u.rs]) < 0 {
-			c.branch(c.PC + 4 + u.imm)
-		} else {
-			c.branch(c.PC + 8)
-		}
-	case pdBGEZ:
-		if int32(g[u.rs]) >= 0 {
-			c.branch(c.PC + 4 + u.imm)
-		} else {
-			c.branch(c.PC + 8)
-		}
-	case pdJ:
-		c.branch(c.PC&0xf0000000 | u.imm)
-	case pdJAL:
-		g[31] = c.PC + 8
-		c.branch(c.PC&0xf0000000 | u.imm)
-	case pdBLEZ:
-		if int32(g[u.rs]) <= 0 {
-			c.branch(c.PC + 4 + u.imm)
-		} else {
-			c.branch(c.PC + 8)
-		}
-	case pdBGTZ:
-		if int32(g[u.rs]) > 0 {
-			c.branch(c.PC + 4 + u.imm)
-		} else {
-			c.branch(c.PC + 8)
-		}
-	case pdSLTI:
-		if int32(g[u.rs]) < int32(u.imm) {
-			g[u.rt] = 1
-		} else {
-			g[u.rt] = 0
-		}
-	case pdSLTIU:
-		if g[u.rs] < u.imm {
-			g[u.rt] = 1
-		} else {
-			g[u.rt] = 0
-		}
-	case pdANDI:
-		g[u.rt] = g[u.rs] & u.imm
-	case pdORI:
-		g[u.rt] = g[u.rs] | u.imm
-	case pdXORI:
-		g[u.rt] = g[u.rs] ^ u.imm
-	case pdLUI:
-		g[u.rt] = u.imm
-	case pdLB:
-		v, ok := c.load(g[u.rs]+u.imm, 1)
-		if !ok {
-			return false
-		}
-		g[u.rt] = uint32(int32(int8(v)))
-	case pdLBU:
-		v, ok := c.load(g[u.rs]+u.imm, 1)
-		if !ok {
-			return false
-		}
-		g[u.rt] = uint32(v)
-	case pdLH:
-		v, ok := c.load(g[u.rs]+u.imm, 2)
-		if !ok {
-			return false
-		}
-		g[u.rt] = uint32(int32(int16(v)))
-	case pdLHU:
-		v, ok := c.load(g[u.rs]+u.imm, 2)
-		if !ok {
-			return false
-		}
-		g[u.rt] = uint32(v)
-	case pdSB:
-		return c.store(g[u.rs]+u.imm, 1, uint64(g[u.rt]&0xff))
-	case pdSH:
-		return c.store(g[u.rs]+u.imm, 2, uint64(g[u.rt]&0xffff))
-	case pdLWC1:
-		v, ok := c.load(g[u.rs]+u.imm, 8)
-		if !ok {
-			return false
-		}
-		c.FPR[u.rt] = math.Float64frombits(v)
-	case pdSWC1:
-		return c.store(g[u.rs]+u.imm, 8, math.Float64bits(c.FPR[u.rt]))
-	case pdCOP0:
-		c.pdExit = true // may touch Status/Cause or the TLB
-		w := u.imm
-		if !c.KernelMode() {
-			c.Exception(ExcReserved, VecGeneral)
-			return false
-		}
-		return c.execCOP0(w, int(w>>21&31), int(w>>16&31))
-	case pdCOP1:
-		w := u.imm
-		return c.execCOP1(w, int(w>>21&31), int(w>>16&31))
-	default: // pdReserved
-		c.Exception(ExcReserved, VecGeneral)
-		return false
-	}
-	g[0] = 0
-	return true
 }

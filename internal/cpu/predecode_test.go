@@ -1,12 +1,12 @@
 package cpu_test
 
-// Differential oracle for the predecoded interpreter core: the
-// reference engine (SetPredecode(false) — per-instruction fetch and
-// full decode) is stepped in lockstep with the predecoded engine over
-// random instruction sequences, asserting identical architectural
-// state (GPR/FPR/CP0/TLB/Stat) and identical Observer event streams
-// after every step. Invalidation edges (store to the executing page,
-// device DMA over decoded text) get dedicated regression tests.
+// Differential oracle for the decoded fast path: the reference
+// interpreter (Step — per-instruction fetch and full decode in exec)
+// is run against superblock dispatch (StepN) over random instruction
+// sequences and structured loops, asserting identical architectural
+// state (GPR/FPR/CP0/TLB/Stat) and identical Observer event streams.
+// Invalidation edges (store to the executing page, device DMA over
+// chained text) get dedicated regression tests.
 
 import (
 	"encoding/binary"
@@ -19,6 +19,7 @@ import (
 	"systrace/internal/dev"
 	"systrace/internal/isa"
 	"systrace/internal/machine"
+	"systrace/internal/telemetry"
 )
 
 // recObs folds every observer event into a rolling FNV-1a hash so two
@@ -196,16 +197,20 @@ func lockstepPair(r *rand.Rand, words []uint32) (ref, fast *machine.Machine, ore
 	return ref, fast, oref, ofast
 }
 
-// lockstepRun steps both engines together, failing on the first
-// architectural or event-stream divergence.
+// lockstepRun runs the reference engine one Step at a time and the
+// fast engine one StepN(1) at a time, failing on the first
+// architectural or event-stream divergence. With the build threshold
+// at 1, every PC reached a second time becomes a superblock entry, so
+// a StepN(1) there is a one-instruction chain dispatch: each micro-op
+// the walks reach is checked against exec on its own, and each such
+// dispatch leaves through the budget exit (restoring inDelay when the
+// next step is a delay slot).
 func lockstepRun(t *testing.T, steps int, ref, fast *machine.Machine, oref, ofast *recObs) {
 	t.Helper()
+	fast.CPU.SetSuperblockThreshold(1)
 	for s := 0; s < steps; s++ {
 		ra := ref.CPU.Step()
-		rb := fast.CPU.Step()
-		if ra != rb {
-			t.Fatalf("step %d: continue %v (reference) vs %v (predecode)", s, ra, rb)
-		}
+		fast.CPU.StepN(1)
 		if d := diffState(ref.CPU, fast.CPU); d != "" {
 			t.Fatalf("step %d: %s", s, d)
 		}
@@ -219,7 +224,11 @@ func lockstepRun(t *testing.T, steps int, ref, fast *machine.Machine, oref, ofas
 	}
 }
 
+// TestLockstepRandomPrograms compares Step with one-instruction
+// superblock dispatch (see lockstepRun) after every instruction of 40
+// random programs.
 func TestLockstepRandomPrograms(t *testing.T) {
+	var chained uint64
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
@@ -232,8 +241,13 @@ func TestLockstepRandomPrograms(t *testing.T) {
 			}
 			ref, fast, oref, ofast := lockstepPair(r, words)
 			lockstepRun(t, 3000, ref, fast, oref, ofast)
+			chained += fast.CPU.SuperblockStats().Instructions
 		})
 	}
+	if chained == 0 {
+		t.Fatal("no instruction retired inside superblock dispatch: the fast path was not exercised")
+	}
+	t.Logf("%d instructions retired inside one-instruction superblock dispatch", chained)
 }
 
 // runBatched drives a CPU the way machine.Run's no-stall loop does:
@@ -245,9 +259,9 @@ func runBatched(c *cpu.CPU, target uint64) {
 }
 
 // TestLockstepStepNRandomPrograms covers the batched fast path: the
-// reference engine runs per-Step while the predecoded engine runs
-// through StepN, and the full architectural state must match at the
-// same retirement count.
+// reference engine runs per-Step while the fast engine runs through
+// StepN, and the full architectural state must match at the same
+// retirement count.
 func TestLockstepStepNRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -415,26 +429,35 @@ func loopProgram(r *rand.Rand) []isa.Word {
 }
 
 // memProgram assembles a counted loop for 0x80001000 whose chain runs
-// every inline memory micro-op (LW, LBU, LB, SW, SB) over a buffer on
-// the data page at 0x80002000, so an observed dispatch must report
-// each of them itself. r varies the trip count and the buffer start.
+// every memory micro-op over an 8-byte-aligned buffer on the data page
+// at 0x80002000: the inline ones (LW, LBU, LB, SW, SB), which an
+// observed dispatch must report itself, and the ones execSB hands to
+// exec (LH, LHU, SH, LWC1, SWC1, and the FP add between them). r varies
+// the trip count and the buffer start.
 func memProgram(r *rand.Rand) []isa.Word {
-	S0, S1, T0, T1, T2 := isa.RegS0, isa.RegS1, isa.RegT0, isa.RegT1, isa.RegT2
+	S0, S1, T0, T1, T2, T3 := isa.RegS0, isa.RegS1, isa.RegT0, isa.RegT1, isa.RegT2, isa.RegT3
 	return []isa.Word{
 		isa.ORI(S0, 0, uint16(20+r.Intn(40))), // trip count
 		isa.LUI(S1, 0x8000),
-		isa.ORI(S1, S1, uint16(0x2000+r.Intn(64)*4)),
+		isa.ORI(S1, S1, uint16(0x2000+r.Intn(32)*8)),
 		// loop (word 3):
 		isa.LW(T0, S1, 0),
 		isa.LBU(T1, S1, 1),
 		isa.LB(T2, S1, 2),
+		isa.LH(T3, S1, 2),
 		isa.ADDU(T0, T0, T1),
 		isa.ADDU(T0, T0, T2),
+		isa.ADDU(T0, T0, T3),
+		isa.LHU(T3, S1, 6),
 		isa.SW(T0, S1, 4),
 		isa.SB(T0, S1, 8),
-		isa.ADDIU(S1, S1, 4),
+		isa.SH(T3, S1, 10),
+		isa.LWC1(2, S1, 16),
+		isa.FADD(4, 2, 2),
+		isa.SWC1(4, S1, 24),
+		isa.ADDIU(S1, S1, 8),
 		isa.ADDIU(S0, S0, 0xffff),
-		isa.BGTZ(S0, -10), // back to loop
+		isa.BGTZ(S0, -17), // back to loop
 		isa.NOP,
 		isa.BREAK(0),
 	}
@@ -596,8 +619,9 @@ func TestSuperblockChainEndsAtJumpTarget(t *testing.T) {
 }
 
 // FuzzExecEquivalence is the fuzz face of the oracle: arbitrary bytes
-// become an instruction stream and both engines must agree on every
-// step of it.
+// become an instruction stream, and the reference Step must agree with
+// one-instruction chain dispatch at every step, with batched StepN at
+// the end, and with observed superblock dispatch at checkpoints.
 func FuzzExecEquivalence(f *testing.F) {
 	f.Add([]byte{}, int64(1))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x0d}, int64(2)) // break
@@ -619,6 +643,9 @@ func FuzzExecEquivalence(f *testing.F) {
 	// the superblock face starts from mispredict and chain-to-chain
 	// linking.
 	f.Add(progBytes(loopProgram(rand.New(rand.NewSource(1)))), int64(4))
+	// A loop over every memory op, inline and exec-routed, so the
+	// superblock face starts from chains that run all of them.
+	f.Add(progBytes(memProgram(rand.New(rand.NewSource(1)))), int64(5))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		if len(data) > 0x2000 {
 			data = data[:0x2000]
@@ -703,18 +730,13 @@ func TestStoreToExecutingPageInvalidates(t *testing.T) {
 			if got := m.CPU.GPR[isa.RegT0]; got != 7 {
 				t.Errorf("t0 = %d, want 7 (stale instruction executed)", got)
 			}
-			if pd {
-				if _, _, inv := m.CPU.PredecodeStats(); inv == 0 {
-					t.Error("store into executing page did not invalidate a predecoded frame")
-				}
-			}
 		})
 	}
 }
 
 // TestDMAWriteInvalidatesPredecode covers the RAMPage-bypassing write
 // path: disk DMA copies into physical memory through the raw Bytes()
-// slice, and a decoded frame under the transfer must be dropped.
+// slice, and the re-run must execute the new code, not a stale decode.
 func TestDMAWriteInvalidatesPredecode(t *testing.T) {
 	img := make([]byte, dev.SectorSize)
 	binary.BigEndian.PutUint32(img[0:], uint32(isa.ORI(isa.RegT0, 0, 2)))
@@ -730,8 +752,8 @@ func TestDMAWriteInvalidatesPredecode(t *testing.T) {
 		t.Fatalf("first run: t0 = %d, want 1", got)
 	}
 
-	// DMA one sector of replacement code over the executed (and now
-	// predecoded) page, then run it again.
+	// DMA one sector of replacement code over the executed page, then
+	// run it again.
 	now := m.Cycles()
 	m.Disk.Write(now, dev.DiskSector, 0)
 	m.Disk.Write(now, dev.DiskAddr, 0x3000)
@@ -748,12 +770,14 @@ func TestDMAWriteInvalidatesPredecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := m.CPU.GPR[isa.RegT0]; got != 2 {
-		t.Errorf("after DMA: t0 = %d, want 2 (stale predecoded frame executed)", got)
+		t.Errorf("after DMA: t0 = %d, want 2 (stale decode executed)", got)
 	}
 }
 
-// TestPredecodeCounters pins the cache economics on a tight loop: one
-// frame decode, every subsequent instruction a hit, no invalidations.
+// TestPredecodeCounters pins the engine economics on a tight loop: one
+// superblock built, no frame dropped, and every decoded dispatch inside
+// it, so cpu_predecode_hits_total equals the superblock instruction
+// count.
 func TestPredecodeCounters(t *testing.T) {
 	m := newM()
 	put(m, 0x80001000,
@@ -764,20 +788,34 @@ func TestPredecodeCounters(t *testing.T) {
 		isa.BREAK(0),
 	)
 	m.CPU.PC = 0x80001000
+	reg := telemetry.New()
+	m.CPU.RegisterMetrics(reg)
 	if err := m.Run(10000); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, inv := m.CPU.PredecodeStats()
-	instret := m.CPU.Stat.Instret
-	if misses != 1 {
-		t.Errorf("misses = %d, want 1 (single text frame)", misses)
+	counter := func(name string) uint64 {
+		for _, mt := range reg.Snapshot().Metrics {
+			if mt.Name == name {
+				return uint64(mt.Value)
+			}
+		}
+		t.Fatalf("metric %s not registered", name)
+		return 0
 	}
-	if inv != 0 {
+	st := m.CPU.SuperblockStats()
+	if st.Built != 1 {
+		t.Errorf("superblocks built = %d, want 1", st.Built)
+	}
+	if inv := counter("cpu_predecode_invalidations_total"); inv != 0 {
 		t.Errorf("invalidations = %d, want 0", inv)
 	}
-	// Only the very first fetch (the refill that decodes the frame)
-	// goes down the slow path.
-	if hits != instret-1 {
-		t.Errorf("hits = %d, want instret-1 = %d", hits, instret-1)
+	hits := counter("cpu_predecode_hits_total")
+	if hits != st.Instructions {
+		t.Errorf("hits = %d, want the superblock instruction count %d", hits, st.Instructions)
+	}
+	// 602 instructions retire: ORI, 200 trips of three, BREAK. The
+	// loop head's first 16 probes (the build threshold) run on Step.
+	if hits != 552 {
+		t.Errorf("hits = %d, want 552 of %d instructions", hits, m.CPU.Stat.Instret)
 	}
 }

@@ -2,10 +2,10 @@ package cpu
 
 // Superblock tier: every StepN probes the entry table at its PC, and a
 // chain probes at the continuation it exits to. When an address keeps
-// coming up, the builder walks the predecoded micro-ops from it,
-// chaining fall-through edges and statically predicted direct
-// branches across basic-block (and frame) boundaries into one
-// linearized step array. Dispatch runs that array in a dense
+// coming up, the builder walks the instructions from it, decoding each
+// straight from the text frame's RAM, and chains fall-through edges
+// and statically predicted direct branches across basic-block (and
+// frame) boundaries into one linearized step array. Dispatch runs that array in a dense
 // jump-table loop with the per-instruction work of Step hoisted out:
 // the PC is implicit in the step index (materialized only at exits),
 // CP0.Random and Stat.Instret advance once per exit instead of once
@@ -13,7 +13,7 @@ package cpu
 // and a chain end or a mispredicted branch links straight into the
 // superblock at the real successor without leaving the dispatch loop.
 //
-// Soundness leans on the same two pillars as the predecode cache:
+// Soundness leans on two pillars:
 //
 //   - Nothing inside a superblock can change the fetch translation:
 //     COP0 ops (the only way to write the TLB, Status, or EntryHi) and
@@ -25,12 +25,13 @@ package cpu
 //     frame) before the hoisted translations may be reused.
 //
 //   - Writes into chained text invalidate: every frame a superblock
-//     draws micro-ops from is registered in a frame→superblocks
-//     dependency map, and dropFrame (guest stores via the bitmap,
-//     host writes via the RAM write hook, device DMA via the machine's
-//     WriteNotifier) invalidates the dependents — raising pdExit if
-//     one of them is currently executing, so the dispatch loop bails
-//     after the in-flight instruction.
+//     draws micro-ops from is marked in the store-path bitmap and
+//     registered in a frame→superblocks dependency map, and dropFrame
+//     (guest stores via the bitmap, host writes via the RAM write
+//     hook, device DMA via the machine's WriteNotifier) invalidates
+//     the dependents — raising pdExit if one of them is currently
+//     executing, so the dispatch loop bails after the in-flight
+//     instruction.
 //
 // Branch prediction is static backward-taken/forward-not-taken (plus
 // always-taken for unconditional jumps and compare-equal BEQ r,r);
@@ -42,6 +43,8 @@ package cpu
 // at the repo root.
 
 import (
+	"encoding/binary"
+
 	"systrace/internal/isa"
 	"systrace/internal/telemetry"
 )
@@ -193,8 +196,8 @@ func (c *CPU) SuperblockStats() SuperblockStats {
 	}
 }
 
-// sbDropAll invalidates and forgets every superblock (predecode cache
-// flush or the sbMaxBlocks backstop).
+// sbDropAll invalidates and forgets every superblock (engine switch or
+// the sbMaxBlocks backstop) and clears the store-path bitmap.
 func (c *CPU) sbDropAll() {
 	for _, s := range c.sb.all {
 		if s.valid {
@@ -207,22 +210,17 @@ func (c *CPU) sbDropAll() {
 	c.sb.all = nil
 	c.sb.deps = nil
 	c.sb.count = 0
-	if c.sb.cur != nil {
-		// Dispatch is in flight (a store rolled the whole cache over):
-		// bail after the current instruction like any invalidation.
-		c.pdExit = true
+	for i := range c.pd.bitmap {
+		c.pd.bitmap[i] = 0
 	}
 }
 
 // sbInvalidateFrame invalidates every superblock that drew micro-ops
 // from physical frame fn; called from dropFrame so all three write
-// paths (guest store bitmap, RAM write hook, device DMA) flow here.
-func (c *CPU) sbInvalidateFrame(fn uint32) {
-	deps := c.sb.deps[fn]
-	if deps == nil {
-		return
-	}
-	for _, s := range deps {
+// paths (guest store bitmap, RAM write hook, device DMA) flow here. It
+// reports whether the dispatching chain was one of them.
+func (c *CPU) sbInvalidateFrame(fn uint32) (dispatching bool) {
+	for _, s := range c.sb.deps[fn] {
 		if s.valid {
 			s.valid = false
 			c.sb.invalidated++
@@ -230,9 +228,11 @@ func (c *CPU) sbInvalidateFrame(fn uint32) {
 		}
 		if s == c.sb.cur {
 			c.pdExit = true
+			dispatching = true
 		}
 	}
 	delete(c.sb.deps, fn)
+	return dispatching
 }
 
 // sbEnterable returns the superblock at va if one exists and its entry
@@ -314,8 +314,8 @@ func (c *CPU) sbRevalidate(s *superblock) bool {
 
 // sbProbeText resolves the text page holding va for the builder
 // without raising exceptions or touching the translation caches.
-// Uncached segments and device space are refused (the predecode cache
-// has the same requirement).
+// Uncached segments and device space are refused: a chain decodes its
+// text once, so it may only draw from cached RAM.
 func (c *CPU) sbProbeText(va uint32) (ppage uint32, ram []byte, mapped, kernel, ok bool) {
 	switch {
 	case va < KUSegEnd:
@@ -371,8 +371,9 @@ func sbIsBranch(u *uop) bool {
 	return false
 }
 
-// sbBuild walks the predecoded micro-ops from entry, linearizing
-// predicted control flow into one superblock, and installs it.
+// sbBuild walks the instructions from entry, decoding each from RAM
+// and linearizing predicted control flow into one superblock, and
+// installs it.
 func (c *CPU) sbBuild(entry uint32) {
 	if entry&3 != 0 {
 		return
@@ -386,14 +387,16 @@ func (c *CPU) sbBuild(entry uint32) {
 	s := &superblock{entryVA: entry}
 
 	// Page cursor for the walk. Fetching from a new page resolves its
-	// translation, records the guards, and binds the decoded frame.
+	// translation, records the guards, and binds the frame's RAM. The
+	// micro-op is returned by value: a pointer to it would move it to
+	// the heap on every step of the walk.
 	var curVP, curPP uint32 = 1, 0
-	var frame *pdFrame
-	fetch := func(va uint32) (*uop, uint32, bool) {
+	var ram []byte
+	fetch := func(va uint32) (uop, uint32, bool) {
 		if va&EntryHiVPN != curVP {
-			ppage, ram, mapped, kernel, ok := c.sbProbeText(va)
+			ppage, pram, mapped, kernel, ok := c.sbProbeText(va)
 			if !ok {
-				return nil, 0, false
+				return uop{}, 0, false
 			}
 			curPP = ppage
 			fn := ppage >> PageShift
@@ -406,7 +409,7 @@ func (c *CPU) sbBuild(entry uint32) {
 			}
 			if !seen {
 				if len(s.frames) >= sbMaxPages {
-					return nil, 0, false
+					return uop{}, 0, false
 				}
 				s.frames = append(s.frames, fn)
 				if mapped {
@@ -428,16 +431,17 @@ func (c *CPU) sbBuild(entry uint32) {
 				}
 				if !guarded {
 					if len(s.pages) >= sbMaxPages {
-						return nil, 0, false
+						return uop{}, 0, false
 					}
 					s.pages = append(s.pages, sbPage{vpage: va & EntryHiVPN, ppage: ppage})
 					s.mapped = true
 				}
 			}
-			frame = c.pdFrameFor(ppage, ram)
+			ram = pram
 			curVP = va & EntryHiVPN
 		}
-		return &frame.ops[va>>2&(pdFrameWords-1)], curPP | va&(PageSize-1), true
+		off := va & (PageSize - 1)
+		return decodeUop(binary.BigEndian.Uint32(ram[off:])), curPP | off, true
 	}
 
 	mkStep := func(u *uop, pc uint32, flags uint8) sbStep {
@@ -461,12 +465,12 @@ func (c *CPU) sbBuild(entry uint32) {
 walk:
 	for len(s.steps) < sbMaxSteps {
 		u, pa, ok := fetch(va)
-		if !ok || sbChainEnder(u) {
+		if !ok || sbChainEnder(&u) {
 			s.exitSlot = viaJump
 			break
 		}
-		if !sbIsBranch(u) {
-			add(mkStep(u, va, 0), pa)
+		if !sbIsBranch(&u) {
+			add(mkStep(&u, va, 0), pa)
 			va += 4
 			viaJump = false
 			continue
@@ -476,14 +480,14 @@ walk:
 			break
 		}
 		slot, slotPA, ok := fetch(va + 4)
-		if !ok || sbChainEnder(slot) || sbIsBranch(slot) {
+		if !ok || sbChainEnder(&slot) || sbIsBranch(&slot) {
 			// A slot the dispatcher can't run linearized (or can't
 			// fetch): end the chain before the branch.
 			s.exitSlot = viaJump
 			break
 		}
 		viaJump = false
-		st := mkStep(u, va, 0)
+		st := mkStep(&u, va, 0)
 		var target uint32
 		chain := false // predicted-taken chains continue at target
 		ends := false  // branch ends the chain after its slot
@@ -510,7 +514,7 @@ walk:
 			}
 		}
 		add(st, pa)
-		add(mkStep(slot, va+4, sbSlot), slotPA)
+		add(mkStep(&slot, va+4, sbSlot), slotPA)
 		switch {
 		case ends:
 			s.exitSlot = true
@@ -549,20 +553,6 @@ walk:
 	}
 	sbStampRuns(s)
 
-	// pdFrameFor above may have tripped the pdMaxFrames backstop and
-	// dropped the whole predecode cache mid-walk; a superblock whose
-	// source frames are gone would never see their invalidations.
-	for _, fn := range s.frames {
-		if _, ok := c.pd.frames[fn]; !ok {
-			return
-		}
-	}
-
-	if c.sb.idx == nil {
-		// pdFrameFor tripped a cache rollover mid-walk and sbDropAll
-		// released the tables; let the next miss start fresh.
-		return
-	}
 	s.gen = c.tcGen
 	s.valid = true
 	if c.sb.all == nil {
@@ -577,6 +567,11 @@ walk:
 	c.sb.idx[entry>>2&(sbIndexSize-1)] = s
 	for _, fn := range s.frames {
 		c.sb.deps[fn] = append(c.sb.deps[fn], s)
+		w := int(fn >> 6)
+		if w >= len(c.pd.bitmap) {
+			c.pd.bitmap = append(c.pd.bitmap, make([]uint64, w+1-len(c.pd.bitmap))...)
+		}
+		c.pd.bitmap[w] |= 1 << (fn & 63)
 	}
 	c.sb.count++
 	c.sb.built++
@@ -643,7 +638,7 @@ func advanceRandom(r uint32, n uint64) uint32 {
 // FetchRun when dispatch reaches the run's first step, clamped to the
 // budget so a budget exit reports exactly the fetches it retired; the
 // inline loads and stores report themselves, and the slow paths
-// (load, store, execU) emit their own events. The observer state and
+// (load, store, exec) emit their own events. The observer state and
 // the mode are read where they are used rather than held in locals:
 // the dispatch loop is register-bound, and both are fixed for the
 // whole dispatch (every mode change is an exception or a COP0 op, and
@@ -982,17 +977,17 @@ dispatch:
 				}
 			}
 		default:
-			// pdLH/pdLHU/pdSH/pdLWC1/pdSWC1/pdCOP1(non-BC): the slow
-			// helpers, with the PC materialized for exceptions and
-			// machine time flushed for device timestamps.
+			// pdLH/pdLHU/pdSH/pdLWC1/pdSWC1/pdCOP1(non-BC): the
+			// reference interpreter on the raw word decodeUop kept in
+			// imm, with the PC materialized for exceptions and machine
+			// time flushed for device timestamps.
 			c.PC = st.pc
 			if st.flags&sbSlot != 0 {
 				c.execInSlot = true
 			}
 			c.Stat.Instret += n - flushed
 			flushed = n
-			u := uop{op: st.op, rs: st.rs, rt: st.rt, rd: st.rd, sh: st.sh, cls: st.cls, imm: st.imm}
-			eok := c.execU(&u)
+			eok := c.exec(st.imm)
 			c.execInSlot = false
 			if !eok {
 				n++
@@ -1046,12 +1041,9 @@ chainEnd:
 link:
 	// Chain-to-chain linking: the dispatch is at a clean instruction
 	// boundary with c.PC naming the continuation, so if a superblock
-	// starts there, enter it without surrendering the batch. The lookup
-	// may build (and a cache rollover mid-build drops every superblock
-	// and raises pdExit, because cur is non-nil), so pdExit is
-	// re-checked after it.
+	// starts there, enter it without surrendering the batch.
 	if !c.pdExit && !c.Halted && n < max {
-		if s2 := c.sbEnterable(c.PC); s2 != nil && !c.pdExit {
+		if s2 := c.sbEnterable(c.PC); s2 != nil {
 			s = s2
 			steps = s.steps
 			c.sb.cur = s

@@ -1,7 +1,7 @@
 package cpu_test
 
 // Invalidation regressions for the superblock tier. Each test attacks
-// one soundness edge the chains add on top of the predecode cache:
+// one soundness edge the chains add on top of the reference Step:
 // a guest store into a frame another frame's superblock chains into,
 // a DMA transfer landing under a resident chain, and a TLB rewrite
 // between a mapped superblock's build and its next entry. All three
@@ -215,11 +215,12 @@ func TestSuperblockTLBGenerationGuard(t *testing.T) {
 }
 
 // TestSuperblockDelaySlotFault: a memory op in a chained delay slot
-// faults on an unmapped kuseg address while the chain is dispatching.
-// The slow path must raise the exception as a delay-slot one (Cause.BD
-// set, EPC on the branch), exactly as the reference engine does. Each
-// loop walks a pointer table whose first entries are valid kseg0 data
-// and whose seventh is unmapped, so the superblock (threshold 1) is
+// faults while the chain is dispatching, on an unmapped kuseg address
+// or, for the LH that execSB hands to exec, a misaligned one. The slow
+// path must raise the exception as a delay-slot one (Cause.BD set, EPC
+// on the branch), exactly as the reference engine does. Each loop
+// walks a pointer table whose first entries are valid kseg0 data and
+// whose seventh is the bad address, so the superblock (threshold 1) is
 // resident before the faulting iteration; both vectors hold BREAK, so
 // the machines halt on exception entry.
 func TestSuperblockDelaySlotFault(t *testing.T) {
@@ -237,6 +238,7 @@ func TestSuperblockDelaySlotFault(t *testing.T) {
 		name     string
 		body     []isa.Word
 		branchPC uint32
+		bad      uint32 // the seventh pointer
 	}{
 		{
 			// LW in the slot of a forward BNE, predicted (and
@@ -252,6 +254,23 @@ func TestSuperblockDelaySlotFault(t *testing.T) {
 				isa.BREAK(0),
 			},
 			branchPC: 0x8000101c,
+			bad:      0x00400000, // unmapped kuseg
+		},
+		{
+			// LH, which execSB runs through exec, in the same slot;
+			// the fault is an address error.
+			name: "lh-misaligned",
+			body: []isa.Word{
+				isa.ANDI(T2, S0, 0x100),
+				isa.BNE(T2, 0, 1), // 0x8000101c
+				isa.LH(T3, T1, 0),
+				isa.SLTI(T0, S0, 10),
+				isa.BNE(T0, 0, -8), // back to loop
+				isa.NOP,
+				isa.BREAK(0),
+			},
+			branchPC: 0x8000101c,
+			bad:      0x80002001,
 		},
 		{
 			// SB in the slot of the JR that ends the chain.
@@ -270,6 +289,7 @@ func TestSuperblockDelaySlotFault(t *testing.T) {
 				isa.SB(T3, T1, 0),
 			},
 			branchPC: 0x80001044,
+			bad:      0x00400000, // unmapped kuseg
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,7 +300,7 @@ func TestSuperblockDelaySlotFault(t *testing.T) {
 				for i := uint32(0); i < 10; i++ {
 					p := uint32(0x80002000)
 					if i == 6 {
-						p = 0x00400000 // unmapped kuseg
+						p = tc.bad
 					}
 					m.RAM.WriteWord(0x3000+4*i, p)
 				}
@@ -304,6 +324,9 @@ func TestSuperblockDelaySlotFault(t *testing.T) {
 			}
 			if c.CP0.EPC != tc.branchPC {
 				t.Errorf("EPC = 0x%08x, want the branch at 0x%08x", c.CP0.EPC, tc.branchPC)
+			}
+			if c.CP0.BadVAddr != tc.bad {
+				t.Errorf("BadVAddr = 0x%08x, want 0x%08x", c.CP0.BadVAddr, tc.bad)
 			}
 			if st := c.SuperblockStats(); st.ExitExc == 0 {
 				t.Errorf("no superblock exception exit (%+v): the fault was not taken inside a chain", st)

@@ -3,9 +3,8 @@ package cpu_test
 // Regression tests for the one-entry tlbCache invalidation edges: a
 // cached va→pa translation must die when the backing TLB entry is
 // rewritten (TLBWI, TLBWR) or the address space changes (EntryHi ASID
-// switch). Each scenario runs under both engines — the predecode fast
-// path shares the icache with the slow path, so these edges guard it
-// too.
+// switch). Each scenario runs under both engines — superblock dispatch
+// shares the data-side caches with Step, so these edges guard it too.
 
 import (
 	"fmt"

@@ -84,7 +84,7 @@ type DMA interface {
 // to observe device writes into physical memory. Disk reads mutate RAM
 // through the raw Bytes() slice — bypassing both the CPU's write port
 // and the RAM API — so the machine implements this to invalidate the
-// CPU's predecoded text frames under the transfer.
+// CPU's superblocks drawing from frames under the transfer.
 type WriteNotifier interface {
 	DMAWrote(p, n uint32)
 }

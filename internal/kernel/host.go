@@ -41,8 +41,9 @@ type BootConfig struct {
 	// the zero value keeps the legacy stop-the-world two-phase drain.
 	Stream StreamConfig
 	// Engine pins the CPU execution engine for the whole boot. The zero
-	// value keeps the machine default (the predecode fast path with
-	// superblocks); the differential oracle pins the reference engine.
+	// value keeps the machine default (superblock dispatch over the
+	// reference Step); the differential oracle pins the reference
+	// engine.
 	Engine Engine
 }
 
@@ -50,12 +51,13 @@ type BootConfig struct {
 type Engine int
 
 const (
-	// EngineAuto is the machine default: the predecode cache under
-	// Step and StepN, with the superblock tier on top.
+	// EngineAuto is the machine default: superblock chains under
+	// StepN, the reference Step everywhere else.
 	EngineAuto Engine = iota
-	// EngineReference disables predecode entirely: per-instruction
-	// fetch and full decode through the reference interpreter, run
-	// under the same machine loop as the default engine.
+	// EngineReference builds no chains: every instruction is a
+	// per-instruction fetch and full decode through the reference
+	// interpreter, run under the same machine loop as the default
+	// engine.
 	EngineReference
 )
 
@@ -268,7 +270,7 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 	s.tbufPA = TraceBufVA - cpu.KSeg0Base
 
 	// Boot-time loads go through the RAM API so its write hook sees
-	// them (the CPU invalidates any predecoded frame under a write);
+	// them (the CPU invalidates any chain drawing from a written frame);
 	// the doorbell handler below only reads, so it keeps the raw slice.
 	ram := mach.RAM.Bytes()
 	put := func(pa uint32, v uint32) { mach.RAM.WriteWord(pa, v) }

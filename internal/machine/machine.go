@@ -54,7 +54,7 @@ func New(ramSize uint32, diskImage []byte) *Machine {
 	m := &Machine{RAM: mem.NewRAM(ramSize)}
 	m.CPU = cpu.New(m, 0)
 	// Every store path that bypasses the CPU's own write port must
-	// still invalidate predecoded text: host-side writes through the
+	// still invalidate chained text: host-side writes through the
 	// RAM API report here, and the disk DMAs through the machine (see
 	// Bytes/DMAWrote) so raw-slice transfers report too.
 	m.RAM.SetWriteHook(m.CPU.InvalidatePhys)
@@ -70,7 +70,8 @@ func New(ramSize uint32, diskImage []byte) *Machine {
 func (m *Machine) Bytes() []byte { return m.RAM.Bytes() }
 
 // DMAWrote implements dev.WriteNotifier: device writes into physical
-// memory invalidate any predecoded frames under the transfer.
+// memory invalidate any superblocks drawing from frames under the
+// transfer.
 func (m *Machine) DMAWrote(p, n uint32) { m.CPU.InvalidatePhys(p, n) }
 
 // AttachTiming connects an execution-driven memory model: obs sees

@@ -2,8 +2,8 @@ package systrace_test
 
 // Workload-level differential oracle for the fast path: full boots of
 // sed and lisp, traced and untraced, run on the reference engine and
-// on the default engine (predecode cache under Step and StepN,
-// superblock chains on top), and the final architectural state, the
+// on the default engine (superblock chains under StepN, the reference
+// Step everywhere else), and the final architectural state, the
 // complete Observer event stream, and every externally visible output
 // (console, exit status, drained trace words, machine cycles) must
 // match. Machine time is instruction-based on both engines, so a
