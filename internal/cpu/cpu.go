@@ -196,19 +196,41 @@ type Stats struct {
 	Classes [NClass]uint64
 }
 
-// tlbCache is a one-entry translation fast path per access port.
+// tlbCache is one soft-TLB entry: a cached page translation.
 type tlbCache struct {
-	vpage  uint32 // va & EntryHiVPN, 1 = invalid
+	vpage  uint32 // va & EntryHiVPN
 	ppage  uint32
-	ram    []byte // host slice for the frame, nil if device space
+	ram    []byte // host slice for the frame, nil if device space or uncached
 	cached bool   // architecturally cached (not kseg1 / EloN)
-	gen    uint64 // tcGen at fill time; stale entries miss (tc2 only)
+	gen    uint64 // tcGen at fill time, 0 if never filled; older entries miss
 }
 
-// tc2Sets sizes the second-level translation cache: direct-mapped by
-// VPN, one array per access kind (read vs write, so a load-filled
-// entry can never satisfy a store and skip the TLB dirty-bit check).
-const tc2Sets = 64
+// Soft-TLB access kinds: each has its own table, so a load-filled
+// entry can never satisfy a store and skip the TLB dirty-bit check.
+const (
+	tlbLoad = iota
+	tlbStore
+	tlbFetch
+	nTLBKinds
+
+	softTLBSets = 256 // sets per table (see tlbSet)
+)
+
+// tlbSet is the soft-TLB set of va. Folding the VPN's upper bytes into
+// the index keeps pages on 1 MB strides (the trace buffer, stack and
+// data regions of a traced run) in different sets.
+func tlbSet(va uint32) uint32 {
+	v := va >> PageShift
+	return (v ^ v>>8 ^ v>>16) & (softTLBSets - 1)
+}
+
+// Soft-TLB refill causes, for the refill counters.
+const (
+	refillCold       = iota // the set was never filled
+	refillConflict          // the set held another page
+	refillGeneration        // the set held this page from an older tcGen
+	nRefillCauses
+)
 
 // CPU is the processor. It is not safe for concurrent use.
 type CPU struct {
@@ -232,20 +254,12 @@ type CPU struct {
 	delayTarget uint32
 	irqLines    uint32
 
-	icache tlbCache
-	dcache tlbCache
-	wcache tlbCache
-
-	// Second-level translation cache behind the one-entry caches:
-	// refill consults it before walking the TLB, so data working sets
-	// larger than one page don't pay a 64-entry lookupTLB scan per
-	// page alternation. Entries carry the tcGen they were filled in;
-	// invalidateCaches bumps the generation, invalidating all of them
-	// in O(1) (the UTLB refill handler invalidates on every TLBWR, so
-	// a sweep would be on the guest's hottest exception path).
-	tc2r  [tc2Sets]tlbCache
-	tc2w  [tc2Sets]tlbCache
-	tcGen uint64
+	// stlb is the soft-TLB (see softTLB). Bumping tcGen expires every
+	// entry in O(1): the UTLB refill handler invalidates on every
+	// TLBWR, so a sweep would be on the guest's hottest exception path.
+	stlb    [nTLBKinds][softTLBSets]tlbCache
+	tcGen   uint64
+	refills [nTLBKinds][nRefillCauses]uint64
 
 	// Engine switch and the store-path bitmap of the frames resident
 	// superblocks draw from (see predecode.go).
@@ -295,12 +309,9 @@ func New(bus Bus, entry uint32) *CPU {
 	return c
 }
 
-func (c *CPU) invalidateCaches() {
-	c.icache.vpage = 1
-	c.dcache.vpage = 1
-	c.wcache.vpage = 1
-	c.tcGen++
-}
+// invalidateCaches expires every soft-TLB entry and superblock page-guard
+// validation; callers write what translation reads: the TLB or the ASID.
+func (c *CPU) invalidateCaches() { c.tcGen++ }
 
 // KernelMode reports whether the CPU is in kernel mode.
 func (c *CPU) KernelMode() bool { return c.CP0.Status&StKUc == 0 }

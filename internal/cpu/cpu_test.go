@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"fmt"
 	"testing"
 
 	"systrace/internal/cpu"
@@ -164,9 +165,14 @@ func TestStatusStackRFE(t *testing.T) {
 	c := m.CPU
 	// Status: user prev, kernel cur after an exception push.
 	c.CP0.Status = cpu.StKUp | cpu.StIEp
+	// The RFE sits in the delay slot of the jump to user text: kseg0
+	// text is not fetchable once the stack pops to user mode.
+	c.TLB[8] = cpu.TLBEntry{Hi: 0x00400000, Lo: 0x4000 | cpu.EloV | cpu.EloG}
+	m.RAM.WriteWord(0x4000, uint32(isa.BREAK(0)))
 	put(m, 0x80001000,
+		isa.LUI(isa.RegK0, 0x0040),
+		isa.JR(isa.RegK0),
 		isa.RFE(),
-		isa.BREAK(0),
 	)
 	c.PC = 0x80001000
 	if err := m.Run(10); err != nil {
@@ -177,26 +183,45 @@ func TestStatusStackRFE(t *testing.T) {
 	}
 }
 
+// TestUserModeProtection: a user-mode fetch from kseg0 raises AdEL,
+// both with cold translation caches and after kernel code on the same
+// page left its translation cached (the mode switch here is a direct
+// Status write, so no exception or COP0 op intervenes).
 func TestUserModeProtection(t *testing.T) {
-	m := newM()
-	c := m.CPU
-	// General handler: halt (break).
-	put(m, 0x80000080, isa.BREAK(3), isa.NOP)
-	// A user-mode jump into kseg0 must fault with AdEL.
-	put(m, 0x80001000,
-		isa.MTC0(isa.RegZero, isa.C0EPC), // EPC=0... we'll set status below
-		isa.BREAK(0),
-	)
-	// Easier: force user mode and execute a kseg0 load directly.
-	c.CP0.Status = cpu.StKUc // user mode
-	// In user mode the PC itself is in kseg0 -> AdEL on fetch.
-	c.PC = 0x80001000
-	if err := m.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	code := int(c.CP0.Cause >> cpu.CauseExcShift & 31)
-	if code != cpu.ExcAdEL {
-		t.Errorf("user kseg0 fetch cause=%d, want AdEL", code)
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			bothEngines(t, func(t *testing.T, pd bool) {
+				m := newM()
+				c := m.CPU
+				c.SetPredecode(pd)
+				// General handler: halt (break).
+				put(m, 0x80000080, isa.BREAK(3), isa.NOP)
+				put(m, 0x80001000,
+					isa.ORI(isa.RegT0, 0, 1),
+					isa.BREAK(0),
+				)
+				if warm {
+					c.PC = 0x80001000
+					if err := m.Run(10); err != nil {
+						t.Fatal(err)
+					}
+					if c.GPR[isa.RegT0] != 1 {
+						t.Fatal("kernel run did not execute the page")
+					}
+					c.Halted = false
+				}
+				c.CP0.Status = cpu.StKUc // user mode
+				// In user mode the PC itself is in kseg0 -> AdEL on fetch.
+				c.PC = 0x80001000
+				if err := m.Run(10); err != nil {
+					t.Fatal(err)
+				}
+				code := int(c.CP0.Cause >> cpu.CauseExcShift & 31)
+				if code != cpu.ExcAdEL || c.CP0.BadVAddr != 0x80001000 {
+					t.Errorf("user kseg0 fetch cause=%d BadVAddr=0x%08x, want AdEL at 0x80001000", code, c.CP0.BadVAddr)
+				}
+			})
+		})
 	}
 }
 

@@ -1,52 +1,46 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"math"
 
 	"systrace/internal/isa"
 	"systrace/internal/obs"
 )
 
-// refill fills a one-entry translation cache for va.
-//
-// Data refills go through the second-level cache: a hit copies the
-// saved translation without walking the TLB. A hit still recloses the
-// protection that translate would check — kernel segments demand
-// kernel mode — and the read/write split plus the generation bump in
-// invalidateCaches keeps dirty-bit and TLB-rewrite semantics exact.
-func (c *CPU) refill(tc *tlbCache, va uint32, store, fetch bool) bool {
-	vp := va & EntryHiVPN
-	if !fetch {
-		s := &c.tc2r[vp>>PageShift&(tc2Sets-1)]
-		if store {
-			s = &c.tc2w[vp>>PageShift&(tc2Sets-1)]
-		}
-		if s.vpage == vp && s.gen == c.tcGen && (va < KUSegEnd || c.KernelMode()) {
-			*tc = *s
-			return true
-		}
+// tlbHit reports whether soft-TLB entry e translates va now: same page,
+// current generation, and kernel mode outside kuseg, as translate would
+// check, so an entry a kernel access filled never serves user mode.
+func (c *CPU) tlbHit(e *tlbCache, va uint32) bool {
+	return e.vpage == va&EntryHiVPN && e.gen == c.tcGen && (va < KUSegEnd || c.KernelMode())
+}
+
+// softTLB returns the soft-TLB entry translating va for an access of
+// the given kind, refilling it from translate on a miss (counted by
+// what the set held); nil means translate raised an exception.
+func (c *CPU) softTLB(va uint32, kind int) *tlbCache {
+	e := &c.stlb[kind][tlbSet(va)]
+	if c.tlbHit(e, va) {
+		return e
 	}
-	pa, cached, ok := c.translate(va, store, fetch)
+	pa, cached, ok := c.translate(va, kind == tlbStore, kind == tlbFetch)
 	if !ok {
-		return false
+		return nil
 	}
-	tc.vpage = vp
-	tc.ppage = pa & EntryHiVPN
-	tc.ram = c.Bus.RAMPage(pa)
-	tc.cached = cached
+	vp := va & EntryHiVPN
+	cause := refillGeneration
+	if e.gen == 0 {
+		cause = refillCold
+	} else if e.vpage != vp {
+		cause = refillConflict
+	}
+	c.refills[kind][cause]++
+	*e = tlbCache{vpage: vp, ppage: pa & EntryHiVPN, cached: cached, gen: c.tcGen}
 	// Device space and uncached segments bypass the fast path.
-	if !cached {
-		tc.ram = nil
+	if cached {
+		e.ram = c.Bus.RAMPage(pa)
 	}
-	if !fetch {
-		tc.gen = c.tcGen
-		if store {
-			c.tc2w[vp>>PageShift&(tc2Sets-1)] = *tc
-		} else {
-			c.tc2r[vp>>PageShift&(tc2Sets-1)] = *tc
-		}
-	}
-	return true
+	return e
 }
 
 // fetchWord reads the instruction at va.
@@ -55,18 +49,16 @@ func (c *CPU) fetchWord(va uint32) (uint32, bool) {
 		c.addressError(va, false)
 		return 0, false
 	}
-	if va&EntryHiVPN != c.icache.vpage {
-		if !c.refill(&c.icache, va, false, true) {
-			return 0, false
-		}
+	e := c.softTLB(va, tlbFetch)
+	if e == nil {
+		return 0, false
 	}
-	pa := c.icache.ppage | va&(PageSize-1)
+	pa := e.ppage | va&(PageSize-1)
 	if c.obsAny {
-		c.Obs.Fetch(va, pa, c.KernelMode(), c.icache.cached)
+		c.Obs.Fetch(va, pa, c.KernelMode(), e.cached)
 	}
-	if r := c.icache.ram; r != nil {
-		off := pa & (PageSize - 1)
-		return uint32(r[off])<<24 | uint32(r[off+1])<<16 | uint32(r[off+2])<<8 | uint32(r[off+3]), true
+	if r := e.ram; r != nil {
+		return binary.BigEndian.Uint32(r[pa&(PageSize-1):]), true
 	}
 	v, ok := c.Bus.FetchWord(pa)
 	if !ok {
@@ -81,29 +73,25 @@ func (c *CPU) load(va uint32, size int) (uint64, bool) {
 		c.addressError(va, false)
 		return 0, false
 	}
-	if va&EntryHiVPN != c.dcache.vpage {
-		if !c.refill(&c.dcache, va, false, false) {
-			return 0, false
-		}
+	e := c.softTLB(va, tlbLoad)
+	if e == nil {
+		return 0, false
 	}
-	pa := c.dcache.ppage | va&(PageSize-1)
+	pa := e.ppage | va&(PageSize-1)
 	if c.obsAny {
-		c.Obs.Load(va, pa, size, c.KernelMode(), c.dcache.cached)
+		c.Obs.Load(va, pa, size, c.KernelMode(), e.cached)
 	}
-	if r := c.dcache.ram; r != nil {
-		off := pa & (PageSize - 1)
+	if r := e.ram; r != nil {
+		b := r[pa&(PageSize-1):]
 		switch size {
 		case 1:
-			return uint64(r[off]), true
+			return uint64(b[0]), true
 		case 2:
-			return uint64(r[off])<<8 | uint64(r[off+1]), true
+			return uint64(binary.BigEndian.Uint16(b)), true
 		case 4:
-			return uint64(r[off])<<24 | uint64(r[off+1])<<16 | uint64(r[off+2])<<8 | uint64(r[off+3]), true
-		default:
-			hi := uint64(r[off])<<24 | uint64(r[off+1])<<16 | uint64(r[off+2])<<8 | uint64(r[off+3])
-			lo := uint64(r[off+4])<<24 | uint64(r[off+5])<<16 | uint64(r[off+6])<<8 | uint64(r[off+7])
-			return hi<<32 | lo, true
+			return uint64(binary.BigEndian.Uint32(b)), true
 		}
+		return binary.BigEndian.Uint64(b), true
 	}
 	c.pdExit = true // device read: register state may change
 	c.devAccess(pa, 0)
@@ -129,14 +117,13 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 		c.addressError(va, true)
 		return false
 	}
-	if va&EntryHiVPN != c.wcache.vpage {
-		if !c.refill(&c.wcache, va, true, false) {
-			return false
-		}
+	e := c.softTLB(va, tlbStore)
+	if e == nil {
+		return false
 	}
-	pa := c.wcache.ppage | va&(PageSize-1)
+	pa := e.ppage | va&(PageSize-1)
 	if c.obsAny {
-		c.Obs.Store(va, pa, size, c.KernelMode(), c.wcache.cached)
+		c.Obs.Store(va, pa, size, c.KernelMode(), e.cached)
 	}
 	// Stores into a frame a resident superblock draws from drop the
 	// stale chains (self-modifying code, the kernel's exec-time text
@@ -146,23 +133,17 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 	if fn := pa >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 		c.dropFrame(fn)
 	}
-	if r := c.wcache.ram; r != nil {
-		off := pa & (PageSize - 1)
+	if r := e.ram; r != nil {
+		b := r[pa&(PageSize-1):]
 		switch size {
 		case 1:
-			r[off] = byte(v)
+			b[0] = byte(v)
 		case 2:
-			r[off] = byte(v >> 8)
-			r[off+1] = byte(v)
+			binary.BigEndian.PutUint16(b, uint16(v))
 		case 4:
-			r[off] = byte(v >> 24)
-			r[off+1] = byte(v >> 16)
-			r[off+2] = byte(v >> 8)
-			r[off+3] = byte(v)
+			binary.BigEndian.PutUint32(b, uint32(v))
 		default:
-			for k := 0; k < 8; k++ {
-				r[off+uint32(k)] = byte(v >> (56 - 8*k))
-			}
+			binary.BigEndian.PutUint64(b, v)
 		}
 		return true
 	}
@@ -558,8 +539,12 @@ func (c *CPU) execCOP0(w uint32, rs, rt int) bool {
 		case isa.C0Context:
 			c.CP0.Context = v
 		case isa.C0EntryHi:
+			// Translation reads only EntryHi's ASID; the VPN field is
+			// TLBP/TLBWR operand staging.
+			if (v^c.CP0.EntryHi)&ASIDMask != 0 {
+				c.invalidateCaches()
+			}
 			c.CP0.EntryHi = v
-			c.invalidateCaches()
 		case isa.C0Status:
 			c.CP0.Status = v
 		case isa.C0Cause:
@@ -585,6 +570,9 @@ func (c *CPU) execCOP0(w uint32, rs, rt int) bool {
 			}
 		case isa.C0FnTLBR:
 			e := c.TLB[c.CP0.Index&(NTLB-1)]
+			if (e.Hi^c.CP0.EntryHi)&ASIDMask != 0 {
+				c.invalidateCaches() // TLBR loads the entry's ASID too
+			}
 			c.CP0.EntryHi = e.Hi
 			c.CP0.EntryLo = e.Lo
 		case isa.C0FnRFE:

@@ -64,6 +64,15 @@ func (c *CPU) RegisterMetrics(r *telemetry.Registry, labels ...telemetry.Label) 
 			func() uint64 { return *n },
 			append([]telemetry.Label{telemetry.L("reason", e.reason)}, labels...)...)
 	}
+	for kind, kn := range [nTLBKinds]string{"load", "store", "fetch"} {
+		for cause, cn := range [nRefillCauses]string{"cold", "conflict", "generation"} {
+			n := &c.refills[kind][cause]
+			r.Sample("cpu_soft_tlb_refills_total",
+				"soft-TLB refills through translate, split by access kind and by what the set held (never-filled, another page, this page from an older generation)",
+				func() uint64 { return *n },
+				append([]telemetry.Label{telemetry.L("kind", kn), telemetry.L("cause", cn)}, labels...)...)
+		}
+	}
 	c.sb.chainHist = r.Histogram("cpu_superblock_chain_instructions",
 		"chain length at superblock build time, in instructions", labels...)
 }

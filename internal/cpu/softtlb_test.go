@@ -1,0 +1,145 @@
+package cpu
+
+import (
+	"math/rand"
+	"testing"
+
+	"systrace/internal/isa"
+)
+
+// fuzzBus is fuzzFrames frames of RAM with device space above them:
+// RAMPage is nil past the end, and device accesses succeed.
+type fuzzBus struct{ ram []byte }
+
+const fuzzFrames = 16
+
+func (b *fuzzBus) Read(p uint32, size int) (uint32, bool)  { return 0, true }
+func (b *fuzzBus) Write(p uint32, size int, v uint32) bool { return true }
+func (b *fuzzBus) FetchWord(p uint32) (uint32, bool)       { return 0, true }
+func (b *fuzzBus) RAMPage(p uint32) []byte {
+	if base := p &^ (PageSize - 1); int(base) < len(b.ram) {
+		return b.ram[base : base+PageSize]
+	}
+	return nil
+}
+
+// fuzzVPNs are the pages the soft-TLB oracle maps and touches: kuseg
+// pages whose sets collide (0x00001 and 0x00100) or sit 1 MB apart,
+// kseg0 pages in RAM and in device space, a kseg1 page, and kseg2
+// pages.
+var fuzzVPNs = [...]uint32{0x00001, 0x00100, 0x00101, 0x7ffff, 0x80003, 0x80020, 0xa0003, 0xc0001, 0xc0100}
+
+// FuzzSoftTLB is the translation oracle: random TLB contents and a
+// random sequence of accesses (load, store or fetch, user or kernel
+// mode, every segment) mixed with TLBWR, TLBWI, TLBR, MTC0 EntryHi
+// (with and without an ASID switch), MTC0 Status and RFE. Every access
+// through the soft-TLB must agree with a bare translate on a twin CPU
+// that has no translation cache: the same physical address, cache
+// attribute, host frame, and exception state.
+func FuzzSoftTLB(f *testing.F) {
+	// A kernel load of a kseg0 page, then the same load in user mode.
+	f.Add([]byte{0x00, 0x04, 0x20, 0x04}, int64(1))
+	// A load then a store to one kuseg page, then a same-ASID and an
+	// ASID-switching EntryHi write, each followed by the load again.
+	f.Add([]byte{0x00, 0x00, 0x08, 0x00, 0x06, 0x00, 0x00, 0x00, 0x06, 0x31, 0x00, 0x00}, int64(2))
+	// A TLBR that loads another entry's ASID into EntryHi, then a load
+	// whose translation depends on the ASID (found by fuzzing).
+	f.Add([]byte("01$0870072870"), int64(16))
+	for s := int64(3); s <= 6; s++ {
+		b := make([]byte, 256)
+		rand.New(rand.NewSource(s)).Read(b)
+		f.Add(b, s)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		r := rand.New(rand.NewSource(seed))
+		randHi := func() uint32 { return fuzzVPNs[r.Intn(len(fuzzVPNs))]<<PageShift | uint32(r.Intn(3))<<ASIDShift }
+		randLo := func() uint32 {
+			lo := uint32(r.Intn(fuzzFrames+4)) << PageShift // a few frames past RAM
+			for _, bit := range []uint32{EloN, EloD, EloG} {
+				if r.Intn(3) == 0 {
+					lo |= bit
+				}
+			}
+			if r.Intn(8) != 0 {
+				lo |= EloV
+			}
+			return lo
+		}
+		bus := &fuzzBus{ram: make([]byte, fuzzFrames*PageSize)}
+		c, ref := New(bus, 0), New(bus, 0)
+		for i := range c.TLB {
+			c.TLB[i] = TLBEntry{Hi: randHi(), Lo: randLo()}
+		}
+		ref.TLB = c.TLB
+		both := func(w isa.Word) {
+			c.exec(uint32(w))
+			ref.exec(uint32(w))
+		}
+		mtc0 := func(reg int, v uint32) {
+			c.GPR[isa.RegK0], ref.GPR[isa.RegK0] = v, v
+			both(isa.MTC0(isa.RegK0, reg))
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], ops[i+1]
+			switch op & 7 {
+			case 0, 1, 2, 3:
+				kind := int(op>>3&3) % nTLBKinds
+				st := c.CP0.Status&^StKUc | uint32(op>>5&1)*StKUc
+				c.CP0.Status, ref.CP0.Status = st, st
+				va := fuzzVPNs[int(arg)%len(fuzzVPNs)]<<PageShift | uint32(r.Intn(PageSize))
+				e := c.softTLB(va, kind)
+				pa, cached, ok := ref.translate(va, kind == tlbStore, kind == tlbFetch)
+				if (e != nil) != ok {
+					t.Fatalf("op %d: kind %d va 0x%08x status 0x%x: soft-TLB ok=%v, translate ok=%v", i/2, kind, va, st, e != nil, ok)
+				}
+				if ok {
+					if got := e.ppage | va&(PageSize-1); got != pa || e.cached != cached {
+						t.Fatalf("op %d: kind %d va 0x%08x: soft-TLB pa 0x%08x cached %v, translate pa 0x%08x cached %v",
+							i/2, kind, va, got, e.cached, pa, cached)
+					}
+					want := bus.RAMPage(pa)
+					if !cached {
+						want = nil
+					}
+					if (e.ram == nil) != (want == nil) || e.ram != nil && &e.ram[0] != &want[0] {
+						t.Fatalf("op %d: kind %d va 0x%08x: soft-TLB host frame differs from pa 0x%08x's", i/2, kind, va, pa)
+					}
+				}
+			case 4:
+				mtc0(isa.C0EntryHi, randHi())
+				mtc0(isa.C0EntryLo, randLo())
+				rnd := TLBWired + uint32(arg)%(NTLB-TLBWired)
+				c.CP0.Random, ref.CP0.Random = rnd, rnd
+				both(isa.TLBWR())
+			case 5:
+				mtc0(isa.C0EntryHi, randHi())
+				mtc0(isa.C0EntryLo, randLo())
+				mtc0(isa.C0Index, uint32(arg))
+				both(isa.TLBWI())
+			case 6:
+				// Keep or switch the ASID, with a fresh VPN either way.
+				hi := fuzzVPNs[int(arg)%len(fuzzVPNs)]<<PageShift | c.CP0.EntryHi&ASIDMask
+				if arg&0x10 != 0 {
+					hi = hi&^ASIDMask | uint32(arg>>5%3)<<ASIDShift
+				}
+				mtc0(isa.C0EntryHi, hi)
+			default:
+				switch arg % 3 {
+				case 0:
+					both(isa.RFE())
+				case 1:
+					mtc0(isa.C0Status, uint32(arg>>2)&(StKUc|StKUp|StKUo))
+				default:
+					mtc0(isa.C0Index, uint32(arg>>2))
+					both(isa.TLBR())
+				}
+			}
+			if c.CP0 != ref.CP0 || c.TLB != ref.TLB {
+				t.Fatalf("op %d (%#02x %#02x): CP0 or TLB diverge:\nsoft-TLB  %+v\ntranslate %+v", i/2, op, arg, c.CP0, ref.CP0)
+			}
+		}
+	})
+}

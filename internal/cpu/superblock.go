@@ -690,13 +690,11 @@ dispatch:
 			g[0] = 0
 		case pdLW:
 			va := g[st.rs] + st.imm
-			if va&EntryHiVPN == c.dcache.vpage && va&3 == 0 && c.dcache.ram != nil {
+			if e := &c.stlb[tlbLoad][tlbSet(va)]; c.tlbHit(e, va) && e.ram != nil && va&3 == 0 {
 				if c.obsAny {
-					c.Obs.Load(va, c.dcache.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
+					c.Obs.Load(va, e.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
 				}
-				r := c.dcache.ram
-				off := va & (PageSize - 1)
-				g[st.rt] = uint32(r[off])<<24 | uint32(r[off+1])<<16 | uint32(r[off+2])<<8 | uint32(r[off+3])
+				g[st.rt] = binary.BigEndian.Uint32(e.ram[va&(PageSize-1):])
 				g[0] = 0
 			} else {
 				c.PC = st.pc
@@ -718,20 +716,14 @@ dispatch:
 			}
 		case pdSW:
 			va := g[st.rs] + st.imm
-			if va&EntryHiVPN == c.wcache.vpage && va&3 == 0 && c.wcache.ram != nil {
+			if e := &c.stlb[tlbStore][tlbSet(va)]; c.tlbHit(e, va) && e.ram != nil && va&3 == 0 {
 				if c.obsAny {
-					c.Obs.Store(va, c.wcache.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
+					c.Obs.Store(va, e.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
 				}
-				if fn := c.wcache.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
+				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
 				}
-				r := c.wcache.ram
-				off := va & (PageSize - 1)
-				v := g[st.rt]
-				r[off] = byte(v >> 24)
-				r[off+1] = byte(v >> 16)
-				r[off+2] = byte(v >> 8)
-				r[off+3] = byte(v)
+				binary.BigEndian.PutUint32(e.ram[va&(PageSize-1):], g[st.rt])
 			} else {
 				c.PC = st.pc
 				if st.flags&sbSlot != 0 {
@@ -900,11 +892,11 @@ dispatch:
 			g[0] = 0
 		case pdLB:
 			va := g[st.rs] + st.imm
-			if va&EntryHiVPN == c.dcache.vpage && c.dcache.ram != nil {
+			if e := &c.stlb[tlbLoad][tlbSet(va)]; c.tlbHit(e, va) && e.ram != nil {
 				if c.obsAny {
-					c.Obs.Load(va, c.dcache.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
+					c.Obs.Load(va, e.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
 				}
-				g[st.rt] = uint32(int32(int8(c.dcache.ram[va&(PageSize-1)])))
+				g[st.rt] = uint32(int32(int8(e.ram[va&(PageSize-1)])))
 				g[0] = 0
 			} else {
 				c.PC = st.pc
@@ -926,11 +918,11 @@ dispatch:
 			}
 		case pdLBU:
 			va := g[st.rs] + st.imm
-			if va&EntryHiVPN == c.dcache.vpage && c.dcache.ram != nil {
+			if e := &c.stlb[tlbLoad][tlbSet(va)]; c.tlbHit(e, va) && e.ram != nil {
 				if c.obsAny {
-					c.Obs.Load(va, c.dcache.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
+					c.Obs.Load(va, e.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
 				}
-				g[st.rt] = uint32(c.dcache.ram[va&(PageSize-1)])
+				g[st.rt] = uint32(e.ram[va&(PageSize-1)])
 				g[0] = 0
 			} else {
 				c.PC = st.pc
@@ -952,14 +944,14 @@ dispatch:
 			}
 		case pdSB:
 			va := g[st.rs] + st.imm
-			if va&EntryHiVPN == c.wcache.vpage && c.wcache.ram != nil {
+			if e := &c.stlb[tlbStore][tlbSet(va)]; c.tlbHit(e, va) && e.ram != nil {
 				if c.obsAny {
-					c.Obs.Store(va, c.wcache.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
+					c.Obs.Store(va, e.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
 				}
-				if fn := c.wcache.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
+				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
 				}
-				c.wcache.ram[va&(PageSize-1)] = byte(g[st.rt])
+				e.ram[va&(PageSize-1)] = byte(g[st.rt])
 			} else {
 				c.PC = st.pc
 				if st.flags&sbSlot != 0 {

@@ -57,6 +57,7 @@ go test -run='^$' -fuzz='^FuzzParseSink$' -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz=FuzzStreamCodec -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz=FuzzConformance -fuzztime=10s ./internal/tracecheck/
 go test -run='^$' -fuzz=FuzzExecEquivalence -fuzztime=10s ./internal/cpu/
+go test -run='^$' -fuzz='^FuzzSoftTLB$' -fuzztime=10s ./internal/cpu/
 go test -run='^$' -fuzz='^FuzzTimingFetchRun$' -fuzztime=10s ./internal/memsys/
 go test -run='^$' -fuzz=FuzzLiveness -fuzztime=10s ./internal/dataflow/
 go test -run='^$' -fuzz=FuzzAbsInt -fuzztime=10s ./internal/dataflow/
