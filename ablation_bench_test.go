@@ -79,15 +79,11 @@ func BenchmarkAblationRecordFormat(b *testing.B) {
 		words := sim.TraceWords(mach)
 		p := trace.NewParser(nil)
 		p.AddProcess(0, trace.NewSideTable(bb.Instr.Instr.Blocks))
-		p.CountBlocks()
 		events, err := p.Parse(words, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var blocks uint64
-		for _, n := range p.BlockCounts() {
-			blocks += n
-		}
+		blocks := p.Records
 		addrOnly := float64(len(words))
 		tunix := float64(uint64(len(words)) + blocks) // + one length word per record
 		b.ReportMetric(addrOnly*4/float64(len(events)), "addronly-B/ref")

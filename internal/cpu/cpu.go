@@ -254,9 +254,10 @@ type CPU struct {
 	delayTarget uint32
 	irqLines    uint32
 
-	// stlb is the soft-TLB (see softTLB). Bumping tcGen expires every
-	// entry in O(1): the UTLB refill handler invalidates on every
-	// TLBWR, so a sweep would be on the guest's hottest exception path.
+	// stlb is the soft-TLB (see tlbHit and refill). Bumping tcGen
+	// expires every entry in O(1): the UTLB refill handler invalidates
+	// on every TLBWR, so a sweep would be on the guest's hottest
+	// exception path.
 	stlb    [nTLBKinds][softTLBSets]tlbCache
 	tcGen   uint64
 	refills [nTLBKinds][nRefillCauses]uint64

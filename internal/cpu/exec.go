@@ -15,14 +15,11 @@ func (c *CPU) tlbHit(e *tlbCache, va uint32) bool {
 	return e.vpage == va&EntryHiVPN && e.gen == c.tcGen && (va < KUSegEnd || c.KernelMode())
 }
 
-// softTLB returns the soft-TLB entry translating va for an access of
-// the given kind, refilling it from translate on a miss (counted by
-// what the set held); nil means translate raised an exception.
-func (c *CPU) softTLB(va uint32, kind int) *tlbCache {
-	e := &c.stlb[kind][tlbSet(va)]
-	if c.tlbHit(e, va) {
-		return e
-	}
+// refill fills soft-TLB entry e, the set of va in kind's table, from
+// translate, counting the refill by what the set held; nil means
+// translate raised an exception. Callers test tlbHit first, inline:
+// refill does not fit the inlining budget, and a hit must cost no call.
+func (c *CPU) refill(e *tlbCache, va uint32, kind int) *tlbCache {
 	pa, cached, ok := c.translate(va, kind == tlbStore, kind == tlbFetch)
 	if !ok {
 		return nil
@@ -49,9 +46,11 @@ func (c *CPU) fetchWord(va uint32) (uint32, bool) {
 		c.addressError(va, false)
 		return 0, false
 	}
-	e := c.softTLB(va, tlbFetch)
-	if e == nil {
-		return 0, false
+	e := &c.stlb[tlbFetch][tlbSet(va)]
+	if !c.tlbHit(e, va) {
+		if e = c.refill(e, va, tlbFetch); e == nil {
+			return 0, false
+		}
 	}
 	pa := e.ppage | va&(PageSize-1)
 	if c.obsAny {
@@ -73,9 +72,11 @@ func (c *CPU) load(va uint32, size int) (uint64, bool) {
 		c.addressError(va, false)
 		return 0, false
 	}
-	e := c.softTLB(va, tlbLoad)
-	if e == nil {
-		return 0, false
+	e := &c.stlb[tlbLoad][tlbSet(va)]
+	if !c.tlbHit(e, va) {
+		if e = c.refill(e, va, tlbLoad); e == nil {
+			return 0, false
+		}
 	}
 	pa := e.ppage | va&(PageSize-1)
 	if c.obsAny {
@@ -117,9 +118,11 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 		c.addressError(va, true)
 		return false
 	}
-	e := c.softTLB(va, tlbStore)
-	if e == nil {
-		return false
+	e := &c.stlb[tlbStore][tlbSet(va)]
+	if !c.tlbHit(e, va) {
+		if e = c.refill(e, va, tlbStore); e == nil {
+			return false
+		}
 	}
 	pa := e.ppage | va&(PageSize-1)
 	if c.obsAny {

@@ -33,9 +33,12 @@ var fuzzVPNs = [...]uint32{0x00001, 0x00100, 0x00101, 0x7ffff, 0x80003, 0x80020,
 // random sequence of accesses (load, store or fetch, user or kernel
 // mode, every segment) mixed with TLBWR, TLBWI, TLBR, MTC0 EntryHi
 // (with and without an ASID switch), MTC0 Status and RFE. Every access
-// through the soft-TLB must agree with a bare translate on a twin CPU
-// that has no translation cache: the same physical address, cache
-// attribute, host frame, and exception state.
+// goes through the production path (fetchWord, or a byte load or store)
+// and must agree with a bare translate on a twin CPU that has no
+// translation cache: the same success and exception state, and the
+// entry in the access kind's table then holds translate's physical
+// page, cache attribute and host frame. A miss that succeeds counts one
+// refill of that kind; a hit counts none.
 func FuzzSoftTLB(f *testing.F) {
 	// A kernel load of a kseg0 page, then the same load in user mode.
 	f.Add([]byte{0x00, 0x04, 0x20, 0x04}, int64(1))
@@ -90,15 +93,44 @@ func FuzzSoftTLB(f *testing.F) {
 				st := c.CP0.Status&^StKUc | uint32(op>>5&1)*StKUc
 				c.CP0.Status, ref.CP0.Status = st, st
 				va := fuzzVPNs[int(arg)%len(fuzzVPNs)]<<PageShift | uint32(r.Intn(PageSize))
-				e := c.softTLB(va, kind)
+				if kind == tlbFetch {
+					va &^= 3
+				}
+				e := &c.stlb[kind][tlbSet(va)]
+				miss := !c.tlbHit(e, va)
+				before := c.refills
+				var got bool
+				switch kind {
+				case tlbLoad:
+					_, got = c.load(va, 1)
+				case tlbStore:
+					got = c.store(va, 1, uint64(arg))
+				default:
+					_, got = c.fetchWord(va)
+				}
 				pa, cached, ok := ref.translate(va, kind == tlbStore, kind == tlbFetch)
-				if (e != nil) != ok {
-					t.Fatalf("op %d: kind %d va 0x%08x status 0x%x: soft-TLB ok=%v, translate ok=%v", i/2, kind, va, st, e != nil, ok)
+				if got != ok {
+					t.Fatalf("op %d: kind %d va 0x%08x status 0x%x: access ok=%v, translate ok=%v", i/2, kind, va, st, got, ok)
+				}
+				for k := range c.refills {
+					n, want := uint64(0), uint64(0)
+					for cause := range c.refills[k] {
+						n += c.refills[k][cause] - before[k][cause]
+					}
+					if k == kind && miss && ok {
+						want = 1
+					}
+					if n != want {
+						t.Fatalf("op %d: kind %d va 0x%08x (miss %v, ok %v): %d kind-%d refills, want %d", i/2, kind, va, miss, ok, n, k, want)
+					}
 				}
 				if ok {
-					if got := e.ppage | va&(PageSize-1); got != pa || e.cached != cached {
+					if !c.tlbHit(e, va) {
+						t.Fatalf("op %d: kind %d va 0x%08x: the kind's soft-TLB entry does not translate va after the access", i/2, kind, va)
+					}
+					if spa := e.ppage | va&(PageSize-1); spa != pa || e.cached != cached {
 						t.Fatalf("op %d: kind %d va 0x%08x: soft-TLB pa 0x%08x cached %v, translate pa 0x%08x cached %v",
-							i/2, kind, va, got, e.cached, pa, cached)
+							i/2, kind, va, spa, e.cached, pa, cached)
 					}
 					want := bus.RAMPage(pa)
 					if !cached {

@@ -393,23 +393,23 @@ type Predicted struct {
 	// stream the parser consumed. Diagnostics are reported, not fatal:
 	// the prediction is still computed from whatever parsed.
 	Conformance *tracecheck.Result
-	// BlockCost maps each recorded block's original address to its
-	// static per-entry trace cost in words (1 + |Mem|), from the same
-	// side tables the parser decodes with. With Parser.BlockCounts it
-	// validates the static cost model's table against the stream.
-	BlockCost map[uint32]uint32
 }
 
 // StaticWords applies the static per-block cost table to the observed
-// per-block entry counts: Σ counts(b)·(1+|Mem(b)|). This is the
-// dataflow cost model's prediction of the stream size given only the
-// execution mix; the residual against Parser.Words is stream overhead
-// the table does not model (epoch markers, resynchronization dirt,
-// blocks interrupted mid-record by exceptions).
+// per-block entry counts: Σ counts(b)·(1+|Mem(b)|), summed per image
+// (a block's cost is read from its own side table, so images that
+// share addresses, like Mach's UX server and its client, are priced
+// apart). This is the dataflow cost model's prediction of the stream
+// size given only the execution mix; the residual against Parser.Words
+// is stream overhead the table does not model (epoch markers,
+// resynchronization dirt, blocks interrupted mid-record by
+// exceptions).
 func (p *Predicted) StaticWords() uint64 {
 	var sum uint64
-	for addr, n := range p.Parser.BlockCounts() {
-		sum += n * uint64(p.BlockCost[addr])
+	for _, tc := range p.Parser.BlockCounts() {
+		for id, n := range tc.Counts {
+			sum += n * uint64(1+len(tc.Table.Block(id).Mem))
+		}
 	}
 	return sum
 }
@@ -458,18 +458,9 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 	// Per-block entry counts feed the static cost model's validation
 	// (predicted words per entry × observed entries vs. words seen).
 	p.CountBlocks()
-	costWords := map[uint32]uint32{}
-	for bi := range sys.Kernel.Instr.Blocks {
-		b := &sys.Kernel.Instr.Blocks[bi]
-		costWords[b.OrigAddr] = uint32(1 + len(b.Mem))
-	}
 	for i, bp := range sys.Procs {
 		if bp.Exe.Instr != nil {
 			p.AddProcess(i+1, trace.NewSideTable(bp.Exe.Instr.Blocks))
-			for bi := range bp.Exe.Instr.Blocks {
-				b := &bp.Exe.Instr.Blocks[bi]
-				costWords[b.OrigAddr] = uint32(1 + len(b.Mem))
-			}
 		}
 	}
 	policy := memsys.PolicySequential
@@ -491,19 +482,55 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 		return nil, err
 	}
 
+	// Each drain's (or epoch's) analysis runs under a trace_analysis
+	// span nested in the kernel host's trace_drain (or the streaming
+	// consumer's stream_consume), split into its layers: the wire
+	// decode of a compressed epoch, the conformance check, and the
+	// parse feeding the memory-system simulation.
 	var perr, cerr error
-	compressed := c.checkEpochs(sys, chk, &cerr)
-	sys.OnTrace = func(words []uint32) {
-		// Nests under the kernel host's trace_drain span (or the
-		// streaming consumer's epoch span): the memory-system analysis
-		// share of each drain is visible per epoch.
-		asp := obs.Begin("trace_analysis")
-		defer asp.End()
-		if !compressed {
-			chk.Check(words)
-		}
+	analyze := func(words []uint32) {
+		sp := obs.Begin("tracecheck")
+		chk.Check(words)
+		sp.End()
 		if perr == nil {
+			sp := obs.Begin("parse_simulate")
 			perr = p.ParseTo(words, sim)
+			sp.End()
+		}
+	}
+	if c.Stream.Enabled() && c.Stream.Compress {
+		// Decode each epoch once, from the wire bytes, for both the
+		// checker and the parser: the encoder, the epoch handoff and
+		// the decoder all stay under the conformance gate.
+		dec := trace.NewDecoder()
+		var words []uint32
+		sys.OnEpoch = func(enc []byte) {
+			asp := obs.Begin("trace_analysis")
+			defer asp.End()
+			if cerr != nil {
+				return
+			}
+			sp := obs.Begin("stream_decode")
+			words, cerr = dec.Decode(enc, words[:0])
+			sp.End()
+			if cerr != nil {
+				// With no telemetry attached the consumer leaves the
+				// decode to this hook, so the failure is counted and
+				// recorded here, once, as the consumer would.
+				if reg == nil {
+					sys.StreamStats.DecodeErrors++
+					obs.Failure("trace_stream_decode",
+						fmt.Sprintf("epoch of %d encoded bytes: %v", len(enc), cerr))
+				}
+				return
+			}
+			analyze(words)
+		}
+	} else {
+		sys.OnTrace = func(words []uint32) {
+			asp := obs.Begin("trace_analysis")
+			defer asp.End()
+			analyze(words)
 		}
 	}
 	if err := sys.Run(runBudget); err != nil {
@@ -550,7 +577,6 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 		Sim:            sim,
 		Parser:         p,
 		Conformance:    conf,
-		BlockCost:      costWords,
 	}, nil
 }
 

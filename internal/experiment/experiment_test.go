@@ -310,3 +310,76 @@ func TestFormatTableAlignment(t *testing.T) {
 		}
 	}
 }
+
+// TestStaticWordsPerImage prices every image's block counts with that
+// image's own blocks. On Mach the UX server and the client share user
+// addresses, and blocks at one original address cost different words
+// in the two images, so a table merged by original address misprices
+// them. The reference sum here matches each count table to its
+// executable and looks costs up by original address within it; on
+// Ultrix there is one user image and the merged sum must agree.
+func TestStaticWordsPerImage(t *testing.T) {
+	spec := specsFor(t, "sed")[0]
+	for _, fl := range []kernel.Flavor{kernel.Mach, kernel.Ultrix} {
+		p, err := experiment.Predict(spec, fl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, _, err := experiment.Boot(spec, fl, true, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images := []*obj.Executable{sys.Kernel}
+		for _, bp := range sys.Procs {
+			if bp.Exe.Instr != nil {
+				images = append(images, bp.Exe)
+			}
+		}
+		tcs := p.Parser.BlockCounts()
+		if len(tcs) != len(images) {
+			t.Fatalf("%v: %d count tables for %d traced images", fl, len(tcs), len(images))
+		}
+		var perImage, merged, records uint64
+		mergedCounts := map[uint32]uint64{}
+		mergedCost := map[uint32]uint64{}
+		collide := 0
+		for i, tc := range tcs {
+			e := images[i]
+			if len(tc.Counts) != len(e.Instr.Blocks) || tc.Table.Lookup(e.Instr.Blocks[0].RecordAddr) == nil {
+				t.Fatalf("%v: count table %d is not image %s's", fl, i, e.Name)
+			}
+			cost := map[uint32]uint64{}
+			for _, b := range e.Instr.Blocks {
+				cost[b.OrigAddr] = uint64(1 + len(b.Mem))
+				if c, ok := mergedCost[b.OrigAddr]; ok && c != cost[b.OrigAddr] {
+					collide++
+				}
+				mergedCost[b.OrigAddr] = cost[b.OrigAddr]
+			}
+			for id, n := range tc.Counts {
+				orig := tc.Table.Block(id).OrigAddr
+				perImage += n * cost[orig]
+				mergedCounts[orig] += n
+				records += n
+			}
+		}
+		for orig, n := range mergedCounts {
+			merged += n * mergedCost[orig]
+		}
+		if records != p.Parser.Records {
+			t.Errorf("%v: count tables hold %d entries, parser resolved %d records", fl, records, p.Parser.Records)
+		}
+		if got := p.StaticWords(); got != perImage {
+			t.Errorf("%v: StaticWords %d, per-image sum %d", fl, got, perImage)
+		}
+		switch {
+		case fl == kernel.Mach && (collide == 0 || merged == perImage):
+			t.Errorf("Mach: %d differently priced shared addresses, merged sum %d = per-image %d; the case this test guards is gone",
+				collide, merged, perImage)
+		case fl == kernel.Ultrix && merged != perImage:
+			t.Errorf("Ultrix: merged sum %d != per-image %d with one user image", merged, perImage)
+		}
+		t.Logf("%v sed: StaticWords %d (merged by original address %d), %d words parsed, %d differently priced shared addresses",
+			fl, perImage, merged, p.Parser.Words, collide)
+	}
+}

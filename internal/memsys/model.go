@@ -206,7 +206,12 @@ func (r *rng) next() uint32 {
 // of Table 3's prediction error.
 type TLBSim struct {
 	entries [cpu.NTLB]uint64 // (asid<<32 | vpn), ^0 = invalid
-	r       *rng
+	// last indexes the entry the latest access hit or refilled; Access
+	// probes it before the scan. It depends only on the sequence of
+	// pages accessed, so a run of accesses to one page leaves the same
+	// state however many times it is repeated.
+	last int
+	r    *rng
 
 	Accesses uint64
 	Misses   uint64
@@ -227,14 +232,19 @@ func NewTLBSim(seed uint32) *TLBSim {
 func (t *TLBSim) Access(asid uint32, va uint32) bool {
 	t.Accesses++
 	key := uint64(asid)<<32 | uint64(va>>cpu.PageShift)
+	if t.entries[t.last] == key {
+		return true
+	}
 	for i := range t.entries {
 		if t.entries[i] == key {
+			t.last = i
 			return true
 		}
 	}
 	t.Misses++
 	idx := cpu.TLBWired + int(t.r.next()%(cpu.NTLB-cpu.TLBWired))
 	t.entries[idx] = key
+	t.last = idx
 	return false
 }
 
@@ -270,8 +280,33 @@ type PageMap struct {
 	colors uint32
 	r      *rng
 	next   uint32
-	m      map[uint64]uint32
+	// m holds every assignment. The random and coloring policies
+	// draw a frame on first touch, so m is the source of truth; front
+	// is a direct-mapped copy of recently used entries in front of it.
+	// A frame never moves once assigned, so front needs no
+	// invalidation.
+	m     map[uint64]uint32
+	front [pageFrontSets]pageFront
 }
+
+// pageFront is one PageMap front-cache entry.
+type pageFront struct {
+	key   uint64 // asid<<32 | vpage
+	frame uint32
+	ok    bool
+}
+
+// pageFrontBits sizes PageMap's front cache.
+const (
+	pageFrontBits = 9
+	pageFrontSets = 1 << pageFrontBits
+)
+
+// pageFrontSet is the front-cache set of an asid<<32|vpage key: the top
+// bits of a Fibonacci hash, which mixes the ASID into the index so the
+// same page of different address spaces (Mach's server and client
+// share text addresses) rarely shares a set.
+func pageFrontSet(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> (64 - pageFrontBits) }
 
 // NewPageMap builds a map over nframe frames; colors is the number of
 // page colors in the cache (cacheSize/pageSize) for PolicyColoring.
@@ -289,9 +324,21 @@ func NewPageMap(policy PagePolicy, nframe, colors uint32, seed uint32) *PageMap 
 // first touch.
 func (p *PageMap) Frame(asid uint32, vpage uint32) uint32 {
 	key := uint64(asid)<<32 | uint64(vpage)
-	if f, ok := p.m[key]; ok {
-		return f
+	e := &p.front[pageFrontSet(key)]
+	if e.ok && e.key == key {
+		return e.frame
 	}
+	f, ok := p.m[key]
+	if !ok {
+		f = p.assign(vpage)
+		p.m[key] = f
+	}
+	*e = pageFront{key: key, frame: f, ok: true}
+	return f
+}
+
+// assign draws the frame for a first-touched vpage under the policy.
+func (p *PageMap) assign(vpage uint32) uint32 {
 	var f uint32
 	switch p.policy {
 	case PolicySequential:
@@ -304,6 +351,5 @@ func (p *PageMap) Frame(asid uint32, vpage uint32) uint32 {
 		f = (p.r.next()%(p.nframe/p.colors))*p.colors + want
 		f %= p.nframe
 	}
-	p.m[key] = f
 	return f
 }

@@ -76,6 +76,73 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// FuzzSideTable holds the dense side table to a map from record
+// address to block over random block sets: up to 64 blocks at
+// word-aligned records in a 4 KB window based anywhere in the 32-bit
+// space short of wrapping (the probe window itself can wrap, at both
+// ends), duplicates included (the later block wins, as in a map built
+// in order). Every byte address in [lo−8, hi+8] is probed, misaligned
+// ones included; an empty table probes around 0.
+func FuzzSideTable(f *testing.F) {
+	f.Add(uint32(0x00400000), []byte{0, 1, 2, 3})
+	f.Add(uint32(0x80000100), []byte{7, 7, 0, 255})
+	f.Add(uint32(0xfffff000), []byte{255, 254, 3})
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(4), []byte{0, 0})
+	f.Fuzz(func(t *testing.T, base uint32, offs []byte) {
+		if len(offs) > 64 {
+			offs = offs[:64]
+		}
+		base = min(base, ^uint32(0)-4096) &^ 3
+		blocks := make([]obj.InstrBlock, len(offs))
+		ref := map[uint32]int{}
+		for i, o := range offs {
+			rec := base + uint32(o)*16 + uint32(i%4)*4
+			blocks[i] = obj.InstrBlock{RecordAddr: rec, OrigAddr: uint32(i), NInstr: int32(1 + i%5)}
+			ref[rec] = i
+		}
+		table := trace.NewSideTable(blocks)
+		lo, hi := table.Range()
+		if len(blocks) == 0 {
+			if lo != 0 || hi != 0 {
+				t.Fatalf("empty table Range() = [%#x, %#x], want [0, 0]", lo, hi)
+			}
+		} else {
+			wantLo, wantHi := ^uint32(0), uint32(0)
+			for rec := range ref {
+				wantLo, wantHi = min(wantLo, rec), max(wantHi, rec)
+			}
+			if lo != wantLo || hi != wantHi {
+				t.Fatalf("Range() = [%#x, %#x], want [%#x, %#x]", lo, hi, wantLo, wantHi)
+			}
+		}
+		for d := uint32(0); d <= hi-lo+16; d++ {
+			w := lo - 8 + d
+			want, ok := ref[w]
+			b := table.Lookup(w)
+			id, idOK := table.ID(w)
+			switch {
+			case !ok && (b != nil || idOK):
+				t.Fatalf("word %#x: Lookup %+v, ID (%d, %v); no block records there", w, b, id, idOK)
+			case ok && (b != &blocks[want] || !idOK || id != want || table.Block(id) != b):
+				t.Fatalf("word %#x: Lookup %p, ID (%d, %v); want block %d at %p", w, b, id, idOK, want, &blocks[want])
+			}
+		}
+		if got := table.Blocks(); len(got) != len(ref) {
+			t.Fatalf("Blocks() has %d entries, want %d", len(got), len(ref))
+		} else {
+			for i, b := range got {
+				if ref[b.RecordAddr] != int(b.OrigAddr) || i > 0 && got[i-1].OrigAddr > b.OrigAddr {
+					t.Fatalf("Blocks()[%d] = %+v: not the map's block, or out of order", i, b)
+				}
+			}
+		}
+		if table.Len() != len(blocks) {
+			t.Fatalf("Len() = %d, want %d", table.Len(), len(blocks))
+		}
+	})
+}
+
 // runSink records ParseTo's sink calls expanded to one event per
 // reference, checking each call's shape.
 type runSink struct {

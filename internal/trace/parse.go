@@ -48,8 +48,15 @@ type Event struct {
 // the basic block ("A lookup table is used in the trace parsing
 // library to find static information for a given basic block address",
 // §3.5).
+//
+// A block's ID is its index in the image's block list. Record
+// addresses are instruction addresses inside a few dense text ranges,
+// so the table is a direct index over the word-aligned records in
+// [lo, hi] rather than a hash map: one int32 per word of that range,
+// holding 1 + the ID of the block recorded there, or 0.
 type SideTable struct {
-	byAddr map[uint32]*obj.InstrBlock
+	blocks []obj.InstrBlock
+	idx    []int32 // idx[rec>>2 - lo>>2] = 1 + ID, 0 = no block
 	// text ranges for the redundancy check "that each basic block
 	// address is valid for the address space in question" (§4.3).
 	lo, hi uint32
@@ -64,39 +71,73 @@ type SideTable struct {
 func (t *SideTable) SetTextRange(lo, hi uint32) { t.textLo, t.textHi = lo, hi }
 
 // NewSideTable builds a lookup table from an instrumented image's side
-// information. An empty blocks slice yields a well-defined empty table
-// (range [0,0], every Lookup misses, Blocks returns nothing).
+// information; it keeps blocks, which must not change afterwards. An
+// empty blocks slice yields a well-defined empty table (range [0,0],
+// every Lookup misses, Blocks returns nothing). Where two blocks share
+// a record address the later one wins; a block whose record address is
+// not word-aligned (no instruction's is) is never found.
 func NewSideTable(blocks []obj.InstrBlock) *SideTable {
-	t := &SideTable{byAddr: make(map[uint32]*obj.InstrBlock, len(blocks))}
-	if len(blocks) > 0 {
-		t.lo = ^uint32(0)
+	t := &SideTable{blocks: blocks}
+	if len(blocks) == 0 {
+		return t
 	}
+	t.lo = ^uint32(0)
 	for i := range blocks {
-		b := &blocks[i]
-		t.byAddr[b.RecordAddr] = b
-		if b.RecordAddr < t.lo {
-			t.lo = b.RecordAddr
-		}
-		if b.RecordAddr > t.hi {
-			t.hi = b.RecordAddr
+		t.lo = min(t.lo, blocks[i].RecordAddr)
+		t.hi = max(t.hi, blocks[i].RecordAddr)
+	}
+	t.idx = make([]int32, t.hi>>2-t.lo>>2+1)
+	for i := range blocks {
+		if r := blocks[i].RecordAddr; r&3 == 0 {
+			t.idx[r>>2-t.lo>>2] = int32(i + 1)
 		}
 	}
 	return t
 }
 
+// ID returns the ID of the block recorded at rec; ok is false when no
+// block is.
+func (t *SideTable) ID(rec uint32) (id int, ok bool) {
+	n := t.ref(rec)
+	return int(n) - 1, n != 0
+}
+
+// ref is 1 + the ID of the block recorded at rec, or 0. A word outside
+// [lo, hi] wraps to an index past the end.
+func (t *SideTable) ref(rec uint32) int32 {
+	i := rec>>2 - t.lo>>2
+	if rec&3 != 0 || uint64(i) >= uint64(len(t.idx)) {
+		return 0
+	}
+	return t.idx[i]
+}
+
 // Lookup resolves a record address.
-func (t *SideTable) Lookup(rec uint32) *obj.InstrBlock { return t.byAddr[rec] }
+func (t *SideTable) Lookup(rec uint32) *obj.InstrBlock {
+	if n := t.ref(rec); n != 0 {
+		return &t.blocks[n-1]
+	}
+	return nil
+}
+
+// Block returns the block with the given ID.
+func (t *SideTable) Block(id int) *obj.InstrBlock { return &t.blocks[id] }
+
+// Len returns the number of block IDs: one past the largest.
+func (t *SideTable) Len() int { return len(t.blocks) }
 
 // Range returns the [lo, hi] record-address bounds the redundancy
 // check accepts. An empty table reports [0, 0].
 func (t *SideTable) Range() (lo, hi uint32) { return t.lo, t.hi }
 
-// Blocks returns the table's blocks sorted by original address (for
-// reference-counting tools).
+// Blocks returns the blocks Lookup can find, sorted by original
+// address (for reference-counting tools).
 func (t *SideTable) Blocks() []*obj.InstrBlock {
-	out := make([]*obj.InstrBlock, 0, len(t.byAddr))
-	for _, b := range t.byAddr {
-		out = append(out, b)
+	var out []*obj.InstrBlock
+	for _, n := range t.idx {
+		if n != 0 {
+			out = append(out, &t.blocks[n-1])
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].OrigAddr < out[j].OrigAddr })
 	return out
@@ -140,16 +181,27 @@ type nestFrame struct {
 	inKern bool
 }
 
+// stream is one address space's side of the parse: its side table,
+// the block it has open, and, while counting, its per-block entry
+// counts.
+type stream struct {
+	table  *SideTable
+	st     blockState
+	counts []uint64 // by block ID; nil unless counting
+}
+
 // Parser reconstructs the interleaved reference stream from raw trace
 // words. Tables are per address space: pid 0 is the kernel.
 type Parser struct {
-	kernel  *SideTable
-	user    map[int]*SideTable
-	cur     int  // current pid
-	inKern  bool // kernel-mode trace in progress
-	perProc map[int]*blockState
-	kstack  []nestFrame // kernel exception nesting
-	kcur    *blockState
+	kern   *stream // pid 0; its table is nil for user-only traces
+	user   map[int]*stream
+	cur    int  // current pid
+	inKern bool // kernel-mode trace in progress
+	// act is the stream words are attributed to: kern in kernel mode,
+	// else user[cur], or nil when that pid has no side table. Markers
+	// re-resolve it, so the per-word path never consults user.
+	act    *stream
+	kstack []nestFrame // kernel exception nesting
 
 	// resync: after a generation->analysis boundary the kernel stream
 	// may resume with a few orphan references from the block the mode
@@ -181,58 +233,84 @@ type Parser struct {
 	ExcDepth  int
 	MaxDepth  int
 
-	// blockCounts is the reference-counting tool of §4.3 ("a dynamic
+	// counted is the reference-counting tool of §4.3 ("a dynamic
 	// count of the number of times each instruction in the kernel was
-	// executed" — kept per basic block here): enabled by
-	// CountBlocks.
-	blockCounts map[uint32]uint64
+	// executed", kept per basic block here), enabled by CountBlocks:
+	// one entry per registered side table.
+	counting bool
+	counted  []TableCounts
+}
+
+// TableCounts is one registered side table's block entry counts.
+type TableCounts struct {
+	Table  *SideTable
+	Counts []uint64 // indexed by block ID
 }
 
 // CountBlocks enables per-block execution counting (the paper's
-// reference-counting debugging aid, §4.3).
-func (p *Parser) CountBlocks() { p.blockCounts = map[uint32]uint64{} }
+// reference-counting debugging aid, §4.3), for the tables registered
+// so far and every one AddProcess registers later.
+func (p *Parser) CountBlocks() {
+	if p.counting {
+		return
+	}
+	p.counting = true
+	p.count(p.kern)
+	pids := make([]int, 0, len(p.user))
+	for pid := range p.user {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids)
+	for _, pid := range pids {
+		p.count(p.user[pid])
+	}
+}
 
-// BlockCounts returns execution counts keyed by original block
-// address; nil unless CountBlocks was called.
-func (p *Parser) BlockCounts() map[uint32]uint64 { return p.blockCounts }
+// count gives s its block counters when counting is on.
+func (p *Parser) count(s *stream) {
+	if p.counting && s.table != nil {
+		s.counts = make([]uint64, s.table.Len())
+		p.counted = append(p.counted, TableCounts{s.table, s.counts})
+	}
+}
+
+// BlockCounts returns the block entry counts of every side table
+// registered while counting, the kernel's first and then in
+// registration order; nil unless CountBlocks was called. A table
+// registered for several pids appears once per registration, and a
+// process's counts outlive its exit. Counts are per table because
+// images may share addresses (Mach's UX server and its client).
+func (p *Parser) BlockCounts() []TableCounts { return p.counted }
 
 // NewParser builds a parser. kernel may be nil for user-only traces;
 // when a kernel table is present, parsing starts in kernel mode (the
 // first trace in the buffer is boot-time kernel activity).
 func NewParser(kernel *SideTable) *Parser {
-	return &Parser{
-		kernel:  kernel,
-		user:    map[int]*SideTable{},
-		perProc: map[int]*blockState{},
-		kcur:    &blockState{},
-		inKern:  kernel != nil,
+	p := &Parser{
+		kern:   &stream{table: kernel},
+		user:   map[int]*stream{},
+		inKern: kernel != nil,
 	}
+	p.resolve()
+	return p
 }
 
 // AddProcess registers a traced process's side table.
 func (p *Parser) AddProcess(pid int, t *SideTable) {
-	p.user[pid] = t
-	p.perProc[pid] = &blockState{}
+	s := &stream{table: t}
+	p.count(s)
+	p.user[pid] = s
+	p.resolve()
 }
 
-// state returns the active block state.
-func (p *Parser) state() *blockState {
+// resolve points act at the stream the current context attributes
+// words to.
+func (p *Parser) resolve() {
 	if p.inKern {
-		return p.kcur
+		p.act = p.kern
+	} else {
+		p.act = p.user[p.cur]
 	}
-	s := p.perProc[p.cur]
-	if s == nil {
-		s = &blockState{}
-		p.perProc[p.cur] = s
-	}
-	return s
-}
-
-func (p *Parser) table() *SideTable {
-	if p.inKern {
-		return p.kernel
-	}
-	return p.user[p.cur]
 }
 
 // Sink consumes a reconstructed reference stream. A block's fetch
@@ -281,24 +359,31 @@ func (p *Parser) ParseTo(words []uint32, sink Sink) error {
 			if err := p.marker(i, w); err != nil {
 				return err
 			}
+			p.resolve()
 			continue
 		}
+		a := p.act
+		var t *SideTable
+		if a != nil {
+			t = a.table
+		}
 		if p.resync {
-			t := p.table()
-			if t == nil || t.Lookup(w) == nil {
+			if t == nil || t.ref(w) == 0 {
 				p.DirtWords++
 				continue // still dirt
 			}
 			p.resync = false
 		}
-		s := p.state()
+		if t == nil {
+			// No table means no block was ever opened here either.
+			return &ParseError{i, w, fmt.Sprintf("no side table for address space %d", p.curSpace())}
+		}
+		s := &a.st
 		if !s.done() {
 			// Expecting a memory reference for the open block.
 			m := s.block.Mem[s.nextMem]
-			if !m.Load {
-				if t := p.table(); t != nil && t.textHi > t.textLo && w >= t.textLo && w < t.textHi {
-					return &ParseError{i, w, "store into text segment (trace slipped?)"}
-				}
+			if !m.Load && t.textHi > t.textLo && w >= t.textLo && w < t.textHi {
+				return &ParseError{i, w, "store into text segment (trace slipped?)"}
 			}
 			// Fetches up to and including the memory instruction.
 			p.fetchTo(sink, s, int(m.Index)+1)
@@ -312,17 +397,14 @@ func (p *Parser) ParseTo(words []uint32, sink Sink) error {
 			continue
 		}
 		// Expecting a block record.
-		t := p.table()
-		if t == nil {
-			return &ParseError{i, w, fmt.Sprintf("no side table for address space %d", p.curSpace())}
-		}
-		b := t.Lookup(w)
-		if b == nil {
+		ref := t.ref(w)
+		if ref == 0 {
 			return &ParseError{i, w, fmt.Sprintf("not a valid basic block record for address space %d", p.curSpace())}
 		}
+		b := &t.blocks[ref-1]
 		p.Records++
-		if p.blockCounts != nil {
-			p.blockCounts[b.OrigAddr]++
+		if a.counts != nil {
+			a.counts[ref-1]++
 		}
 		if b.Flags&obj.BBCounterStart != 0 {
 			p.CounterOn = true
@@ -427,17 +509,17 @@ func (p *Parser) Finish() error {
 		return e
 	}
 	check := func(s *blockState, what string) error {
-		if s != nil && s.block != nil && !s.done() {
+		if s.block != nil && !s.done() {
 			return fmt.Errorf("trace: %s ended mid-block (orig 0x%08x: %d of %d refs seen)",
 				what, s.block.OrigAddr, s.nextMem, len(s.block.Mem))
 		}
 		return nil
 	}
-	if err := check(p.kcur, "kernel stream"); err != nil {
+	if err := check(&p.kern.st, "kernel stream"); err != nil {
 		return err
 	}
-	for pid, s := range p.perProc {
-		if err := check(s, fmt.Sprintf("process %d stream", pid)); err != nil {
+	for pid, s := range p.user {
+		if err := check(&s.st, fmt.Sprintf("process %d stream", pid)); err != nil {
 			return err
 		}
 	}
@@ -458,8 +540,8 @@ func (p *Parser) marker(i int, w uint32) error {
 		p.cur = int(MarkerArg(w))
 	case MarkExcEnter:
 		// Push the interrupted stream context.
-		p.kstack = append(p.kstack, nestFrame{st: *p.kcur, inKern: p.inKern})
-		*p.kcur = blockState{}
+		p.kstack = append(p.kstack, nestFrame{st: p.kern.st, inKern: p.inKern})
+		p.kern.st = blockState{}
 		p.inKern = true
 		p.ExcDepth++
 		if p.ExcDepth > p.MaxDepth {
@@ -471,20 +553,19 @@ func (p *Parser) marker(i int, w uint32) error {
 		}
 		fr := p.kstack[len(p.kstack)-1]
 		p.kstack = p.kstack[:len(p.kstack)-1]
-		*p.kcur = fr.st
+		p.kern.st = fr.st
 		p.inKern = fr.inKern
 		p.ExcDepth--
 	case MarkModeSw:
 		p.ModeSws++
 		// The mode switch interrupts the current kernel block; its
 		// remaining references are lost to the analysis window.
-		*p.kcur = blockState{}
+		p.kern.st = blockState{}
 		p.kstack = p.kstack[:0]
 		p.ExcDepth = 0
 		p.resync = true
 	case MarkProcExit:
 		p.ProcExits++
-		delete(p.perProc, int(MarkerArg(w)))
 		delete(p.user, int(MarkerArg(w)))
 	default:
 		return &ParseError{i, w, "unknown marker"}
@@ -497,11 +578,15 @@ func (p *Parser) marker(i int, w uint32) error {
 // memory references have arrived. ok is false when the stream is
 // between blocks.
 func (p *Parser) Pending(pid int) (orig uint32, got, want int, ok bool) {
-	s := p.kcur
+	s := &p.kern.st
 	if pid != 0 {
-		s = p.perProc[pid]
+		u := p.user[pid]
+		if u == nil {
+			return 0, 0, 0, false
+		}
+		s = &u.st
 	}
-	if s == nil || s.block == nil || s.done() {
+	if s.block == nil || s.done() {
 		return 0, 0, 0, false
 	}
 	return s.block.OrigAddr, s.nextMem, len(s.block.Mem), true

@@ -101,7 +101,7 @@ func TestQuickParseWellFormed(t *testing.T) {
 			t.Logf("seed %d: idle %d want %d", seed, p.IdleInstr, wantIdle)
 			return false
 		}
-		got := p.BlockCounts()
+		got := countsByOrig(p)
 		for addr, n := range wantCounts {
 			if got[addr] != n {
 				t.Logf("seed %d: block 0x%x count %d want %d", seed, addr, got[addr], n)

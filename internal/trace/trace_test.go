@@ -226,10 +226,24 @@ func TestReferenceCounting(t *testing.T) {
 	if _, err := p.Parse(words, nil); err != nil {
 		t.Fatal(err)
 	}
-	c := p.BlockCounts()
+	c := countsByOrig(p)
 	if c[0x400100] != 2 || c[0x400200] != 1 {
 		t.Errorf("counts %v", c)
 	}
+}
+
+// countsByOrig sums the parser's per-table block counts by original
+// block address.
+func countsByOrig(p *trace.Parser) map[uint32]uint64 {
+	out := map[uint32]uint64{}
+	for _, tc := range p.BlockCounts() {
+		for id, n := range tc.Counts {
+			if n != 0 {
+				out[tc.Table.Block(id).OrigAddr] += n
+			}
+		}
+	}
+	return out
 }
 
 func TestProcExitEndsAttribution(t *testing.T) {

@@ -162,22 +162,28 @@ type space struct {
 	cfg   *verify.CFG
 	entry expectSet // expectation for the stream's first record
 	st    streamState
-	// memo caches cfg.Reach per checker, so the per-record lookup is
-	// one unlocked map access even when concurrent checkers share the
-	// CFG; only a miss takes the CFG's lock.
-	memo map[uint32]*verify.ReachSet
+	// next and target cache cfg.Reach of each node's fallthrough and
+	// static target, by node ID, so the per-record expectation is a
+	// slice load even when concurrent checkers share the CFG; only a
+	// node's first use takes the CFG's lock.
+	next, target []*verify.ReachSet
 }
 
 func newSpace(g *verify.CFG) *space {
-	return &space{cfg: g, memo: map[uint32]*verify.ReachSet{}}
+	return &space{
+		cfg:    g,
+		next:   make([]*verify.ReachSet, len(g.Nodes)),
+		target: make([]*verify.ReachSet, len(g.Nodes)),
+	}
 }
 
-// reach is cfg.Reach(addr) through the space's memo.
-func (sp *space) reach(addr uint32) *verify.ReachSet {
-	s, ok := sp.memo[addr]
-	if !ok {
+// reach is cfg.Reach(addr) through cache[id], where cache is next or
+// target and addr is node id's fallthrough or target.
+func (sp *space) reach(cache []*verify.ReachSet, id int, addr uint32) *verify.ReachSet {
+	s := cache[id]
+	if s == nil {
 		s = sp.cfg.Reach(addr)
-		sp.memo[addr] = s
+		cache[id] = s
 	}
 	return s
 }
@@ -197,6 +203,11 @@ type Checker struct {
 	procs  map[int]*space
 	cur    int
 	inKern bool
+	// act is the space words are attributed to: kernel in kernel
+	// context, else procs[cur] (nil if unknown). Markers and
+	// registration re-resolve it, so the per-word path never consults
+	// procs.
+	act    *space
 	kstack []frame
 
 	// kentry is the kernel's post-entry expectation: the records
@@ -254,10 +265,11 @@ func (c *Checker) SetKernelCFG(g *verify.CFG) {
 	sp.entry = top()
 	sp.st.exp = sp.entry
 	if addr, ok := g.Exe.Symbol("kentry"); ok {
-		c.kentry = expectSet{a: sp.reach(addr)}
+		c.kentry = expectSet{a: g.Reach(addr)}
 	}
 	c.kernel = sp
 	c.inKern = true
+	c.resolve()
 }
 
 // AddProcess derives the CFG of a traced process's executable. The
@@ -275,16 +287,20 @@ func (c *Checker) AddProcess(pid int, e *obj.Executable) error {
 // like SetKernelCFG's).
 func (c *Checker) AddProcessCFG(pid int, g *verify.CFG) {
 	sp := newSpace(g)
-	sp.entry = expectSet{a: sp.reach(g.Exe.Entry)}
+	sp.entry = expectSet{a: g.Reach(g.Exe.Entry)}
 	sp.st.exp = sp.entry
 	c.procs[pid] = sp
+	c.resolve()
 }
 
-func (c *Checker) space() *space {
+// resolve points act at the space the current context attributes
+// words to.
+func (c *Checker) resolve() {
 	if c.inKern {
-		return c.kernel
+		c.act = c.kernel
+	} else {
+		c.act = c.procs[c.cur]
 	}
-	return c.procs[c.cur]
 }
 
 func (c *Checker) curSpace() int {
@@ -359,14 +375,14 @@ func (c *Checker) word(w uint32) {
 	if trace.IsMarker(w) {
 		c.res.Markers++
 		c.marker(w)
+		c.resolve()
 		return
 	}
 	if c.resync {
 		// Post-mode-switch: the §4.3 "dirt" — orphan words from the
 		// block the analysis phase interrupted — until a valid kernel
 		// record re-anchors the stream.
-		sp := c.space()
-		if sp == nil || sp.cfg.ByRecord[w] == nil {
+		if sp := c.act; sp == nil || sp.cfg.Record(w) == nil {
 			c.dirt++
 			c.check(ruleEpoch)
 			if !c.dirtFlagged && c.kernel != nil && c.dirt > c.kernel.cfg.MaxMem {
@@ -379,7 +395,7 @@ func (c *Checker) word(w uint32) {
 		}
 		c.resync = false
 	}
-	sp := c.space()
+	sp := c.act
 	if sp == nil {
 		c.check(ruleSched)
 		if !c.schedMute[c.cur] {
@@ -435,7 +451,7 @@ func (c *Checker) memRef(sp *space, w uint32) {
 // record consumes one word in record position.
 func (c *Checker) record(sp *space, w uint32) {
 	st := &sp.st
-	n := sp.cfg.ByRecord[w]
+	n := sp.cfg.Record(w)
 	if st.resync {
 		// Recovering from a record diagnostic: skip silently until a
 		// word resolves again, then anchor with no edge expectation.
@@ -500,14 +516,14 @@ func (c *Checker) advance(sp *space, n *verify.CFGNode) {
 	st := &sp.st
 	switch n.Term {
 	case verify.TermFall:
-		st.exp = expectSet{a: sp.reach(n.Next)}
+		st.exp = expectSet{a: sp.reach(sp.next, n.ID, n.Next)}
 	case verify.TermBranch:
-		st.exp = expectSet{a: sp.reach(n.Target), b: sp.reach(n.Next)}
+		st.exp = expectSet{a: sp.reach(sp.target, n.ID, n.Target), b: sp.reach(sp.next, n.ID, n.Next)}
 	case verify.TermJump:
-		st.exp = expectSet{a: sp.reach(n.Target)}
+		st.exp = expectSet{a: sp.reach(sp.target, n.ID, n.Target)}
 	case verify.TermCall:
-		callee := sp.reach(n.Target)
-		ret := sp.reach(n.Next)
+		callee := sp.reach(sp.target, n.ID, n.Target)
+		ret := sp.reach(sp.next, n.ID, n.Next)
 		if !callee.Top && len(callee.Records) == 0 {
 			// Call into invisible code (a silent helper like
 			// idle_pause): no record, no visible return — the next
@@ -522,7 +538,7 @@ func (c *Checker) advance(sp *space, n *verify.CFGNode) {
 			st.exp = expectSet{a: callee, b: ret}
 		}
 	case verify.TermCallReg:
-		st.ret = append(st.ret, sp.reach(n.Next))
+		st.ret = append(st.ret, sp.reach(sp.next, n.ID, n.Next))
 		st.exp = top()
 	case verify.TermRet:
 		if len(st.ret) == 0 {

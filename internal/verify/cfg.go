@@ -7,6 +7,7 @@ import (
 
 	"systrace/internal/isa"
 	"systrace/internal/obj"
+	"systrace/internal/trace"
 )
 
 // This file derives the post-rewrite static control-flow graph of an
@@ -70,6 +71,7 @@ func (k TermKind) String() string {
 // and hand-traced blocks; BBNoInstrument code is silent and appears
 // only as edges walked by Reach).
 type CFGNode struct {
+	ID     int    // the block's index in Exe.Instr.Blocks, as in trace.SideTable
 	Head   uint32 // post-rewrite block head address
 	Record uint32 // record address bbtrace writes (head+12, or head if hand-traced)
 	Info   *obj.InstrBlock
@@ -111,18 +113,20 @@ func (s *ReachSet) Has(rec uint32) bool {
 // executable. It is safe for concurrent use: the graph is read-only
 // after NewCFG, and Reach serializes its memo behind a mutex. Hot
 // callers keep their own memo in front of Reach (tracecheck does, per
-// checked address space), so the lock is taken once per distinct
-// address, not once per query.
+// checked address space and node ID), so the lock is taken once per
+// distinct query, not once per record.
 type CFG struct {
 	Exe *obj.Executable
-	// Nodes maps post-rewrite head addresses of recorded blocks.
-	Nodes map[uint32]*CFGNode
-	// ByRecord maps record addresses (what the trace stream carries).
-	ByRecord map[uint32]*CFGNode
+	// Nodes holds the recorded blocks by ID: Nodes[i] is
+	// Exe.Instr.Blocks[i].
+	Nodes []CFGNode
 	// MaxMem is the largest per-block memory-reference count in the
 	// side table: an upper bound on the orphan words an interrupted
 	// block can leave behind (§4.3's resynchronization "dirt").
 	MaxMem int
+
+	recs  *trace.SideTable // record address → node ID
+	heads map[uint32]*CFGNode
 
 	bb, mt, mtsp uint32
 	hasSP        bool
@@ -159,14 +163,15 @@ func NewCFG(e *obj.Executable) (*CFG, error) {
 	}
 	mtsp, okSP := e.Symbol("memtrace_sp")
 	g := &CFG{
-		Exe:      e,
-		Nodes:    make(map[uint32]*CFGNode, len(e.Instr.Blocks)),
-		ByRecord: make(map[uint32]*CFGNode, len(e.Instr.Blocks)),
-		bb:       bb,
-		mt:       mt,
-		mtsp:     mtsp,
-		hasSP:    okSP,
-		memo:     make(map[uint32]*ReachSet),
+		Exe:   e,
+		Nodes: make([]CFGNode, len(e.Instr.Blocks)),
+		recs:  trace.NewSideTable(e.Instr.Blocks),
+		heads: make(map[uint32]*CFGNode, len(e.Instr.Blocks)),
+		bb:    bb,
+		mt:    mt,
+		mtsp:  mtsp,
+		hasSP: okSP,
+		memo:  make(map[uint32]*ReachSet),
 	}
 	for i := range e.Instr.Blocks {
 		ib := &e.Instr.Blocks[i]
@@ -174,12 +179,21 @@ func NewCFG(e *obj.Executable) (*CFG, error) {
 		if len(ib.Mem) > g.MaxMem {
 			g.MaxMem = len(ib.Mem)
 		}
-		n := &CFGNode{Head: head, Record: ib.RecordAddr, Info: ib}
+		n := &g.Nodes[i]
+		*n = CFGNode{ID: i, Head: head, Record: ib.RecordAddr, Info: ib}
 		g.classify(n)
-		g.Nodes[head] = n
-		g.ByRecord[ib.RecordAddr] = n
+		g.heads[head] = n
 	}
 	return g, nil
+}
+
+// Record returns the node whose record address is rec (what the trace
+// stream carries), or nil.
+func (g *CFG) Record(rec uint32) *CFGNode {
+	if id, ok := g.recs.ID(rec); ok {
+		return &g.Nodes[id]
+	}
+	return nil
 }
 
 // classify decodes the block's terminator into Term/Target/Next.
@@ -285,7 +299,7 @@ func (g *CFG) reach(start uint32) *ReachSet {
 			s.Top = true
 			break
 		}
-		if n := g.Nodes[a]; n != nil {
+		if n := g.heads[a]; n != nil {
 			if !found[n.Record] {
 				found[n.Record] = true
 				s.Records = append(s.Records, n.Record)
@@ -310,7 +324,7 @@ func (g *CFG) reach(start uint32) *ReachSet {
 			work = append(work, (a+4)&0xf0000000|isa.Decode(w).Target<<2)
 		case w>>26 == isa.OpJAL:
 			tgt := (a+4)&0xf0000000 | isa.Decode(w).Target<<2
-			if n := g.Nodes[tgt]; n != nil {
+			if n := g.heads[tgt]; n != nil {
 				// A call into recorded code: its record is observed
 				// before anything after the call can run, and recorded
 				// code never returns silently — the path ends here.

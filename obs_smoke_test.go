@@ -4,7 +4,9 @@ package systrace_test
 // boot with the guest-PC sampler attached must leave a well-nested
 // phase-span timeline (system_boot, then machine_run with the
 // trace_drain analysis phases inside it) and a non-empty folded
-// profile that attributes samples to kernel functions. This is the
+// profile that attributes samples to kernel functions; and a sed
+// prediction, on the two-phase and on the compressed streaming drain,
+// must split each trace_analysis span into its layers. This is the
 // check scripts/check.sh runs as its obs smoke step.
 
 import (
@@ -94,6 +96,73 @@ func TestObsSmoke(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Errorf("folded line %q is not \"stack value\"", line)
+		}
+	}
+
+	checkAnalysisSpans(t, spec)
+}
+
+// checkAnalysisSpans runs sed predictions and checks that every
+// trace_analysis span sits in its drain span (trace_drain, or the
+// streaming consumer's stream_consume) and holds the analysis layers
+// as direct children on its goroutine: tracecheck and parse_simulate,
+// plus stream_decode when the epochs arrive compressed.
+func checkAnalysisSpans(t *testing.T, spec workload.Spec) {
+	t.Helper()
+	for _, tc := range []struct {
+		name     string
+		drain    string
+		children []string
+		run      func() (*experiment.Predicted, error)
+	}{
+		{"two-phase", "trace_drain", []string{"tracecheck", "parse_simulate"},
+			func() (*experiment.Predicted, error) { return experiment.Predict(spec, kernel.Ultrix, 1) }},
+		{"compressed-stream", "stream_consume", []string{"stream_decode", "tracecheck", "parse_simulate"},
+			func() (*experiment.Predicted, error) {
+				return experiment.PredictStream(spec, kernel.Ultrix, 1, 0, kernel.DefaultStream())
+			}},
+	} {
+		obspkg.Reset()
+		if _, err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		byID := map[uint64]obspkg.SpanInfo{}
+		kids := map[uint64]map[string]int{}
+		var analyses []obspkg.SpanInfo
+		for _, s := range obspkg.Timeline() {
+			byID[s.ID] = s
+			if s.Name == "trace_analysis" {
+				analyses = append(analyses, s)
+			}
+		}
+		for _, s := range byID {
+			if p, ok := byID[s.Parent]; ok && p.Name == "trace_analysis" {
+				if s.GID != p.GID || s.Depth != p.Depth+1 || s.Open() ||
+					s.StartNs < p.StartNs || s.EndNs > p.EndNs {
+					t.Errorf("%s: %s span %d not nested in trace_analysis %d", tc.name, s.Name, s.ID, p.ID)
+				}
+				if kids[p.ID] == nil {
+					kids[p.ID] = map[string]int{}
+				}
+				kids[p.ID][s.Name]++
+			}
+		}
+		if len(analyses) == 0 {
+			t.Fatalf("%s: no trace_analysis span", tc.name)
+		}
+		for _, a := range analyses {
+			if p, ok := byID[a.Parent]; !ok || p.Name != tc.drain {
+				t.Errorf("%s: trace_analysis %d has parent %q, want %s", tc.name, a.ID, p.Name, tc.drain)
+			}
+			for _, name := range tc.children {
+				if kids[a.ID][name] != 1 {
+					t.Errorf("%s: trace_analysis %d has %d %s children, want 1 (children %v)",
+						tc.name, a.ID, kids[a.ID][name], name, kids[a.ID])
+				}
+			}
+			if len(kids[a.ID]) != len(tc.children) {
+				t.Errorf("%s: trace_analysis %d children %v, want exactly %v", tc.name, a.ID, kids[a.ID], tc.children)
+			}
 		}
 	}
 }

@@ -54,6 +54,7 @@ echo "== fuzz smoke (10s each) =="
 go test -run='^$' -fuzz=FuzzDisasm -fuzztime=10s ./internal/isa/
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz='^FuzzParseSink$' -fuzztime=10s ./internal/trace/
+go test -run='^$' -fuzz='^FuzzSideTable$' -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz=FuzzStreamCodec -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz=FuzzConformance -fuzztime=10s ./internal/tracecheck/
 go test -run='^$' -fuzz=FuzzExecEquivalence -fuzztime=10s ./internal/cpu/
