@@ -10,7 +10,7 @@ check: lint
 	SKIP_LINT=1 ./scripts/check.sh
 
 # lint runs the project analyzers (cmd/vet-tracer) and the static
-# instrumentation verifier (cmd/epoxylint) over every workload.
+# instrumentation verifier (cmd/lint -pass static) over every workload.
 lint:
 	./scripts/lint.sh
 
@@ -18,13 +18,13 @@ lint:
 # blocks, jumps into block interiors, stack balance at returns, wild
 # stores) over every workload under every runtime kind.
 guestlint:
-	$(GO) run ./cmd/guestlint
+	$(GO) run ./cmd/lint -pass guest
 
 # tracelint boots every workload under both OS personalities in the
 # simulator and checks the whole-system trace streams for conformance
 # against the instrumented images' control flow graphs.
 tracelint:
-	$(GO) run ./cmd/tracelint
+	$(GO) run ./cmd/lint -pass trace
 
 fmt:
 	gofmt -l .

@@ -130,7 +130,7 @@ func kernelExe(flavor kernel.Flavor, traced bool, flow epoxie.FlowMode) (*obj.Ex
 
 // Program returns the memoized build of spec's user program, both the
 // uninstrumented and epoxie-instrumented executables. External callers
-// (cmd/tracestat's static-verification report) share the same cache as
+// (`tracestat metrics`' static-verification report) share the same cache as
 // the experiment runs, so asking for a program never builds it twice.
 func Program(spec workload.Spec) (*userland.Program, error) { return program(spec, epoxie.FlowOn) }
 
@@ -203,8 +203,8 @@ func (c Config) checkEpochs(sys *kernel.System, chk *tracecheck.Checker, cerr *e
 }
 
 // Conformance boots the traced system for one workload and runs its
-// trace through the offline conformance checker (cmd/tracelint's
-// corpus mode): the simulator's own output must be a legal observation
+// trace through the offline conformance checker (`lint -pass trace`'s
+// corpus): the simulator's own output must be a legal observation
 // of the static CFG plus the kernel trace protocol.
 func (c Config) Conformance(spec workload.Spec) (*tracecheck.Result, error) {
 	sys, _, err := c.boot(spec, true, nil)

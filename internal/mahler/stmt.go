@@ -196,7 +196,7 @@ func (c *cg) stmt(s Stmt) {
 		c.stmts(x.then)
 		// The jump over the else arm is dead when the then arm already
 		// left unconditionally (break/continue/return); emitting it
-		// anyway creates an unreachable block guestlint flags.
+		// anyway creates an unreachable block `lint -pass guest` flags.
 		if !terminal(x.then) {
 			c.a.Jmp(end)
 			c.a.I(isa.NOP)

@@ -8,7 +8,7 @@ import (
 )
 
 // Handler serves the observability surface over HTTP for
-// `tracesys -serve`: live telemetry in both export formats, the span
+// `tracestat serve`: live telemetry in both export formats, the span
 // timeline, the flight recorder, the guest-PC profile, and the host
 // runtime's own net/http/pprof endpoints. reg, prof, and res may be
 // nil; the corresponding endpoints then report 404.

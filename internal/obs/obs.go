@@ -14,7 +14,7 @@
 //   - hierarchical phase spans (span.go): Begin/End pairs around
 //     machine boot, workload runs, trace drains, analysis phases, and
 //     experiment-runner jobs, recorded into a fixed ring and rendered
-//     as a JSON timeline or a text Gantt (tracestat -spans);
+//     as a JSON timeline or a text Gantt (tracestat spans);
 //   - a guest-PC sampling profiler (profile.go): the CPU core samples
 //     the simulated PC on an instruction-count period amortized over
 //     its superblock dispatch, and samples are attributed to guest

@@ -12,8 +12,8 @@
 //
 // A Registry is safe for concurrent use: registration and snapshotting
 // take an internal lock, and handle updates are atomic, so the
-// experiment runner's parallel jobs and a live exporter (tracesys
-// -serve) can share one registry. The one caveat is Sample closures:
+// experiment runner's parallel jobs and a live exporter (tracestat
+// serve) can share one registry. The one caveat is Sample closures:
 // they read whatever state the subsystem exposes (often plain uint64
 // statistics owned by a machine goroutine), so a snapshot taken while
 // a simulation runs sees slightly stale values for those series —

@@ -56,7 +56,7 @@ import "fmt"
 // Encoders and decoders are stateful across calls: an epoch ring can
 // encode each filled epoch as it drains and the consumer decodes them
 // in hand-off order. EncodeStream/DecodeStream are the one-shot forms
-// for whole captured streams (tracelint corpora, files); they carry a
+// for whole captured streams (corpus runs, files); they carry a
 // 4-byte magic so tools can sniff compressed input.
 const (
 	streamTagHit   = 0x00 // 0x00..0x7f

@@ -41,14 +41,14 @@ go test -run '^TestWorkloadDifferentialOracle$' -count=1 .
 echo "== obs smoke (traced sed boot: span nesting + folded guest-PC profile) =="
 go test -run '^TestObsSmoke$' -count=1 .
 
-echo "== tracelint (trace conformance, all workloads x OS personalities) =="
-go run ./cmd/tracelint -q
+echo "== lint -pass trace (trace conformance, all workloads x OS personalities) =="
+go run ./cmd/lint -q -pass trace
 
-echo "== tracelint -compress (same corpus over the compressed epoch-ring drain) =="
-go run ./cmd/tracelint -q -compress
+echo "== lint -pass trace -compress (same corpus over the compressed epoch-ring drain) =="
+go run ./cmd/lint -q -pass trace -compress
 
-echo "== guestlint (whole-binary value-fact lints, all workloads x runtime kinds) =="
-go run ./cmd/guestlint -q
+echo "== lint -pass guest (whole-binary value-fact lints, all workloads x runtime kinds) =="
+go run ./cmd/lint -q -pass guest
 
 echo "== fuzz smoke (10s each) =="
 go test -run='^$' -fuzz=FuzzDisasm -fuzztime=10s ./internal/isa/

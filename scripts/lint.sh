@@ -1,6 +1,6 @@
 #!/bin/sh
 # Static analysis gate: the project-specific Go analyzers (vet-tracer)
-# and the instrumentation verifier (epoxylint) over every Table-1
+# and the instrumentation verifier (lint -pass static) over every Table-1
 # workload under every runtime kind. Run from the repo root (or via
 # `make lint`); scripts/check.sh runs this unless SKIP_LINT=1.
 set -eu
@@ -16,7 +16,7 @@ else
 	echo "staticcheck: not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"
 fi
 
-echo "== epoxylint (all workloads x runtime kinds) =="
-go run ./cmd/epoxylint -q
+echo "== lint -pass static (instrumentation invariants, all workloads x runtime kinds) =="
+go run ./cmd/lint -q -pass static
 
 echo "lint gate: OK"
