@@ -185,23 +185,6 @@ func conformanceChecker(name string, sys *kernel.System) (*tracecheck.Checker, e
 	return c, nil
 }
 
-// checkEpochs puts chk on the wire bytes of a compressed streaming
-// drain (CheckCompressed via the OnEpoch hook), so the encoder, the
-// epoch handoff and the decode side are all under the conformance
-// gate; *cerr keeps the first decode error. It reports false for any
-// other drain, where the caller feeds chk the raw words instead.
-func (c Config) checkEpochs(sys *kernel.System, chk *tracecheck.Checker, cerr *error) bool {
-	if !c.Stream.Enabled() || !c.Stream.Compress {
-		return false
-	}
-	sys.OnEpoch = func(enc []byte) {
-		if *cerr == nil {
-			*cerr = chk.CheckCompressed(enc)
-		}
-	}
-	return true
-}
-
 // Conformance boots the traced system for one workload and runs its
 // trace through the offline conformance checker (`lint -pass trace`'s
 // corpus): the simulator's own output must be a legal observation
@@ -215,15 +198,9 @@ func (c Config) Conformance(spec workload.Spec) (*tracecheck.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cerr error
-	if !c.checkEpochs(sys, chk, &cerr) {
-		sys.OnTrace = chk.Check
-	}
+	sys.OnTrace = chk.Check
 	if err := sys.Run(runBudget); err != nil {
 		return nil, fmt.Errorf("conformance %s/%v: %w", spec.Name, c, err)
-	}
-	if cerr != nil {
-		return nil, fmt.Errorf("conformance %s/%v: compressed stream: %w", spec.Name, c, cerr)
 	}
 	return chk.Finish(), nil
 }
@@ -484,11 +461,13 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 
 	// Each drain's (or epoch's) analysis runs under a trace_analysis
 	// span nested in the kernel host's trace_drain (or the streaming
-	// consumer's stream_consume), split into its layers: the wire
-	// decode of a compressed epoch, the conformance check, and the
-	// parse feeding the memory-system simulation.
-	var perr, cerr error
-	analyze := func(words []uint32) {
+	// consumer's stream_consume), split into its layers: the
+	// conformance check and the parse feeding the memory-system
+	// simulation. The consumer has already decoded a compressed epoch.
+	var perr error
+	sys.OnTrace = func(words []uint32) {
+		asp := obs.Begin("trace_analysis")
+		defer asp.End()
 		sp := obs.Begin("tracecheck")
 		chk.Check(words)
 		sp.End()
@@ -498,49 +477,11 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 			sp.End()
 		}
 	}
-	if c.Stream.Enabled() && c.Stream.Compress {
-		// Decode each epoch once, from the wire bytes, for both the
-		// checker and the parser: the encoder, the epoch handoff and
-		// the decoder all stay under the conformance gate.
-		dec := trace.NewDecoder()
-		var words []uint32
-		sys.OnEpoch = func(enc []byte) {
-			asp := obs.Begin("trace_analysis")
-			defer asp.End()
-			if cerr != nil {
-				return
-			}
-			sp := obs.Begin("stream_decode")
-			words, cerr = dec.Decode(enc, words[:0])
-			sp.End()
-			if cerr != nil {
-				// With no telemetry attached the consumer leaves the
-				// decode to this hook, so the failure is counted and
-				// recorded here, once, as the consumer would.
-				if reg == nil {
-					sys.StreamStats.DecodeErrors++
-					obs.Failure("trace_stream_decode",
-						fmt.Sprintf("epoch of %d encoded bytes: %v", len(enc), cerr))
-				}
-				return
-			}
-			analyze(words)
-		}
-	} else {
-		sys.OnTrace = func(words []uint32) {
-			asp := obs.Begin("trace_analysis")
-			defer asp.End()
-			analyze(words)
-		}
-	}
 	if err := sys.Run(runBudget); err != nil {
 		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, c, err)
 	}
 	if perr != nil {
 		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, c, perr)
-	}
-	if cerr != nil {
-		return nil, fmt.Errorf("predict %s/%v: compressed stream: %w", spec.Name, c, cerr)
 	}
 
 	conf := chk.Finish()

@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"systrace/internal/cpu"
@@ -96,15 +97,13 @@ type System struct {
 	Cfg    BootConfig
 
 	// OnTrace receives each drained batch of raw trace words (the
-	// analysis program of Figure 1).
+	// analysis program of Figure 1); the words are valid only during
+	// the call.
 	OnTrace func(words []uint32)
 
-	// OnEpoch receives each epoch exactly as handed off on the wire —
-	// the compressed bytes of the stream codec — before OnTrace sees
-	// the decoded words. Only invoked under a streaming drain with
-	// Compress enabled; consumers that decode for themselves (the
-	// conformance checker's CheckCompressed) attach here so the wire
-	// format is exercised end to end.
+	// OnEpoch receives each compressed epoch's wire bytes before the
+	// streaming consumer decodes them for OnTrace. Only the perfbench
+	// harness attaches here; analyses attach through OnTrace.
 	OnEpoch func(enc []byte)
 
 	DrainedWords uint64
@@ -119,6 +118,7 @@ type System struct {
 
 	tel    *sysTelemetry
 	stream *streamer
+	drain  []uint32 // two-phase copy-out buffer, reused across doorbells
 
 	kbookPA uint32
 	tbufPA  uint32
@@ -363,26 +363,40 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		if s.stream != nil {
 			return s.stream.handoff(reason, pid, n, mach.Cycles())
 		}
-		words := make([]uint32, n)
-		for i := uint32(0); i < n; i++ {
-			words[i] = binary.BigEndian.Uint32(ram[s.tbufPA+i*4:])
-		}
-		if s.tel != nil {
-			s.tel.record(reason, pid, words)
-		}
-		if s.OnTrace != nil {
-			s.OnTrace(words)
-		}
+		s.drain = s.copyOut(n, s.drain)
+		s.deliver(reason, pid, s.drain)
 		return uint64(n) * cfg.AnalysisPerWord
 	}
 	return s, nil
 }
 
+// copyOut reads the first n trace-buffer words into dst's storage.
+func (s *System) copyOut(n uint32, dst []uint32) []uint32 {
+	dst = slices.Grow(dst[:0], int(n))[:n]
+	ram := s.M.RAM.Bytes()
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint32(ram[s.tbufPA+uint32(i)*4:])
+	}
+	return dst
+}
+
+// deliver hands one drained batch (either drain) to telemetry, then to
+// the analysis program.
+func (s *System) deliver(reason, pid uint32, words []uint32) {
+	if s.tel != nil {
+		s.tel.record(reason, pid, words)
+	}
+	if s.OnTrace != nil {
+		s.OnTrace(words)
+	}
+}
+
 // Run executes until the machine halts or the instruction budget is
 // exhausted. With streaming enabled the epoch-ring consumer runs for
 // the duration of the call and is joined before Run returns, so every
-// OnTrace delivery happens-before the caller reads its results.
-func (s *System) Run(maxInstr uint64) error {
+// OnTrace delivery happens-before the caller reads its results, and
+// the first undecodable epoch (a *trace.StreamError) fails the run.
+func (s *System) Run(maxInstr uint64) (err error) {
 	sp := obs.BeginDetail("machine_run", s.Cfg.Flavor.String())
 	defer sp.End()
 	if s.Cfg.Stream.Enabled() && s.Cfg.TraceBufBytes > 0 {
@@ -390,7 +404,9 @@ func (s *System) Run(maxInstr uint64) error {
 		defer func() {
 			st := s.stream
 			s.stream = nil
-			st.close()
+			if derr := st.close(); derr != nil && err == nil {
+				err = fmt.Errorf("kernel: trace stream: %w", derr)
+			}
 		}()
 	}
 	return s.M.Run(maxInstr)

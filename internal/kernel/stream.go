@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -73,6 +72,9 @@ func DefaultStream() StreamConfig {
 // Producer-side fields (Epochs..EncodedBytes) are updated by the
 // doorbell handler on the machine's goroutine; DecodeErrors is owned by
 // the consumer and is stable once Run returns (Run joins the consumer).
+// The consumer decodes every compressed epoch exactly once, whatever
+// is attached; an undecodable epoch is skipped, never delivered, and
+// fails the Run.
 type StreamStats struct {
 	Epochs       uint64 // epochs handed to the consumer
 	StallCycles  uint64 // machine cycles stalled waiting for a ring slot
@@ -100,6 +102,7 @@ type streamer struct {
 	wg   sync.WaitGroup
 
 	enc *trace.Encoder // producer-side encoder (Compress mode)
+	err error          // consumer's first decode error, read after close
 
 	// Analytic ring model: completion times of in-flight epochs
 	// (sorted; at most Epochs-1 entries) and the previous epoch's
@@ -134,14 +137,7 @@ func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
 	s := st.sys
 	b := <-st.free // real backpressure: memory is bounded by the ring depth
 	b.reason, b.pid = reason, pid
-	if cap(b.words) < int(n) {
-		b.words = make([]uint32, n)
-	}
-	b.words = b.words[:n]
-	ram := s.M.RAM.Bytes()
-	for i := uint32(0); i < n; i++ {
-		b.words[i] = binary.BigEndian.Uint32(ram[s.tbufPA+i*4:])
-	}
+	b.words = s.copyOut(n, b.words)
 	if st.cfg.Compress {
 		b.enc = st.enc.Encode(b.words, b.enc[:0])
 		s.StreamStats.EncodedBytes += uint64(len(b.enc))
@@ -177,7 +173,7 @@ func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
 }
 
 // consume is the analysis side of the ring: decode (if compressed),
-// record telemetry, run the attached analysis program, return the slot.
+// deliver to telemetry and the analysis program, return the slot.
 func (st *streamer) consume() {
 	defer st.wg.Done()
 	s := st.sys
@@ -188,45 +184,39 @@ func (st *streamer) consume() {
 	var scratch []uint32
 	for b := range st.work {
 		sp := obs.Begin("stream_consume")
-		if s.OnEpoch != nil && dec != nil {
-			s.OnEpoch(b.enc)
-		}
 		words := b.words
 		if dec != nil {
-			// Decode only when something consumes the words; an
-			// OnEpoch-only consumer decodes for itself.
-			if s.tel == nil && s.OnTrace == nil {
-				st.free <- b
-				sp.End()
-				continue
+			if s.OnEpoch != nil {
+				s.OnEpoch(b.enc)
 			}
+			dsp := obs.Begin("stream_decode")
 			var err error
 			scratch, err = dec.Decode(b.enc, scratch[:0])
+			dsp.End()
 			if err != nil {
 				s.StreamStats.DecodeErrors++
 				obs.Failure("trace_stream_decode",
 					fmt.Sprintf("epoch of %d words: %v", len(b.words), err))
+				if st.err == nil {
+					st.err = err
+				}
 				st.free <- b
 				sp.End()
 				continue
 			}
 			words = scratch
 		}
-		if s.tel != nil {
-			s.tel.record(b.reason, b.pid, words)
-		}
-		if s.OnTrace != nil {
-			s.OnTrace(words)
-		}
+		s.deliver(b.reason, b.pid, words)
 		st.free <- b
 		sp.End()
 	}
 }
 
-// close stops the consumer after all handed-off epochs are analyzed.
-// Returning establishes the happens-before the caller needs to read
-// analysis results.
-func (st *streamer) close() {
+// close stops the consumer after all handed-off epochs are analyzed
+// and returns its first decode error. Returning establishes the
+// happens-before the caller needs to read analysis results.
+func (st *streamer) close() error {
 	close(st.work)
 	st.wg.Wait()
+	return st.err
 }

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -386,4 +387,38 @@ func TestStreamingDrainOverlap(t *testing.T) {
 	t.Logf("two-phase=%d cycles (analysis %d), stream=%d cycles (handoff+stall %d, overlapped %d, stalls %d)",
 		two.M.Cycles(), two.M.ExtraCycles(), st.M.Cycles(), st.M.ExtraCycles(),
 		st.M.OverlapCycles(), st.StreamStats.StallCycles)
+}
+
+// TestStreamingDecodeFailure: an epoch that reaches the consumer
+// undecodable is counted, dumped to the flight recorder and never
+// delivered, and Run reports it as a *trace.StreamError.
+func TestStreamingDecodeFailure(t *testing.T) {
+	data, _ := testData()
+	sys := tracedFilesum(t, data, 0, kernel.StreamConfig{Epochs: 4, Compress: true})
+	var dump bytes.Buffer
+	restore := obs.SetFailureWriter(&dump)
+	defer restore()
+	var epochs, delivered int
+	sys.OnEpoch = func(enc []byte) {
+		if epochs++; epochs == 2 {
+			enc[0] = 0xe0 // a reserved token
+		}
+	}
+	sys.OnTrace = func([]uint32) { delivered++ }
+	err := sys.Run(2_000_000_000)
+	var se *trace.StreamError
+	if !errors.As(err, &se) {
+		t.Fatalf("Run = %v, want a *trace.StreamError", err)
+	}
+	if sys.StreamStats.DecodeErrors < 1 {
+		t.Errorf("DecodeErrors = %d, want >= 1", sys.StreamStats.DecodeErrors)
+	}
+	if delivered != 1 {
+		t.Errorf("OnTrace saw %d epochs, want only the 1 before the bad one (%d handed off, %d undecodable)",
+			delivered, epochs, sys.StreamStats.DecodeErrors)
+	}
+	if !strings.Contains(dump.String(), "trace_stream_decode") {
+		t.Errorf("failure dump missing trace_stream_decode: %q", dump.String())
+	}
+	t.Logf("%d epochs, %d delivered, %d decode errors", epochs, delivered, sys.StreamStats.DecodeErrors)
 }

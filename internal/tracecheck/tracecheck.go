@@ -352,11 +352,13 @@ func (c *Checker) Check(words []uint32) {
 
 // CheckCompressed consumes one epoch of the compressed on-the-wire
 // trace encoding (the internal/trace stream codec). Decoder state
-// persists across calls: feed epochs in handoff order, exactly as a
-// streaming-drain consumer receives them (kernel.System's OnEpoch
-// hook). A malformed epoch is returned as an error — its words cannot
-// be reconstructed, so no conformance rule applies to them — and the
-// stream rules continue from the last good epoch.
+// persists across calls: feed epochs in handoff order. A malformed
+// epoch is returned as an error — its words cannot be reconstructed,
+// so no conformance rule applies to them — and the stream rules
+// continue from the last good epoch. The kernel's streaming consumer
+// already decodes every epoch before OnTrace, where the experiment
+// runs attach Check; only the perfbench harness, which times its own
+// decode through kernel.System's OnEpoch hook, calls this.
 func (c *Checker) CheckCompressed(data []byte) error {
 	if c.dec == nil {
 		c.dec = trace.NewDecoder()

@@ -1,6 +1,7 @@
 package tracecheck_test
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"sync"
@@ -205,6 +206,52 @@ func TestConformanceIncremental(t *testing.T) {
 	if whole.Records != chunked.Records || whole.Words != chunked.Words ||
 		whole.MemRefs != chunked.MemRefs {
 		t.Errorf("chunked counters differ: %+v vs %+v", whole, chunked)
+	}
+}
+
+// TestCheckCompressed: the checker's own wire decode must see exactly
+// what Check sees over the same epochs, and an epoch it cannot decode
+// must come back as a *trace.StreamError.
+func TestCheckCompressed(t *testing.T) {
+	b, words := buildConform(t)
+	newChecker := func() *tracecheck.Checker {
+		c := tracecheck.New("test")
+		if err := c.AddProcess(0, b.Instr); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	raw, wire := newChecker(), newChecker()
+	enc := trace.NewEncoder()
+	var epochs [][]byte
+	for i := 0; i < len(words); i += 97 {
+		chunk := words[i:min(i+97, len(words))]
+		raw.Check(chunk)
+		epoch := enc.Encode(chunk, nil)
+		epochs = append(epochs, epoch)
+		if err := wire.CheckCompressed(epoch); err != nil {
+			t.Fatalf("epoch %d: %v", len(epochs)-1, err)
+		}
+	}
+	if len(epochs) < 2 {
+		t.Fatalf("trace of %d words cut into %d epochs, want several", len(words), len(epochs))
+	}
+	want, got := raw.Finish(), wire.Finish()
+	if !want.Clean() {
+		t.Fatalf("raw check not clean: %v", want.Diags)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("CheckCompressed result %+v, Check over the same chunks %+v", got, want)
+	}
+
+	bad := newChecker()
+	if err := bad.CheckCompressed(epochs[0]); err != nil {
+		t.Fatalf("first epoch: %v", err)
+	}
+	corrupt := append([]byte{0xe0}, epochs[1][1:]...) // a reserved token
+	var se *trace.StreamError
+	if err := bad.CheckCompressed(corrupt); !errors.As(err, &se) {
+		t.Errorf("undecodable epoch: err = %v, want a *trace.StreamError", err)
 	}
 }
 

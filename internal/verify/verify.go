@@ -140,21 +140,11 @@ func Executable(e *obj.Executable) (*Result, error) {
 
 	w := newWalker(e, bb, mt, mtsp, okSP)
 	// The verifier's own liveness and value analysis over the rewritten
-	// image, for the flow rules. Trace-runtime calls are transparent
-	// (they save and restore what they touch, except the deliberately
-	// unmodeled ra restore); the rewriter's relocation-level
-	// address-taken and interior-escape views ride in the side table.
-	// If the image is too damaged to analyze, the structural rules
-	// still run and report the damage.
-	transparent := []uint32{bb, mt}
-	if okSP {
-		transparent = append(transparent, mtsp)
-	}
-	if facts, err := dataflow.AnalyzeExecutable(e, dataflow.ExeConfig{
-		Transparent: transparent,
-		AddrTaken:   e.Instr.Flow.AddrTaken,
-		Poison:      e.Instr.Flow.EscapedText,
-	}); err == nil {
+	// image, for the flow rules, under the same traced-image
+	// configuration the guest lints and the cost model use. If the
+	// image is too damaged to analyze, the structural rules still run
+	// and report the damage.
+	if facts, err := dataflow.AnalyzeExecutable(e, dataflow.TracedExeConfig(e)); err == nil {
 		w.flow = facts
 	}
 	w.sideTable()

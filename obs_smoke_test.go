@@ -104,26 +104,29 @@ func TestObsSmoke(t *testing.T) {
 
 // checkAnalysisSpans runs sed predictions and checks that every
 // trace_analysis span sits in its drain span (trace_drain, or the
-// streaming consumer's stream_consume) and holds the analysis layers
-// as direct children on its goroutine: tracecheck and parse_simulate,
-// plus stream_decode when the epochs arrive compressed.
+// streaming consumer's stream_consume) and holds exactly the analysis
+// layers as direct children on its goroutine: tracecheck and
+// parse_simulate. On the compressed stream the consumer decodes each
+// epoch once, before the analysis: one stream_decode directly nested
+// in every stream_consume.
 func checkAnalysisSpans(t *testing.T, spec workload.Spec) {
 	t.Helper()
+	children := []string{"tracecheck", "parse_simulate"}
 	for _, tc := range []struct {
-		name     string
-		drain    string
-		children []string
-		run      func() (*experiment.Predicted, error)
+		name  string
+		drain string
+		run   func() (*experiment.Predicted, error)
 	}{
-		{"two-phase", "trace_drain", []string{"tracecheck", "parse_simulate"},
+		{"two-phase", "trace_drain",
 			func() (*experiment.Predicted, error) { return experiment.Predict(spec, kernel.Ultrix, 1) }},
-		{"compressed-stream", "stream_consume", []string{"stream_decode", "tracecheck", "parse_simulate"},
+		{"compressed-stream", "stream_consume",
 			func() (*experiment.Predicted, error) {
 				return experiment.PredictStream(spec, kernel.Ultrix, 1, 0, kernel.DefaultStream())
 			}},
 	} {
 		obspkg.Reset()
-		if _, err := tc.run(); err != nil {
+		pred, err := tc.run()
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		byID := map[uint64]obspkg.SpanInfo{}
@@ -135,16 +138,31 @@ func checkAnalysisSpans(t *testing.T, spec workload.Spec) {
 				analyses = append(analyses, s)
 			}
 		}
+		var consumes []obspkg.SpanInfo
 		for _, s := range byID {
-			if p, ok := byID[s.Parent]; ok && p.Name == "trace_analysis" {
+			if s.Name == "stream_consume" {
+				consumes = append(consumes, s)
+			}
+			if p, ok := byID[s.Parent]; ok && (p.Name == "trace_analysis" || p.Name == "stream_consume") {
 				if s.GID != p.GID || s.Depth != p.Depth+1 || s.Open() ||
 					s.StartNs < p.StartNs || s.EndNs > p.EndNs {
-					t.Errorf("%s: %s span %d not nested in trace_analysis %d", tc.name, s.Name, s.ID, p.ID)
+					t.Errorf("%s: %s span %d not nested in %s %d", tc.name, s.Name, s.ID, p.Name, p.ID)
 				}
 				if kids[p.ID] == nil {
 					kids[p.ID] = map[string]int{}
 				}
 				kids[p.ID][s.Name]++
+			}
+		}
+		if tc.drain == "stream_consume" {
+			if uint64(len(consumes)) != pred.Stream.Epochs {
+				t.Errorf("%s: %d stream_consume spans for %d epochs", tc.name, len(consumes), pred.Stream.Epochs)
+			}
+			for _, c := range consumes {
+				if kids[c.ID]["stream_decode"] != 1 {
+					t.Errorf("%s: stream_consume %d has %d stream_decode children, want 1 (children %v)",
+						tc.name, c.ID, kids[c.ID]["stream_decode"], kids[c.ID])
+				}
 			}
 		}
 		if len(analyses) == 0 {
@@ -154,14 +172,14 @@ func checkAnalysisSpans(t *testing.T, spec workload.Spec) {
 			if p, ok := byID[a.Parent]; !ok || p.Name != tc.drain {
 				t.Errorf("%s: trace_analysis %d has parent %q, want %s", tc.name, a.ID, p.Name, tc.drain)
 			}
-			for _, name := range tc.children {
+			for _, name := range children {
 				if kids[a.ID][name] != 1 {
 					t.Errorf("%s: trace_analysis %d has %d %s children, want 1 (children %v)",
 						tc.name, a.ID, kids[a.ID][name], name, kids[a.ID])
 				}
 			}
-			if len(kids[a.ID]) != len(tc.children) {
-				t.Errorf("%s: trace_analysis %d children %v, want exactly %v", tc.name, a.ID, kids[a.ID], tc.children)
+			if len(kids[a.ID]) != len(children) {
+				t.Errorf("%s: trace_analysis %d children %v, want exactly %v", tc.name, a.ID, kids[a.ID], children)
 			}
 		}
 	}
