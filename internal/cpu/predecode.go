@@ -14,8 +14,8 @@ package cpu
 // stores into a frame it draws from — guest stores (the bitmap check
 // in store() and the inline SW/SB), host-side writes through the
 // mem.RAM API (the machine registers InvalidatePhys as the RAM write
-// hook), and RAMPage-bypassing device DMA (the machine forwards
-// dev.WriteNotifier callbacks here). The reference engine
+// hook), and device DMA, which writes through the same API. The
+// reference engine
 // (SetPredecode(false), which never builds a chain) is run against
 // superblock dispatch over random instruction sequences and full
 // workload boots.

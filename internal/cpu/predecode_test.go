@@ -734,9 +734,10 @@ func TestStoreToExecutingPageInvalidates(t *testing.T) {
 	}
 }
 
-// TestDMAWriteInvalidatesPredecode covers the RAMPage-bypassing write
-// path: disk DMA copies into physical memory through the raw Bytes()
-// slice, and the re-run must execute the new code, not a stale decode.
+// TestDMAWriteInvalidatesPredecode covers the device write path: disk
+// DMA copies into physical memory through RAM.WriteAt, not the CPU's
+// write port, and the re-run must execute the new code, not a stale
+// decode.
 func TestDMAWriteInvalidatesPredecode(t *testing.T) {
 	img := make([]byte, dev.SectorSize)
 	binary.BigEndian.PutUint32(img[0:], uint32(isa.ORI(isa.RegT0, 0, 2)))

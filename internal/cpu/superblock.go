@@ -27,8 +27,8 @@ package cpu
 //   - Writes into chained text invalidate: every frame a superblock
 //     draws micro-ops from is marked in the store-path bitmap and
 //     registered in a frame→superblocks dependency map, and dropFrame
-//     (guest stores via the bitmap, host writes via the RAM write
-//     hook, device DMA via the machine's WriteNotifier) invalidates
+//     (guest stores via the bitmap, host writes and device DMA via the
+//     RAM write hook) invalidates
 //     the dependents — raising pdExit if one of them is currently
 //     executing, so the dispatch loop bails after the in-flight
 //     instruction.

@@ -96,10 +96,10 @@ func TestSuperblockCrossFrameInvalidation(t *testing.T) {
 }
 
 // TestSuperblockDMAInvalidation: disk DMA copies replacement code over
-// the second frame of a resident cross-frame superblock through the
-// raw Bytes() slice (bypassing the CPU's write port). The DMAWrote
-// notification must drop the dependent chain; re-running the loop must
-// execute the DMA'd code, not the stale linearized steps.
+// the second frame of a resident cross-frame superblock through
+// RAM.WriteAt (bypassing the CPU's write port). The RAM write hook
+// must drop the dependent chain; re-running the loop must execute the
+// DMA'd code, not the stale linearized steps.
 func TestSuperblockDMAInvalidation(t *testing.T) {
 	T3, T6, T7 := isa.RegT3, 14, 15
 	img := make([]byte, dev.SectorSize)

@@ -75,18 +75,15 @@ type Raiser interface {
 	SetIRQ(line int, on bool)
 }
 
-// DMA is the disk's path to physical memory.
+// DMA is the disk's path to physical memory. Transfers go through the
+// RAM API a sector run at a time, so they split on frame boundaries,
+// allocate the frames a read lands in, and report every write to the
+// RAM's write hook (the machine's predecode invalidation), exactly as
+// a host-side loader's writes do. Both report false, moving nothing,
+// when the range leaves RAM.
 type DMA interface {
-	Bytes() []byte
-}
-
-// WriteNotifier is optionally implemented by a DMA provider that needs
-// to observe device writes into physical memory. Disk reads mutate RAM
-// through the raw Bytes() slice — bypassing both the CPU's write port
-// and the RAM API — so the machine implements this to invalidate the
-// CPU's superblocks drawing from frames under the transfer.
-type WriteNotifier interface {
-	DMAWrote(p, n uint32)
+	ReadAt(p uint32, dst []byte) bool
+	WriteAt(p uint32, src []byte) bool
 }
 
 const never = math.MaxUint64
@@ -281,19 +278,16 @@ func (d *Disk) Advance(now uint64) {
 func (d *Disk) complete(op diskOp) {
 	n := int(op.nsect) * SectorSize
 	imgOff := int(op.sector) * SectorSize
-	ram := d.ram.Bytes()
-	if imgOff+n <= len(d.Image) && int(op.addr)+n <= len(ram) {
-		if op.write {
-			copy(d.Image[imgOff:imgOff+n], ram[op.addr:])
+	if imgOff+n <= len(d.Image) {
+		img := d.Image[imgOff : imgOff+n]
+		switch {
+		case op.write && d.ram.ReadAt(op.addr, img):
 			d.Writes++
-		} else {
-			copy(ram[op.addr:int(op.addr)+n], d.Image[imgOff:])
-			if wn, ok := d.ram.(WriteNotifier); ok {
-				wn.DMAWrote(op.addr, uint32(n))
-			}
+			d.BytesTransfered += uint64(n)
+		case !op.write && d.ram.WriteAt(op.addr, img):
 			d.Reads++
+			d.BytesTransfered += uint64(n)
 		}
-		d.BytesTransfered += uint64(n)
 	}
 	d.lastEnd = op.sector + op.nsect
 	d.SectorsMoved += uint64(op.nsect)

@@ -1,18 +1,35 @@
 package dev_test
 
 import (
+	"bytes"
 	"testing"
 
 	"systrace/internal/dev"
+	"systrace/internal/mem"
 )
 
 type fakeIRQ struct{ lines [8]bool }
 
 func (f *fakeIRQ) SetIRQ(line int, on bool) { f.lines[line] = on }
 
+// fakeRAM is flat DMA memory.
 type fakeRAM struct{ b []byte }
 
-func (f *fakeRAM) Bytes() []byte { return f.b }
+func (f *fakeRAM) ReadAt(p uint32, dst []byte) bool {
+	if uint64(p)+uint64(len(dst)) > uint64(len(f.b)) {
+		return false
+	}
+	copy(dst, f.b[p:])
+	return true
+}
+
+func (f *fakeRAM) WriteAt(p uint32, src []byte) bool {
+	if uint64(p)+uint64(len(src)) > uint64(len(f.b)) {
+		return false
+	}
+	copy(f.b[p:], src)
+	return true
+}
 
 func TestClockPeriodAndAck(t *testing.T) {
 	irq := &fakeIRQ{}
@@ -124,6 +141,72 @@ func TestDiskQueueFIFO(t *testing.T) {
 	}
 	if ram.b[0x1000] != 1 || ram.b[0x1100] != 2 {
 		t.Error("FIFO order broken")
+	}
+}
+
+// TestDiskDMAFrameBoundary runs disk DMA across a 4 KB frame boundary
+// of real RAM, in both directions, over frames that were never
+// allocated. A read allocates exactly the frames it lands in and
+// reports the whole range to the write hook once; a write-back reads
+// never-allocated frames as zero and allocates nothing.
+func TestDiskDMAFrameBoundary(t *testing.T) {
+	irq := &fakeIRQ{}
+	ram := mem.NewRAM(64 << 10)
+	type span struct{ p, n uint32 }
+	var hooked []span
+	ram.SetWriteHook(func(p, n uint32) { hooked = append(hooked, span{p, n}) })
+	img := make([]byte, 8*dev.SectorSize)
+	for i := range img {
+		img[i] = byte(i*13 + 1)
+	}
+	d := dev.NewDisk(irq, ram, img, dev.DiskParams{SeekCycles: 1, PerSectorCycle: 1})
+	op := func(sector, addr, nsect, cmd uint32) {
+		d.Write(0, dev.DiskSector, sector)
+		d.Write(0, dev.DiskAddr, addr)
+		d.Write(0, dev.DiskNSect, nsect)
+		d.Write(0, dev.DiskCmd, cmd)
+		d.Advance(1 << 20)
+	}
+
+	// Read 3 sectors to 0x2e00: 0x200 bytes in frame 2, 0x400 in frame 3.
+	op(1, 0x2e00, 3, 1)
+	if d.Reads != 1 {
+		t.Fatalf("reads = %d, want 1", d.Reads)
+	}
+	got := make([]byte, 3*dev.SectorSize)
+	ram.ReadAt(0x2e00, got)
+	if !bytes.Equal(got, img[dev.SectorSize:4*dev.SectorSize]) {
+		t.Error("read DMA across the frame boundary landed wrong bytes")
+	}
+	if r := ram.ResidentBytes(); r != 2*mem.FrameSize {
+		t.Errorf("resident = %d bytes after the read, want the 2 frames it landed in", r)
+	}
+	if len(hooked) != 1 || hooked[0] != (span{0x2e00, 3 * dev.SectorSize}) {
+		t.Errorf("write hook saw %v, want one call for the whole transfer", hooked)
+	}
+
+	// Write 4 sectors back from 0x3e00: the last 0x200 bytes of frame
+	// 3, then 0x600 bytes of frame 4, which was never allocated.
+	op(4, 0x3e00, 4, 2)
+	if d.Writes != 1 {
+		t.Fatalf("writes = %d, want 1", d.Writes)
+	}
+	want := make([]byte, 4*dev.SectorSize)
+	ram.ReadAt(0x3e00, want[:dev.SectorSize])
+	if !bytes.Equal(img[4*dev.SectorSize:], want) {
+		t.Error("write DMA across the frame boundary moved wrong bytes")
+	}
+	if r := ram.ResidentBytes(); r != 2*mem.FrameSize {
+		t.Errorf("resident = %d bytes after the write-back, want it unchanged", r)
+	}
+	if len(hooked) != 1 {
+		t.Errorf("write-back to the image reported a RAM write: %v", hooked)
+	}
+
+	// A transfer that would leave RAM moves nothing.
+	op(0, 64<<10-dev.SectorSize, 2, 1)
+	if d.Reads != 1 || d.Done != 3 {
+		t.Errorf("out-of-range read: reads = %d, done = %d, want 1 and 3", d.Reads, d.Done)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"systrace/internal/cpu"
 	"systrace/internal/dev"
 	"systrace/internal/machine"
+	"systrace/internal/mem"
 	"systrace/internal/obj"
 	"systrace/internal/obs"
 	"systrace/internal/telemetry"
@@ -120,10 +121,14 @@ type System struct {
 	stream *streamer
 	drain  []uint32 // two-phase copy-out buffer, reused across doorbells
 
-	kbookPA uint32
-	tbufPA  uint32
-	utlbPA  uint32
-	symPA   map[string]uint32
+	// Physical addresses of the kernel globals the host reads, resolved
+	// once at boot.
+	kbookPA    uint32
+	tbufPA     uint32
+	utlbPA     uint32
+	procsPA    uint32
+	kseg2mapPA uint32
+	symPA      map[string]uint32
 }
 
 // sysTelemetry holds the pre-registered handles the flush path records
@@ -265,14 +270,25 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		return nil, err
 	}
 	s := &System{M: mach, Kernel: kernelExe, Procs: procs, Cfg: cfg, symPA: map[string]uint32{}}
-	s.kbookPA = kernelExe.MustSymbol("kbook") - cpu.KSeg0Base
-	s.utlbPA = kernelExe.MustSymbol("utlb_scratch") - cpu.KSeg0Base
+	for _, g := range []struct {
+		name string
+		pa   *uint32
+	}{
+		{"kbook", &s.kbookPA},
+		{"utlb_scratch", &s.utlbPA},
+		{"procs", &s.procsPA},
+		{"kseg2map", &s.kseg2mapPA},
+	} {
+		va, ok := kernelExe.Symbol(g.name)
+		if !ok {
+			return nil, fmt.Errorf("kernel: image %s has no symbol %q", kernelExe.Name, g.name)
+		}
+		*g.pa = va - cpu.KSeg0Base
+	}
 	s.tbufPA = TraceBufVA - cpu.KSeg0Base
 
 	// Boot-time loads go through the RAM API so its write hook sees
-	// them (the CPU invalidates any chain drawing from a written frame);
-	// the doorbell handler below only reads, so it keeps the raw slice.
-	ram := mach.RAM.Bytes()
+	// them (the CPU invalidates any chain drawing from a written frame).
 	put := func(pa uint32, v uint32) { mach.RAM.WriteWord(pa, v) }
 
 	// Boot images: user segments copied to page-aligned physical
@@ -340,7 +356,7 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		dsp := obs.Begin("trace_drain")
 		defer dsp.End()
 		s.Doorbells++
-		end := binary.BigEndian.Uint32(ram[s.kbookPA:]) // BufPtr (kseg0 VA)
+		end := mach.RAM.ReadWord(s.kbookPA) // BufPtr (kseg0 VA)
 		start := TraceBufVA
 		if end < uint32(start) || end > uint32(start)+cfg.TraceBufBytes {
 			// A BufPtr outside the buffer means the bookkeeping word
@@ -370,12 +386,22 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 	return s, nil
 }
 
-// copyOut reads the first n trace-buffer words into dst's storage.
+// copyOut reads the first n trace-buffer words into dst's storage, a
+// frame at a time.
 func (s *System) copyOut(n uint32, dst []uint32) []uint32 {
 	dst = slices.Grow(dst[:0], int(n))[:n]
-	ram := s.M.RAM.Bytes()
-	for i := range dst {
-		dst[i] = binary.BigEndian.Uint32(ram[s.tbufPA+uint32(i)*4:])
+	var frame [mem.FrameSize]byte
+	pa := s.tbufPA
+	for out := dst; len(out) > 0; {
+		b := frame[:min(len(out)*4, mem.FrameSize-int(pa%mem.FrameSize))]
+		if !s.M.RAM.ReadAt(pa, b) {
+			clear(b)
+		}
+		for i := range b[:len(b)/4] {
+			out[i] = binary.BigEndian.Uint32(b[i*4:])
+		}
+		out = out[len(b)/4:]
+		pa += uint32(len(b))
 	}
 	return dst
 }
@@ -412,21 +438,9 @@ func (s *System) Run(maxInstr uint64) (err error) {
 	return s.M.Run(maxInstr)
 }
 
-// ramWord reads the big-endian word at physical address pa, reporting
-// false when pa is outside RAM instead of slicing out of bounds (a bad
-// pid or a corrupt page-table entry produces such addresses).
-func ramWord(ram []byte, pa uint32) (uint32, bool) {
-	if uint64(pa)+4 > uint64(len(ram)) {
-		return 0, false
-	}
-	return binary.BigEndian.Uint32(ram[pa:]), true
-}
-
 // UTLBCount reads the kernel's user-TLB miss counter (the
 // "kernel with a user TLB miss counter" of §5.2).
-func (s *System) UTLBCount() uint32 {
-	return binary.BigEndian.Uint32(s.M.RAM.Bytes()[s.utlbPA:])
-}
+func (s *System) UTLBCount() uint32 { return s.M.RAM.ReadWord(s.utlbPA) }
 
 // ReadKernelWordOK reads a kernel global by symbol name; ok is false
 // for an unknown symbol or one whose address falls outside RAM.
@@ -440,7 +454,7 @@ func (s *System) ReadKernelWordOK(sym string) (uint32, bool) {
 		pa = va - cpu.KSeg0Base
 		s.symPA[sym] = pa
 	}
-	return ramWord(s.M.RAM.Bytes(), pa)
+	return s.M.RAM.Read(pa, 4)
 }
 
 // ReadKernelWord reads a kernel global by symbol name (zero when the
@@ -460,9 +474,7 @@ func (s *System) ExitStatusOK(pid int) (uint32, bool) {
 	if pid < 1 || pid > MaxProcs {
 		return 0, false
 	}
-	pa := s.Kernel.MustSymbol("procs") - cpu.KSeg0Base +
-		uint32(pid-1)*ProcStride + PSave + TFRegs + 3*4
-	return ramWord(s.M.RAM.Bytes(), pa)
+	return s.M.RAM.Read(s.procsPA+uint32(pid-1)*ProcStride+PSave+TFRegs+3*4, 4)
 }
 
 // ExitStatus returns the exit status of process pid (zero when pid is
@@ -474,22 +486,20 @@ func (s *System) ExitStatus(pid int) uint32 {
 
 // ReadUserWord reads a word of a process's memory by walking the
 // kernel's page tables from the host side. Every step of the walk is
-// bounds-checked: a bad pid or an out-of-range page-table entry
-// returns false rather than faulting the host.
+// bounds-checked by RAM.Read: a bad pid or an out-of-range page-table
+// entry returns false rather than faulting the host.
 func (s *System) ReadUserWord(pid int, va uint32) (uint32, bool) {
 	if pid < 1 || pid > MaxProcs {
 		return 0, false
 	}
-	km := s.Kernel.MustSymbol("kseg2map") - cpu.KSeg0Base
-	ram := s.M.RAM.Bytes()
 	off := uint32(pid)<<PTSpanShift + (va>>12)<<2
-	pt, ok := ramWord(ram, km+(off>>12)*4)
+	pt, ok := s.M.RAM.Read(s.kseg2mapPA+(off>>12)*4, 4)
 	if !ok || pt&cpu.EloV == 0 {
 		return 0, false
 	}
-	pte, ok := ramWord(ram, pt&cpu.EloPFN|off&0xfff)
+	pte, ok := s.M.RAM.Read(pt&cpu.EloPFN|off&0xfff, 4)
 	if !ok || pte&cpu.EloV == 0 {
 		return 0, false
 	}
-	return ramWord(ram, pte&cpu.EloPFN|va&0xfff)
+	return s.M.RAM.Read(pte&cpu.EloPFN|va&0xfff, 4)
 }

@@ -1,13 +1,16 @@
 package kernel_test
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"systrace/internal/cpu"
 	"systrace/internal/kernel"
 	m "systrace/internal/mahler"
+	"systrace/internal/obj"
 	"systrace/internal/trace"
 	"systrace/internal/userland"
 	"systrace/internal/workload"
@@ -775,5 +778,50 @@ func TestTracedMachMultiClient(t *testing.T) {
 	}
 	if kern == 0 {
 		t.Error("no kernel references in a syscall-heavy run")
+	}
+}
+
+// TestResidentRAM: guest RAM is allocated by the frame on first touch,
+// so a run pays for what it touches, not for the 64 MB it is given. An
+// untraced Ultrix sed run stays within 1 MB; a traced one within its
+// trace buffer plus 1 MB.
+func TestResidentRAM(t *testing.T) {
+	spec, ok := workload.ByName("sed")
+	if !ok {
+		t.Fatal("no sed workload")
+	}
+	for _, traced := range []bool{false, true} {
+		sys := bootAndRun(t, kernel.Ultrix, traced, map[string]*m.Module{"sed": spec.Build()}, spec.Files)
+		limit := uint64(sys.Cfg.TraceBufBytes) + 1<<20
+		got := sys.M.RAM.ResidentBytes()
+		t.Logf("traced=%v: %d frames resident (%d KB) of %d MB", traced, got/4096, got>>10, sys.Cfg.RAMBytes>>20)
+		if got == 0 || got > limit {
+			t.Errorf("traced=%v: %d bytes of guest RAM resident, want 1..%d", traced, got, limit)
+		}
+	}
+}
+
+// TestBootMissingKernelSymbol: a kernel image that lacks one of the
+// globals the host reads fails Boot with an error naming it, rather
+// than panicking later in a host reader.
+func TestBootMissingKernelSymbol(t *testing.T) {
+	kexe, err := kernel.Build(kernel.Config{Flavor: kernel.Ultrix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := userland.Build("hello", []*m.Module{helloModule()}, m.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sym := range []string{"kbook", "utlb_scratch", "procs", "kseg2map"} {
+		bad := *kexe
+		bad.Syms = slices.DeleteFunc(slices.Clone(kexe.Syms), func(s obj.Symbol) bool { return s.Name == sym })
+		if len(bad.Syms) == len(kexe.Syms) {
+			t.Fatalf("kernel image has no %q to remove", sym)
+		}
+		_, err := kernel.Boot(&bad, []kernel.BootProc{{Exe: prog.Orig}}, kernel.DefaultBoot(kernel.Ultrix))
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(sym)) {
+			t.Errorf("boot without %q: err = %v, want one naming the symbol", sym, err)
+		}
 	}
 }

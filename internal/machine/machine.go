@@ -54,25 +54,16 @@ func New(ramSize uint32, diskImage []byte) *Machine {
 	m := &Machine{RAM: mem.NewRAM(ramSize)}
 	m.CPU = cpu.New(m, 0)
 	// Every store path that bypasses the CPU's own write port must
-	// still invalidate chained text: host-side writes through the
-	// RAM API report here, and the disk DMAs through the machine (see
-	// Bytes/DMAWrote) so raw-slice transfers report too.
+	// still invalidate chained text: host-side writes and disk DMA
+	// both go through the RAM API, which reports them here.
 	m.RAM.SetWriteHook(m.CPU.InvalidatePhys)
 	m.Clock = dev.NewClock(m.CPU)
 	m.Console = &dev.Console{}
-	m.Disk = dev.NewDisk(m.CPU, m, diskImage, dev.DefaultDiskParams)
+	m.Disk = dev.NewDisk(m.CPU, m.RAM, diskImage, dev.DefaultDiskParams)
 	m.TraceCtl = &dev.TraceCtl{}
 	m.nextEvent = ^uint64(0)
 	return m
 }
-
-// Bytes implements dev.DMA.
-func (m *Machine) Bytes() []byte { return m.RAM.Bytes() }
-
-// DMAWrote implements dev.WriteNotifier: device writes into physical
-// memory invalidate any superblocks drawing from frames under the
-// transfer.
-func (m *Machine) DMAWrote(p, n uint32) { m.CPU.InvalidatePhys(p, n) }
 
 // AttachTiming connects an execution-driven memory model: obs sees
 // every reference; stall contributes to machine time.

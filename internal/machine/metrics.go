@@ -41,4 +41,7 @@ func (m *Machine) RegisterMetrics(r *telemetry.Registry, labels ...telemetry.Lab
 	r.Sample("machine_trace_doorbells_total",
 		"trace-control doorbell rings (generation→analysis transitions)",
 		func() uint64 { return m.TraceCtl.Doorbells }, labels...)
+	r.SampleGauge("machine_ram_resident_bytes",
+		"guest RAM the run has touched, in bytes of allocated 4 KB frames",
+		func() float64 { return float64(m.RAM.ResidentBytes()) }, labels...)
 }

@@ -29,6 +29,20 @@ func TestRAMEndianAndBounds(t *testing.T) {
 	if v, ok := r.Read(0x102, 2); !ok || v != 0x0304 {
 		t.Errorf("half = 0x%x", v)
 	}
+	// Fields straddling two frames, in a frame that was never written.
+	r2 := mem.NewRAM(8192)
+	if v, ok := r2.Read(4094, 4); !ok || v != 0 {
+		t.Errorf("unwritten straddling word = 0x%x, %v", v, ok)
+	}
+	r2.WriteWord(4094, 0x0a0b0c0d)
+	for p, want := range map[uint32]uint32{4093: 0x000a0b0c, 4094: 0x0a0b0c0d, 4095: 0x0b0c0d00} {
+		if v, ok := r2.Read(p, 4); !ok || v != want {
+			t.Errorf("straddling word at %d = 0x%08x, want 0x%08x", p, v, want)
+		}
+	}
+	if v, ok := r2.Read(4095, 2); !ok || v != 0x0b0c {
+		t.Errorf("straddling half = 0x%x", v)
+	}
 	// Out of range reads and writes fail rather than wrap.
 	if _, ok := r.Read(4094, 4); ok {
 		t.Error("straddling read succeeded")

@@ -3,6 +3,7 @@ package memsys
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"systrace/internal/cpu"
@@ -86,7 +87,7 @@ func TestPageMapFrontCache(t *testing.T) {
 	}
 }
 
-// refTLB is TLBSim as a pure linear scan, without the last-hit slot.
+// refTLB is TLBSim as a pure linear scan, without the hint table.
 type refTLB struct {
 	entries [cpu.NTLB]uint64
 	r       *rng
@@ -105,28 +106,45 @@ func (t *refTLB) access(asid, va uint32) bool {
 	return false
 }
 
-// TestTLBSimLastHit holds TLBSim to a pure linear scan over random
-// access streams: runs on one page (last-slot hits), working sets
-// around the TLB's size (scan hits and refills), ASID changes, and a
-// Flush. Every access's hit or miss, the counts and the entries must
-// agree.
+// TestTLBSimLastHit holds TLBSim's hint table to a pure linear scan
+// over random access streams: runs on one page (hint hits), working
+// sets around the TLB's size (scan hits and refills), ASID changes,
+// pages whose keys share a hint slot (each evicts the other's hint, so
+// a resident page must still be found by the scan), and a Flush. Every
+// access's hit or miss, the counts and the entries must agree.
 func TestTLBSimLastHit(t *testing.T) {
+	// Colliding keys: pages of ASIDs 0..2 whose keys hash to slot 0.
+	var colliding []uint64
+	for asid := uint64(0); asid < 3; asid++ {
+		for vpn := uint64(0); vpn < 1<<20 && len(colliding) < 12*int(asid+1); vpn++ {
+			if key := asid<<32 | vpn; hintSlot(key) == 0 {
+				colliding = append(colliding, key)
+			}
+		}
+	}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tl := NewTLBSim(uint32(seed))
 		ref := &refTLB{entries: tl.entries, r: newRNG(uint32(seed))}
 		pages := 8 + r.Intn(120)
-		lastHits := 0
-		for i := 0; i < 5000; i++ {
-			if i == 2500 {
+		hintHits, collisionScans := 0, 0
+		for i := 0; i < 8000; i++ {
+			if i == 2500 || i == 6000 {
 				tl.Flush()
 				ref.entries = tl.entries
 			}
 			asid := uint32(r.Intn(3))
 			va := uint32(r.Intn(pages))<<cpu.PageShift | uint32(r.Intn(cpu.PageSize))
+			if i >= 4000 {
+				key := colliding[r.Intn(len(colliding))]
+				asid, va = uint32(key>>32), uint32(key)<<cpu.PageShift|uint32(r.Intn(cpu.PageSize))
+			}
 			for n := 1 + r.Intn(4); n > 0; n-- {
-				if tl.entries[tl.last] == uint64(asid)<<32|uint64(va>>cpu.PageShift) {
-					lastHits++
+				key := uint64(asid)<<32 | uint64(va>>cpu.PageShift)
+				if hinted := tl.entries[tl.hint[hintSlot(key)]]; hinted == key {
+					hintHits++
+				} else if slices.Contains(tl.entries[:], key) {
+					collisionScans++
 				}
 				if got, want := tl.Access(asid, va), ref.access(asid, va); got != want {
 					t.Fatalf("seed %d access %d (%d, %#x): hit %v, linear scan %v", seed, i, asid, va, got, want)
@@ -136,8 +154,8 @@ func TestTLBSimLastHit(t *testing.T) {
 		if tl.Misses != ref.misses || tl.entries != ref.entries {
 			t.Fatalf("seed %d: misses %d entries differ from the linear scan (misses %d)", seed, tl.Misses, ref.misses)
 		}
-		if lastHits == 0 {
-			t.Fatalf("seed %d: the last-hit slot never served an access", seed)
+		if hintHits == 0 || collisionScans == 0 {
+			t.Fatalf("seed %d: %d hint hits, %d resident pages found only by the scan; want both", seed, hintHits, collisionScans)
 		}
 	}
 }

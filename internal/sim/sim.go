@@ -151,14 +151,21 @@ func loadBare(m *machine.Machine, e *obj.Executable) error {
 	return nil
 }
 
-// ReadWord reads a word of guest memory at a kseg0 virtual address.
+// ReadWord reads a word of guest memory at a kseg0 virtual address
+// (zero when the word is not inside RAM).
 func ReadWord(m *machine.Machine, va uint32) uint32 {
 	return m.RAM.ReadWord(va - cpu.KSeg0Base)
 }
 
-// ReadBytes copies n bytes of guest memory at a kseg0 virtual address.
+// ReadBytes copies n bytes of guest memory at a kseg0 virtual address;
+// it returns nil when n is negative or the range is not kseg0 memory
+// inside RAM.
 func ReadBytes(m *machine.Machine, va uint32, n int) []byte {
+	pa := va - cpu.KSeg0Base
+	if va < cpu.KSeg0Base || n < 0 || uint64(pa)+uint64(n) > uint64(m.RAM.Size()) {
+		return nil
+	}
 	out := make([]byte, n)
-	copy(out, m.RAM.Bytes()[va-cpu.KSeg0Base:])
+	m.RAM.ReadAt(pa, out)
 	return out
 }

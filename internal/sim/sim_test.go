@@ -33,8 +33,30 @@ func TestRunResultAndReaders(t *testing.T) {
 	if got := sim.ReadWord(mach, msg); got != 0xdeadbeef {
 		t.Errorf("ReadWord 0x%x", got)
 	}
-	if got := sim.ReadBytes(mach, msg, 4); got[0] != 0xde || got[3] != 0xef {
+	if got := sim.ReadBytes(mach, msg, 4); len(got) != 4 || got[0] != 0xde || got[3] != 0xef {
 		t.Errorf("ReadBytes %x", got)
+	}
+	// Out-of-range reads fail cleanly instead of panicking on the host:
+	// below kseg0, straddling or past the end of RAM, wrapping the
+	// address space, or a negative length.
+	end := uint32(0x80000000) + mach.RAM.Size()
+	for _, c := range []struct {
+		va uint32
+		n  int
+	}{
+		{0x7ffffffe, 4}, {end - 2, 4}, {end, 1}, {0xffffffff, 2}, {msg, -1},
+	} {
+		if got := sim.ReadBytes(mach, c.va, c.n); got != nil {
+			t.Errorf("ReadBytes(%#x, %d) = %x, want nil", c.va, c.n, got)
+		}
+	}
+	if got := sim.ReadBytes(mach, end-4, 4); len(got) != 4 {
+		t.Errorf("ReadBytes of RAM's last word = %x", got)
+	}
+	for _, va := range []uint32{0x7ffffffe, end - 2, 0xfffffffe} {
+		if got := sim.ReadWord(mach, va); got != 0 {
+			t.Errorf("ReadWord(%#x) = %#x, want 0", va, got)
+		}
 	}
 }
 
