@@ -679,12 +679,16 @@ func FuzzExecEquivalence(f *testing.F) {
 		// Third face: the superblock tier, threshold forced to 1 so
 		// every repeated batch head chains immediately — any fuzz
 		// input that builds a wrong chain diverges here. Observers
-		// stay attached and are compared at 100-instruction
-		// checkpoints, which cut fetch runs at the budget.
+		// stay attached and are compared at checkpoints every stride
+		// instructions, which cut fetch runs at the budget. The
+		// stride (1 to 97) comes from the seed, so over the corpus the
+		// budget exits land at every step position of a chain,
+		// between a branch and its slot too.
 		r = rand.New(rand.NewSource(seed))
 		ref3, fast3, oref3, ofast3 := lockstepPair(r, words)
 		fast3.CPU.SetSuperblockThreshold(1)
-		for chk := uint64(100); chk <= target; chk += 100 {
+		stride := uint64(seed%97+97)%97 + 1
+		for chk := stride; chk <= target; chk += stride {
 			for ref3.CPU.Stat.Instret < chk {
 				if !ref3.CPU.Step() {
 					break

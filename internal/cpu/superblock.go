@@ -8,10 +8,12 @@ package cpu
 // frame) boundaries into one linearized step array. Dispatch runs that array in a dense
 // jump-table loop with the per-instruction work of Step hoisted out:
 // the PC is implicit in the step index (materialized only at exits),
-// CP0.Random and Stat.Instret advance once per exit instead of once
-// per instruction. A chain that closes on its own entry wraps in place,
-// and a chain end or a mispredicted branch links straight into the
-// superblock at the real successor without leaving the dispatch loop.
+// and the retirement count, the class counts and CP0.Random are
+// derived once per pass over the chain instead of counted per
+// instruction (see execSB). A chain that closes on its own entry wraps
+// in place, and a chain end or a mispredicted branch links straight
+// into the superblock at the real successor without leaving the
+// dispatch loop.
 //
 // Soundness leans on two pillars:
 //
@@ -85,7 +87,8 @@ const (
 // sbStep is one dispatch step: a widened uop with its own PC (for
 // exits and exceptions) and the absolute predicted-taken target baked
 // into imm for branches and jumps. run is nonzero on the first step of
-// each fetch run (see sbStampRuns) and holds the run's length.
+// each fetch run (see sbStampRuns) and holds the run's length. The
+// step's class lives in the chain's prefix table (superblock.pre).
 type sbStep struct {
 	op    pdOp
 	rs    uint8
@@ -93,11 +96,20 @@ type sbStep struct {
 	rd    uint8
 	sh    uint8
 	flags uint8
-	cls   Class
 	run   uint8
 	imm   uint32
 	pc    uint32
 }
+
+// A class-count prefix packs one 10-bit count per Class into a uint64.
+// A chain holds at most sbMaxSteps (256) steps, so dispatch can sum the
+// prefixes of several passes in one packed word and unpack it only
+// once the sum could next overflow a field (sbClassFlush).
+const (
+	sbClassBits  = 10
+	sbClassMask  = 1<<sbClassBits - 1
+	sbClassFlush = sbClassMask - sbMaxSteps
+)
 
 // sbPage is one TLB-mapped page guard: entry under a new translation
 // generation must re-resolve vpage to exactly ppage.
@@ -116,6 +128,10 @@ type superblock struct {
 	// pages holds guards for the TLB-mapped pages the chain fetches
 	// from (kseg0 pages have fixed translations and need none).
 	pages []sbPage
+	// pre[i] holds the packed class counts of steps[:i] (see
+	// sbClassBits): a dispatch pass that retired steps[:i] accounts its
+	// classes with one add of pre[i]. len(pre) = len(steps)+1.
+	pre []uint64
 	// frames are the physical frames the micro-ops were drawn from;
 	// dropFrame on any of them invalidates the superblock.
 	frames []uint32
@@ -124,8 +140,9 @@ type superblock struct {
 	kernel bool   // chain touches a kernel-only segment
 	loop   bool   // chain ends with a predicted branch back to entryVA
 	// exitSlot: the final step is the delay slot of a chain-ending
-	// branch, so the fall-off-the-end PC is the branch's delayTarget
-	// (set by the branch step) rather than lastPC+4.
+	// branch or of a self-loop's branch, so the fall-off-the-end PC is
+	// the branch's delayTarget (set by the branch step) rather than
+	// lastPC+4.
 	exitSlot bool
 	valid    bool
 }
@@ -147,6 +164,14 @@ type sbState struct {
 	deps  map[uint32][]*superblock
 	cur   *superblock // superblock currently being dispatched
 	count int         // valid superblocks resident
+
+	// walk is the builder's scratch, reused across builds: a chain is
+	// linearized here and copied out at its exact length.
+	walk struct {
+		steps []sbStep
+		pas   []uint32
+		pre   []uint64
+	}
 
 	threshold uint32 // build threshold; 0 means sbDefaultThreshold
 
@@ -444,15 +469,18 @@ func (c *CPU) sbBuild(entry uint32) {
 		return decodeUop(binary.BigEndian.Uint32(ram[off:])), curPP | off, true
 	}
 
+	wk := &c.sb.walk
+	wk.steps, wk.pas, wk.pre = wk.steps[:0], wk.pas[:0], append(wk.pre[:0], 0)
 	mkStep := func(u *uop, pc uint32, flags uint8) sbStep {
 		return sbStep{
 			op: u.op, rs: u.rs, rt: u.rt, rd: u.rd, sh: u.sh,
-			flags: flags, cls: u.cls, imm: u.imm, pc: pc,
+			flags: flags, imm: u.imm, pc: pc,
 		}
 	}
-	add := func(st sbStep, pa uint32) {
-		s.steps = append(s.steps, st)
-		s.pas = append(s.pas, pa)
+	add := func(st sbStep, pa uint32, cls Class) {
+		wk.steps = append(wk.steps, st)
+		wk.pas = append(wk.pas, pa)
+		wk.pre = append(wk.pre, wk.pre[len(wk.pre)-1]+1<<(sbClassBits*uint(cls)))
 	}
 
 	va := entry
@@ -463,19 +491,19 @@ func (c *CPU) sbBuild(entry uint32) {
 	// slot's delayTarget, not fall off the end to lastPC+4.
 	viaJump := false
 walk:
-	for len(s.steps) < sbMaxSteps {
+	for len(wk.steps) < sbMaxSteps {
 		u, pa, ok := fetch(va)
 		if !ok || sbChainEnder(&u) {
 			s.exitSlot = viaJump
 			break
 		}
 		if !sbIsBranch(&u) {
-			add(mkStep(&u, va, 0), pa)
+			add(mkStep(&u, va, 0), pa, u.cls)
 			va += 4
 			viaJump = false
 			continue
 		}
-		if len(s.steps)+2 > sbMaxSteps {
+		if len(wk.steps)+2 > sbMaxSteps {
 			s.exitSlot = viaJump
 			break
 		}
@@ -513,8 +541,8 @@ walk:
 				chain = true
 			}
 		}
-		add(st, pa)
-		add(mkStep(&slot, va+4, sbSlot), slotPA)
+		add(st, pa, u.cls)
+		add(mkStep(&slot, va+4, sbSlot), slotPA, slot.cls)
 		switch {
 		case ends:
 			s.exitSlot = true
@@ -524,7 +552,11 @@ walk:
 				// Self-loop: dispatch wraps to step 0 instead of
 				// exiting, re-entry guards not needed (nothing inside
 				// can change them — that is the chain-ender rule).
+				// A slot that raises pdExit still ends the chain, and
+				// then the continuation is the loop head the branch
+				// took: the slot's delayTarget.
 				s.loop = true
+				s.exitSlot = true
 				break walk
 			}
 			if target < va {
@@ -533,7 +565,7 @@ walk:
 				s.exitSlot = true
 				break walk
 			}
-			if len(s.steps) >= sbMaxSteps {
+			if len(wk.steps) >= sbMaxSteps {
 				// No room to keep walking past the jump: the chain
 				// must exit through the slot's delayTarget, not fall
 				// off the end to lastPC+4 (a self-spin J unrolls to
@@ -548,9 +580,12 @@ walk:
 		}
 	}
 
-	if len(s.steps) < sbMinSteps {
+	if len(wk.steps) < sbMinSteps {
 		return
 	}
+	s.steps = append([]sbStep(nil), wk.steps...)
+	s.pas = append([]uint32(nil), wk.pas...)
+	s.pre = append([]uint64(nil), wk.pre...)
 	sbStampRuns(s)
 
 	s.gen = c.tcGen
@@ -634,6 +669,28 @@ func advanceRandom(r uint32, n uint64) uint32 {
 // retirement count; c.pdExit is set when dispatch stopped early for
 // an exception, a device access or an invalidation.
 //
+// The accounting is done once per dispatch pass, not once per step. A
+// pass is one run over steps[0:i]; it ends at a loop wrap, a chain
+// end, a mispredict link, a budget stop or an exception. The count
+// retired so far is nb+i, where nb counts the steps of the passes
+// already completed. A finished pass adds the chain's class-count
+// prefix pre[i] to a packed sum, unpacked into Stat.Classes only when
+// the next pass could overflow a field, and at exit. CP0.Random
+// advances once at exit, and Stat.Instret is stored from nb+i before
+// every slow path (device timestamps read it) and at exit.
+//
+// The step loop's only bookkeeping is i++ and one test against stop:
+// min(len(steps), the budget's index), clamped further to the end of
+// the current fetch run when an observer is attached, and to the end
+// of the delay slot when a branch mispredicts. Reaching stop is a
+// mispredict link (the slot retired), a chain end or loop wrap, a
+// budget exit (restoring inDelay if the next step is a slot), or the
+// start of the next fetch run. pdExit and Halted can only be raised by
+// a step that called out of the loop, so they are tested only there:
+// after the load, store and exec slow paths, and after an inline store
+// whose frame drop invalidated the dispatching chain. A mispredicted
+// slot that raised pdExit still resumes at the branch target.
+//
 // An attached observer gets each fetch run (see sbStampRuns) as one
 // FetchRun when dispatch reaches the run's first step, clamped to the
 // budget so a budget exit reports exactly the fetches it retired; the
@@ -648,39 +705,46 @@ func (c *CPU) execSB(s *superblock, max uint64) uint64 {
 	g := &c.GPR
 	c.sb.cur = s
 	r0 := c.CP0.Random
-	var n, flushed uint64
-	// Per-class retirement accumulates in registers and lands on
-	// c.Stat in one flush at exit: nothing inside a dispatch reads
-	// Classes, and machine time is Instret-based (flushed separately
-	// at every slow-path boundary for device timestamps).
-	var clsAcc [NClass]uint64
+	base := c.Stat.Instret
+	// nb: instructions retired by the completed passes of this
+	// dispatch. cls sums the class-count prefixes of the passes not yet
+	// flushed to Stat.Classes; clsN is their instruction total, which
+	// bounds every field of cls.
+	var nb, cls, clsN uint64
 	// linkPending marks a mispredicted branch whose delay slot is about
 	// to run inline; after the slot retires, dispatch leaves this chain
 	// and tries to link into the superblock at the real target.
 	linkPending := false
-	i := 0
-dispatch:
+	i, stop := 0, 0
+	var next *superblock // the chain the next pass runs
+
+run:
+	// A pass starts or resumes at steps[i]: i is 0 (a chain entry or a
+	// loop wrap) or the stop of a pass cut short of the chain end, which
+	// is the budget (exit here) or, when observed, the next fetch run.
+	if nb+uint64(i) >= max {
+		if steps[i].flags&sbSlot != 0 {
+			// Stopping between a branch and its slot: the branch
+			// already set delayTarget; restore the architectural
+			// in-delay state for the next Step.
+			c.inDelay = true
+		}
+		c.PC = steps[i].pc
+		c.sb.exitBudget++
+		goto out
+	}
+	stop = len(steps)
+	if rem := max - nb; rem < uint64(stop) {
+		stop = int(rem)
+	}
+	if c.obsAny {
+		if e := i + int(steps[i].run); e < stop {
+			stop = e
+		}
+		c.Obs.FetchRun(steps[i].pc, s.pas[i], stop-i, c.KernelMode(), true)
+	}
 	for {
-		if n >= max {
-			st := &steps[i]
-			if st.flags&sbSlot != 0 {
-				// Stopping between a branch and its slot: the branch
-				// already set delayTarget; restore the architectural
-				// in-delay state for the next Step.
-				c.inDelay = true
-			}
-			c.PC = st.pc
-			c.sb.exitBudget++
-			goto out
-		}
 		st := &steps[i]
-		if c.obsAny && st.run != 0 {
-			k := uint64(st.run)
-			if k > max-n {
-				k = max - n
-			}
-			c.Obs.FetchRun(st.pc, s.pas[i], int(k), c.KernelMode(), true)
-		}
 		switch st.op {
 		case pdADDU:
 			g[st.rd] = g[st.rs] + g[st.rt]
@@ -697,22 +761,17 @@ dispatch:
 				g[st.rt] = binary.BigEndian.Uint32(e.ram[va&(PageSize-1):])
 				g[0] = 0
 			} else {
-				c.PC = st.pc
-				if st.flags&sbSlot != 0 {
-					c.execInSlot = true
-				}
-				c.Stat.Instret += n - flushed
-				flushed = n
-				v, lok := c.load(va, 4)
+				c.sbCallOut(st, base+nb+uint64(i))
+				v, ok := c.load(va, 4)
 				c.execInSlot = false
-				if !lok {
-					n++
-					clsAcc[st.cls]++
-					c.sb.exitExc++
-					goto out
+				if !ok {
+					goto exc
 				}
 				g[st.rt] = uint32(v)
 				g[0] = 0
+				if c.pdExit || c.Halted {
+					goto called
+				}
 			}
 		case pdSW:
 			va := g[st.rs] + st.imm
@@ -720,24 +779,22 @@ dispatch:
 				if c.obsAny {
 					c.Obs.Store(va, e.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
 				}
+				binary.BigEndian.PutUint32(e.ram[va&(PageSize-1):], g[st.rt])
 				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
+					if c.pdExit {
+						goto called
+					}
 				}
-				binary.BigEndian.PutUint32(e.ram[va&(PageSize-1):], g[st.rt])
 			} else {
-				c.PC = st.pc
-				if st.flags&sbSlot != 0 {
-					c.execInSlot = true
-				}
-				c.Stat.Instret += n - flushed
-				flushed = n
-				sok := c.store(va, 4, uint64(g[st.rt]))
+				c.sbCallOut(st, base+nb+uint64(i))
+				ok := c.store(va, 4, uint64(g[st.rt]))
 				c.execInSlot = false
-				if !sok {
-					n++
-					clsAcc[st.cls]++
-					c.sb.exitExc++
-					goto out
+				if !ok {
+					goto exc
+				}
+				if c.pdExit || c.Halted {
+					goto called
 				}
 			}
 		case pdBEQ, pdBNE, pdBLEZ, pdBGTZ, pdBLTZ, pdBGEZ:
@@ -765,9 +822,14 @@ dispatch:
 			// A mispredicted branch no longer surrenders the batch: the
 			// very next step IS its delay slot (the builder appends them
 			// as a pair), so the slot runs inline with full slow-path
-			// handling, and the tail then links to the real target —
-			// possibly straight into another superblock.
-			linkPending = taken != (st.flags&sbPredTaken != 0)
+			// handling, and the pass stops after it to link to the real
+			// target — possibly straight into another superblock.
+			if taken != (st.flags&sbPredTaken != 0) {
+				linkPending = true
+				if i+2 < stop {
+					stop = i + 2
+				}
+			}
 		case pdJ:
 			c.delayTarget = st.imm
 			g[0] = 0
@@ -899,22 +961,17 @@ dispatch:
 				g[st.rt] = uint32(int32(int8(e.ram[va&(PageSize-1)])))
 				g[0] = 0
 			} else {
-				c.PC = st.pc
-				if st.flags&sbSlot != 0 {
-					c.execInSlot = true
-				}
-				c.Stat.Instret += n - flushed
-				flushed = n
-				v, lok := c.load(va, 1)
+				c.sbCallOut(st, base+nb+uint64(i))
+				v, ok := c.load(va, 1)
 				c.execInSlot = false
-				if !lok {
-					n++
-					clsAcc[st.cls]++
-					c.sb.exitExc++
-					goto out
+				if !ok {
+					goto exc
 				}
 				g[st.rt] = uint32(int32(int8(v)))
 				g[0] = 0
+				if c.pdExit || c.Halted {
+					goto called
+				}
 			}
 		case pdLBU:
 			va := g[st.rs] + st.imm
@@ -925,22 +982,17 @@ dispatch:
 				g[st.rt] = uint32(e.ram[va&(PageSize-1)])
 				g[0] = 0
 			} else {
-				c.PC = st.pc
-				if st.flags&sbSlot != 0 {
-					c.execInSlot = true
-				}
-				c.Stat.Instret += n - flushed
-				flushed = n
-				v, lok := c.load(va, 1)
+				c.sbCallOut(st, base+nb+uint64(i))
+				v, ok := c.load(va, 1)
 				c.execInSlot = false
-				if !lok {
-					n++
-					clsAcc[st.cls]++
-					c.sb.exitExc++
-					goto out
+				if !ok {
+					goto exc
 				}
 				g[st.rt] = uint32(v)
 				g[0] = 0
+				if c.pdExit || c.Halted {
+					goto called
+				}
 			}
 		case pdSB:
 			va := g[st.rs] + st.imm
@@ -948,75 +1000,85 @@ dispatch:
 				if c.obsAny {
 					c.Obs.Store(va, e.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
 				}
+				e.ram[va&(PageSize-1)] = byte(g[st.rt])
 				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
+					if c.pdExit {
+						goto called
+					}
 				}
-				e.ram[va&(PageSize-1)] = byte(g[st.rt])
 			} else {
-				c.PC = st.pc
-				if st.flags&sbSlot != 0 {
-					c.execInSlot = true
-				}
-				c.Stat.Instret += n - flushed
-				flushed = n
-				sok := c.store(va, 1, uint64(g[st.rt]&0xff))
+				c.sbCallOut(st, base+nb+uint64(i))
+				ok := c.store(va, 1, uint64(g[st.rt]&0xff))
 				c.execInSlot = false
-				if !sok {
-					n++
-					clsAcc[st.cls]++
-					c.sb.exitExc++
-					goto out
+				if !ok {
+					goto exc
+				}
+				if c.pdExit || c.Halted {
+					goto called
 				}
 			}
 		default:
 			// pdLH/pdLHU/pdSH/pdLWC1/pdSWC1/pdCOP1(non-BC): the
 			// reference interpreter on the raw word decodeUop kept in
-			// imm, with the PC materialized for exceptions and machine
-			// time flushed for device timestamps.
-			c.PC = st.pc
-			if st.flags&sbSlot != 0 {
-				c.execInSlot = true
-			}
-			c.Stat.Instret += n - flushed
-			flushed = n
-			eok := c.exec(st.imm)
+			// imm.
+			c.sbCallOut(st, base+nb+uint64(i))
+			ok := c.exec(st.imm)
 			c.execInSlot = false
-			if !eok {
-				n++
-				clsAcc[st.cls]++
-				c.sb.exitExc++
-				goto out
+			if !ok {
+				goto exc
+			}
+			if c.pdExit || c.Halted {
+				goto called
 			}
 		}
-		n++
-		clsAcc[st.cls]++
 		i++
-		if linkPending && st.flags&sbSlot != 0 {
-			// The slot of a mispredicted branch just retired; resume at
-			// the branch's real target. This check must precede the
-			// pdExit one: if the slot itself forced an exit, the resume
-			// PC is still the branch target, not the chained successor.
-			linkPending = false
-			c.PC = c.delayTarget
-			c.sb.exitMispred++
-			goto link
-		}
-		if c.pdExit || c.Halted {
-			if i == len(steps) {
-				goto chainEnd
-			}
-			c.PC = steps[i].pc
-			c.sb.exitPDExit++
-			goto out
-		}
-		if i == len(steps) {
-			if s.loop {
-				i = 0
-				continue
-			}
-			goto chainEnd
+		if i == stop {
+			break
 		}
 	}
+
+	// The pass reached stop.
+	if linkPending && steps[i-1].flags&sbSlot != 0 {
+		goto mispredict
+	}
+	if i < len(steps) {
+		goto run // a budget stop or the next fetch run
+	}
+	if s.loop {
+		next = s
+		goto pass
+	}
+	goto chainEnd
+
+exc:
+	i++ // a faulting instruction still issued
+	c.sb.exitExc++
+	goto out
+
+called:
+	// steps[i] called out of the loop and raised pdExit or halted.
+	i++
+	if linkPending && steps[i-1].flags&sbSlot != 0 {
+		// The link comes before the pdExit exit: if the slot of a
+		// mispredicted branch forced the exit, the resume PC is still
+		// the branch target, not the step after the slot.
+		goto mispredict
+	}
+	if i == len(steps) {
+		goto chainEnd
+	}
+	c.PC = steps[i].pc
+	c.sb.exitPDExit++
+	goto out
+
+mispredict:
+	// The slot of a mispredicted branch just retired; resume at the
+	// branch's real target.
+	linkPending = false
+	c.PC = c.delayTarget
+	c.sb.exitMispred++
+	goto link
 
 chainEnd:
 	if s.exitSlot {
@@ -1034,25 +1096,52 @@ link:
 	// Chain-to-chain linking: the dispatch is at a clean instruction
 	// boundary with c.PC naming the continuation, so if a superblock
 	// starts there, enter it without surrendering the batch.
-	if !c.pdExit && !c.Halted && n < max {
-		if s2 := c.sbEnterable(c.PC); s2 != nil {
-			s = s2
-			steps = s.steps
-			c.sb.cur = s
-			i = 0
-			goto dispatch
-		}
+	if c.pdExit || c.Halted || nb+uint64(i) >= max {
+		goto out
+	}
+	if next = c.sbEnterable(c.PC); next == nil {
+		goto out
 	}
 
-out:
-	c.CP0.Random = advanceRandom(r0, n)
-	c.Stat.Instret += n - flushed
-	c.sb.instrs += n
-	for ci, v := range clsAcc {
-		if v != 0 {
-			c.Stat.Classes[ci] += v
-		}
+pass:
+	// The pass over steps[:i] is complete: account for it and start the
+	// next one at the head of next (s itself on a loop wrap).
+	nb += uint64(i)
+	cls += s.pre[i]
+	if clsN += uint64(i); clsN > sbClassFlush {
+		c.sbFlushClasses(cls)
+		cls, clsN = 0, 0
 	}
+	s = next
+	steps = s.steps
+	c.sb.cur = s
+	i = 0
+	goto run
+
+out:
+	c.sbFlushClasses(cls + s.pre[i])
+	n := nb + uint64(i)
+	c.CP0.Random = advanceRandom(r0, n)
+	c.Stat.Instret = base + n
+	c.sb.instrs += n
 	c.sb.cur = nil
 	return n
+}
+
+// sbCallOut materializes the state a slow path may observe before
+// step st calls out of the dispatch loop: the PC (for exceptions), the
+// in-slot flag (for BD/EPC), and the retirement count (machine time,
+// for device timestamps). The caller clears execInSlot on return.
+func (c *CPU) sbCallOut(st *sbStep, instret uint64) {
+	c.PC = st.pc
+	c.execInSlot = st.flags&sbSlot != 0
+	c.Stat.Instret = instret
+}
+
+// sbFlushClasses adds the packed class counts cls (see sbClassBits)
+// to Stat.Classes.
+func (c *CPU) sbFlushClasses(cls uint64) {
+	for ci := range c.Stat.Classes {
+		c.Stat.Classes[ci] += cls >> (uint(ci) * sbClassBits) & sbClassMask
+	}
 }

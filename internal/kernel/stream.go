@@ -73,8 +73,9 @@ func DefaultStream() StreamConfig {
 // doorbell handler on the machine's goroutine; DecodeErrors is owned by
 // the consumer and is stable once Run returns (Run joins the consumer).
 // The consumer decodes every compressed epoch exactly once, whatever
-// is attached; an undecodable epoch is skipped, never delivered, and
-// fails the Run.
+// is attached. Each epoch is encoded from a fresh codec state, so an
+// undecodable epoch is skipped alone, never delivered, and fails the
+// Run; the epochs after it are still decoded and delivered.
 type StreamStats struct {
 	Epochs       uint64 // epochs handed to the consumer
 	StallCycles  uint64 // machine cycles stalled waiting for a ring slot
@@ -139,6 +140,9 @@ func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
 	b.reason, b.pid = reason, pid
 	b.words = s.copyOut(n, b.words)
 	if st.cfg.Compress {
+		// Every epoch starts from a fresh codec state, so it decodes
+		// on its own: a corrupt epoch loses only itself.
+		st.enc.Reset()
 		b.enc = st.enc.Encode(b.words, b.enc[:0])
 		s.StreamStats.EncodedBytes += uint64(len(b.enc))
 	}
@@ -191,6 +195,7 @@ func (st *streamer) consume() {
 			}
 			dsp := obs.Begin("stream_decode")
 			var err error
+			dec.Reset()
 			scratch, err = dec.Decode(b.enc, scratch[:0])
 			dsp.End()
 			if err != nil {

@@ -225,8 +225,8 @@ type Checker struct {
 	off       int
 	schedMute map[int]bool // unknown-space episodes already reported
 
-	// Compressed-stream consumption (CheckCompressed): decoder state
-	// persists across epochs, mirroring the encoder that produced them.
+	// Compressed-stream consumption (CheckCompressed): the decoder is
+	// reset at every epoch, as the kernel's encoder is.
 	dec      *trace.Decoder
 	decWords []uint32
 
@@ -351,18 +351,21 @@ func (c *Checker) Check(words []uint32) {
 }
 
 // CheckCompressed consumes one epoch of the compressed on-the-wire
-// trace encoding (the internal/trace stream codec). Decoder state
-// persists across calls: feed epochs in handoff order. A malformed
-// epoch is returned as an error — its words cannot be reconstructed,
-// so no conformance rule applies to them — and the stream rules
-// continue from the last good epoch. The kernel's streaming consumer
-// already decodes every epoch before OnTrace, where the experiment
-// runs attach Check; only the perfbench harness, which times its own
-// decode through kernel.System's OnEpoch hook, calls this.
+// trace encoding (the internal/trace stream codec). Each epoch is
+// self-contained, encoded from a fresh codec state as the kernel's
+// streaming drain does, but the stream rules span epochs: feed them in
+// handoff order. A malformed epoch is returned as an error — its words
+// cannot be reconstructed, so no conformance rule applies to them —
+// and the stream rules continue from the last good epoch. The
+// kernel's streaming consumer already decodes every epoch before
+// OnTrace, where the experiment runs attach Check; only the perfbench
+// harness, which times its own decode through kernel.System's OnEpoch
+// hook, calls this.
 func (c *Checker) CheckCompressed(data []byte) error {
 	if c.dec == nil {
 		c.dec = trace.NewDecoder()
 	}
+	c.dec.Reset()
 	words, err := c.dec.Decode(data, c.decWords[:0])
 	c.decWords = words
 	if err != nil {

@@ -210,8 +210,9 @@ func TestConformanceIncremental(t *testing.T) {
 }
 
 // TestCheckCompressed: the checker's own wire decode must see exactly
-// what Check sees over the same epochs, and an epoch it cannot decode
-// must come back as a *trace.StreamError.
+// what Check sees over the same epochs, each encoded from a fresh codec
+// state, and an epoch it cannot decode must come back as a
+// *trace.StreamError without costing the epochs after it.
 func TestCheckCompressed(t *testing.T) {
 	b, words := buildConform(t)
 	newChecker := func() *tracecheck.Checker {
@@ -227,6 +228,7 @@ func TestCheckCompressed(t *testing.T) {
 	for i := 0; i < len(words); i += 97 {
 		chunk := words[i:min(i+97, len(words))]
 		raw.Check(chunk)
+		enc.Reset()
 		epoch := enc.Encode(chunk, nil)
 		epochs = append(epochs, epoch)
 		if err := wire.CheckCompressed(epoch); err != nil {
@@ -252,6 +254,9 @@ func TestCheckCompressed(t *testing.T) {
 	var se *trace.StreamError
 	if err := bad.CheckCompressed(corrupt); !errors.As(err, &se) {
 		t.Errorf("undecodable epoch: err = %v, want a *trace.StreamError", err)
+	}
+	if err := bad.CheckCompressed(epochs[1]); err != nil {
+		t.Errorf("the intact epoch after the undecodable one: %v", err)
 	}
 }
 

@@ -64,6 +64,9 @@ go test -run='^$' -fuzz='^FuzzTimingFetchRun$' -fuzztime=10s ./internal/memsys/
 go test -run='^$' -fuzz=FuzzLiveness -fuzztime=10s ./internal/dataflow/
 go test -run='^$' -fuzz=FuzzAbsInt -fuzztime=10s ./internal/dataflow/
 
+echo "== superblock dispatch benchmark (one iteration, so it keeps building and running) =="
+go test -run='^$' -bench='^BenchmarkSuperblockDispatch$' -benchtime=1x ./internal/cpu/
+
 if [ "${SKIP_LINT:-0}" != "1" ]; then
 	./scripts/lint.sh
 fi
