@@ -107,7 +107,10 @@ func BenchmarkTable3TLBMisses(b *testing.B) {
 
 func BenchmarkFigure2Instrumentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiment.Figure2()
+		out, err := experiment.Figure2()
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(out) == 0 {
 			b.Fatal("empty figure")
 		}

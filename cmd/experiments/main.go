@@ -59,7 +59,8 @@ func main() {
 
 	if run("figure2") {
 		fmt.Println("== Figure 2: instrumentation by epoxie ==")
-		f2 := experiment.Figure2()
+		f2, err := experiment.Figure2()
+		die(err)
 		fmt.Println(f2)
 	}
 

@@ -196,13 +196,16 @@ type Stats struct {
 	Classes [NClass]uint64
 }
 
-// tlbCache is one soft-TLB entry: a cached page translation.
+// tlbCache is one soft-TLB entry: a cached page translation, tagged
+// with the address space it holds in (see refill). An entry is 32
+// bytes, so the three tables fit in a 32 KB L1 cache.
 type tlbCache struct {
-	vpage  uint32 // va & EntryHiVPN
+	tag    uint32 // va & EntryHiVPN, with EntryHi's ASID field at fill time under amask
 	ppage  uint32
-	ram    []byte // host slice for the frame, nil if device space or uncached
-	cached bool   // architecturally cached (not kseg1 / EloN)
-	gen    uint64 // tcGen at fill time, 0 if never filled; older entries miss
+	amask  uint32          // ASIDMask, or 0 if the translation holds under every ASID
+	cached bool            // architecturally cached (not kseg1 / EloN)
+	ram    *[PageSize]byte // host frame, nil if device space or uncached
+	gen    uint64          // tcGen at fill time, 0 if never filled; older entries miss
 }
 
 // Soft-TLB access kinds: each has its own table, so a load-filled
@@ -227,7 +230,7 @@ func tlbSet(va uint32) uint32 {
 // Soft-TLB refill causes, for the refill counters.
 const (
 	refillCold       = iota // the set was never filled
-	refillConflict          // the set held another page
+	refillConflict          // the set held another page, or this page in another address space
 	refillGeneration        // the set held this page from an older tcGen
 	nRefillCauses
 )
@@ -254,10 +257,11 @@ type CPU struct {
 	delayTarget uint32
 	irqLines    uint32
 
-	// stlb is the soft-TLB (see tlbHit and refill). Bumping tcGen
-	// expires every entry in O(1): the UTLB refill handler invalidates
-	// on every TLBWR, so a sweep would be on the guest's hottest
-	// exception path.
+	// stlb is the soft-TLB (see tlbHit and refill). Entries carry the
+	// ASID they were filled under, so an address-space switch expires
+	// nothing; a TLB write bumps tcGen, which expires every entry in
+	// O(1): the UTLB refill handler writes on every miss, so a sweep
+	// would be on the guest's hottest exception path.
 	stlb    [nTLBKinds][softTLBSets]tlbCache
 	tcGen   uint64
 	refills [nTLBKinds][nRefillCauses]uint64
@@ -311,7 +315,8 @@ func New(bus Bus, entry uint32) *CPU {
 }
 
 // invalidateCaches expires every soft-TLB entry and superblock page-guard
-// validation; callers write what translation reads: the TLB or the ASID.
+// validation; callers write the TLB (TLBWI, TLBWR). An ASID switch
+// needs no call: both caches are tagged with the ASID they hold under.
 func (c *CPU) invalidateCaches() { c.tcGen++ }
 
 // KernelMode reports whether the CPU is in kernel mode.
@@ -388,52 +393,59 @@ func (c *CPU) rfe() {
 	c.CP0.Status = st&^0x0f | st>>2&0x0f
 }
 
-// lookupTLB searches for a matching entry; returns index or -1.
-func (c *CPU) lookupTLB(va uint32) int {
+// lookupTLB searches for a matching entry; returns index or -1, and
+// whether the match holds under every ASID: it is global, and no
+// earlier entry has its VPN (under that entry's ASID, the earlier one
+// would match first).
+func (c *CPU) lookupTLB(va uint32) (int, bool) {
 	vpn := va & EntryHiVPN
 	asid := c.CP0.EntryHi & ASIDMask
+	shadowed := false
 	for i := 0; i < NTLB; i++ {
 		e := &c.TLB[i]
 		if e.Hi&EntryHiVPN != vpn {
 			continue
 		}
 		if e.Lo&EloG != 0 || e.Hi&ASIDMask == asid {
-			return i
+			return i, e.Lo&EloG != 0 && !shadowed
 		}
+		shadowed = true
 	}
-	return -1
+	return -1, false
 }
 
 // translate maps va to a physical address for an access of the given
-// kind. On failure it raises the appropriate exception and returns
-// ok=false.
-func (c *CPU) translate(va uint32, store, fetch bool) (pa uint32, cached, ok bool) {
+// kind, and reports whether that translation holds under every ASID
+// (the unmapped segments, and a global TLB entry that lookupTLB finds
+// first under any ASID). On failure it raises the appropriate
+// exception and returns ok=false.
+func (c *CPU) translate(va uint32, store, fetch bool) (pa uint32, cached, global, ok bool) {
 	switch {
 	case va < KUSegEnd:
 		// TLB-mapped user segment.
 	case va < KSeg1Base:
 		if !c.KernelMode() {
 			c.addressError(va, store)
-			return 0, false, false
+			return 0, false, false, false
 		}
-		return va - KSeg0Base, true, true
+		return va - KSeg0Base, true, true, true
 	case va < KSeg2Base:
 		if !c.KernelMode() {
 			c.addressError(va, store)
-			return 0, false, false
+			return 0, false, false, false
 		}
-		return va - KSeg1Base, false, true
+		return va - KSeg1Base, false, true, true
 	default:
 		if !c.KernelMode() {
 			c.addressError(va, store)
-			return 0, false, false
+			return 0, false, false, false
 		}
 		// kseg2: TLB-mapped kernel segment.
 	}
-	i := c.lookupTLB(va)
+	i, global := c.lookupTLB(va)
 	if i < 0 {
 		c.tlbMiss(va, store)
-		return 0, false, false
+		return 0, false, false, false
 	}
 	lo := c.TLB[i].Lo
 	if lo&EloV == 0 {
@@ -446,16 +458,16 @@ func (c *CPU) translate(va uint32, store, fetch bool) (pa uint32, cached, ok boo
 			code = ExcTLBS
 		}
 		c.Exception(code, VecGeneral)
-		return 0, false, false
+		return 0, false, false, false
 	}
 	if store && lo&EloD == 0 {
 		c.CP0.BadVAddr = va
 		c.setContext(va)
 		c.CP0.EntryHi = c.CP0.EntryHi&ASIDMask | va&EntryHiVPN
 		c.Exception(ExcMod, VecGeneral)
-		return 0, false, false
+		return 0, false, false, false
 	}
-	return lo&EloPFN | va&(PageSize-1), lo&EloN == 0, true
+	return lo&EloPFN | va&(PageSize-1), lo&EloN == 0, global, true
 }
 
 func (c *CPU) setContext(va uint32) {

@@ -9,10 +9,11 @@ import (
 )
 
 // tlbHit reports whether soft-TLB entry e translates va now: same page,
-// current generation, and kernel mode outside kuseg, as translate would
+// current generation, an ASID tag the current ASID matches (any ASID
+// for a global one), and kernel mode outside kuseg, as translate would
 // check, so an entry a kernel access filled never serves user mode.
 func (c *CPU) tlbHit(e *tlbCache, va uint32) bool {
-	return e.vpage == va&EntryHiVPN && e.gen == c.tcGen && (va < KUSegEnd || c.KernelMode())
+	return e.tag == va&EntryHiVPN|c.CP0.EntryHi&e.amask && e.gen == c.tcGen && (va < KUSegEnd || c.KernelMode())
 }
 
 // refill fills soft-TLB entry e, the set of va in kind's table, from
@@ -20,22 +21,30 @@ func (c *CPU) tlbHit(e *tlbCache, va uint32) bool {
 // translate raised an exception. Callers test tlbHit first, inline:
 // refill does not fit the inlining budget, and a hit must cost no call.
 func (c *CPU) refill(e *tlbCache, va uint32, kind int) *tlbCache {
-	pa, cached, ok := c.translate(va, kind == tlbStore, kind == tlbFetch)
+	pa, cached, global, ok := c.translate(va, kind == tlbStore, kind == tlbFetch)
 	if !ok {
 		return nil
 	}
 	vp := va & EntryHiVPN
-	cause := refillGeneration
+	cause := refillConflict // another page, or this one under another ASID
 	if e.gen == 0 {
 		cause = refillCold
-	} else if e.vpage != vp {
-		cause = refillConflict
+	} else if e.tag&EntryHiVPN == vp && e.gen != c.tcGen {
+		cause = refillGeneration
 	}
 	c.refills[kind][cause]++
-	*e = tlbCache{vpage: vp, ppage: pa & EntryHiVPN, cached: cached, gen: c.tcGen}
+	// A translation that depends on the address space is tagged with
+	// the current ASID, so it serves no other.
+	*e = tlbCache{tag: vp, ppage: pa & EntryHiVPN, cached: cached, gen: c.tcGen}
+	if !global {
+		e.tag |= c.CP0.EntryHi & ASIDMask
+		e.amask = ASIDMask
+	}
 	// Device space and uncached segments bypass the fast path.
 	if cached {
-		e.ram = c.Bus.RAMPage(pa)
+		if r := c.Bus.RAMPage(pa); r != nil {
+			e.ram = (*[PageSize]byte)(r)
+		}
 	}
 	return e
 }
@@ -236,7 +245,12 @@ func (c *CPU) StepN(max uint64) uint64 {
 	}
 	var n uint64
 	if !c.inDelay && c.PC&3 == 0 && !c.IRQPending() {
-		if s := c.sbEnterable(c.PC); s != nil {
+		k := c.sbKey(c.PC)
+		s := c.sbHit(k)
+		if s == nil {
+			s = c.sbProbe(c.PC, k)
+		}
+		if s != nil {
 			c.pdExit = false
 			n = c.execSB(s, max)
 		}
@@ -542,11 +556,9 @@ func (c *CPU) execCOP0(w uint32, rs, rt int) bool {
 		case isa.C0Context:
 			c.CP0.Context = v
 		case isa.C0EntryHi:
-			// Translation reads only EntryHi's ASID; the VPN field is
+			// Translation reads only EntryHi's ASID, and the soft-TLB
+			// and superblocks are tagged with it; the VPN field is
 			// TLBP/TLBWR operand staging.
-			if (v^c.CP0.EntryHi)&ASIDMask != 0 {
-				c.invalidateCaches()
-			}
 			c.CP0.EntryHi = v
 		case isa.C0Status:
 			c.CP0.Status = v
@@ -573,10 +585,7 @@ func (c *CPU) execCOP0(w uint32, rs, rt int) bool {
 			}
 		case isa.C0FnTLBR:
 			e := c.TLB[c.CP0.Index&(NTLB-1)]
-			if (e.Hi^c.CP0.EntryHi)&ASIDMask != 0 {
-				c.invalidateCaches() // TLBR loads the entry's ASID too
-			}
-			c.CP0.EntryHi = e.Hi
+			c.CP0.EntryHi = e.Hi // the ASID too: the caches' tags follow it
 			c.CP0.EntryLo = e.Lo
 		case isa.C0FnRFE:
 			c.rfe()

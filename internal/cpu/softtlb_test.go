@@ -31,8 +31,13 @@ var fuzzVPNs = [...]uint32{0x00001, 0x00100, 0x00101, 0x7ffff, 0x80003, 0x80020,
 
 // FuzzSoftTLB is the translation oracle: random TLB contents and a
 // random sequence of accesses (load, store or fetch, user or kernel
-// mode, every segment) mixed with TLBWR, TLBWI, TLBR, MTC0 EntryHi
-// (with and without an ASID switch), MTC0 Status and RFE. Every access
+// mode, every segment) mixed with TLBWR, TLBWI (either with a random
+// entry, or with a valid global one), TLBR, MTC0 EntryHi (keeping the
+// ASID, switching it, or switching back to the ASID before the last
+// switch, so A → B → A round trips meet entries filled under A), MTC0
+// Status and RFE. The soft-TLB tags each entry with the ASID it was
+// filled under, or as global, so every access after a switch tests
+// that tag. Every access
 // goes through the production path (fetchWord, or a byte load or store)
 // and must agree with a bare translate on a twin CPU that has no
 // translation cache: the same success and exception state, and the
@@ -48,6 +53,17 @@ func FuzzSoftTLB(f *testing.F) {
 	// A TLBR that loads another entry's ASID into EntryHi, then a load
 	// whose translation depends on the ASID (found by fuzzing).
 	f.Add([]byte("01$0870072870"), int64(16))
+	// A global entry written first in the TLB for a kuseg page, a load
+	// through it, an ASID switch, the load again (a hit on the global
+	// tag), the switch back, and the load once more.
+	f.Add([]byte{0x85, 0x00, 0x00, 0x00, 0x06, 0x30, 0x00, 0x00, 0x86, 0x00, 0x00, 0x00}, int64(7))
+	// A → B → A round trips over the random TLB: loads and stores to
+	// kuseg pages under ASID 0, a switch to ASID 1 and then 2 with the
+	// same accesses, and switches back.
+	for s := int64(8); s <= 10; s++ {
+		f.Add([]byte{0x00, 0x00, 0x08, 0x01, 0x06, 0x30, 0x00, 0x00, 0x08, 0x01,
+			0x06, 0x50, 0x00, 0x00, 0x86, 0x00, 0x00, 0x00, 0x08, 0x01, 0x86, 0x00, 0x00, 0x00}, s)
+	}
 	for s := int64(3); s <= 6; s++ {
 		b := make([]byte, 256)
 		rand.New(rand.NewSource(s)).Read(b)
@@ -77,6 +93,7 @@ func FuzzSoftTLB(f *testing.F) {
 			c.TLB[i] = TLBEntry{Hi: randHi(), Lo: randLo()}
 		}
 		ref.TLB = c.TLB
+		prevASID := uint32(0) // the ASID before the last switch
 		both := func(w isa.Word) {
 			c.exec(uint32(w))
 			ref.exec(uint32(w))
@@ -108,7 +125,7 @@ func FuzzSoftTLB(f *testing.F) {
 				default:
 					_, got = c.fetchWord(va)
 				}
-				pa, cached, ok := ref.translate(va, kind == tlbStore, kind == tlbFetch)
+				pa, cached, _, ok := ref.translate(va, kind == tlbStore, kind == tlbFetch)
 				if got != ok {
 					t.Fatalf("op %d: kind %d va 0x%08x status 0x%x: access ok=%v, translate ok=%v", i/2, kind, va, st, got, ok)
 				}
@@ -140,22 +157,40 @@ func FuzzSoftTLB(f *testing.F) {
 						t.Fatalf("op %d: kind %d va 0x%08x: soft-TLB host frame differs from pa 0x%08x's", i/2, kind, va, pa)
 					}
 				}
-			case 4:
-				mtc0(isa.C0EntryHi, randHi())
-				mtc0(isa.C0EntryLo, randLo())
-				rnd := TLBWired + uint32(arg)%(NTLB-TLBWired)
-				c.CP0.Random, ref.CP0.Random = rnd, rnd
-				both(isa.TLBWR())
-			case 5:
-				mtc0(isa.C0EntryHi, randHi())
-				mtc0(isa.C0EntryLo, randLo())
-				mtc0(isa.C0Index, uint32(arg))
-				both(isa.TLBWI())
+			case 4, 5:
+				// A random entry, or (op bit 7) a valid global one for
+				// the page arg names, at Random or Index (arg).
+				asid := c.CP0.EntryHi & ASIDMask
+				hi, lo := randHi(), randLo()
+				if op&0x80 != 0 {
+					hi = fuzzVPNs[int(arg)%len(fuzzVPNs)]<<PageShift | asid
+					lo |= EloG | EloV
+				}
+				mtc0(isa.C0EntryHi, hi)
+				mtc0(isa.C0EntryLo, lo)
+				if op&7 == 4 {
+					rnd := TLBWired + uint32(arg)%(NTLB-TLBWired)
+					c.CP0.Random, ref.CP0.Random = rnd, rnd
+					both(isa.TLBWR())
+				} else {
+					mtc0(isa.C0Index, uint32(arg)>>4)
+					both(isa.TLBWI())
+				}
+				// Restore the ASID: the write staged the entry's.
+				mtc0(isa.C0EntryHi, c.CP0.EntryHi&^ASIDMask|asid)
 			case 6:
-				// Keep or switch the ASID, with a fresh VPN either way.
-				hi := fuzzVPNs[int(arg)%len(fuzzVPNs)]<<PageShift | c.CP0.EntryHi&ASIDMask
-				if arg&0x10 != 0 {
+				// Keep or switch the ASID, or (op bit 7) switch back to
+				// the one before the last switch, with a fresh VPN.
+				asid := c.CP0.EntryHi & ASIDMask
+				hi := fuzzVPNs[int(arg)%len(fuzzVPNs)]<<PageShift | asid
+				switch {
+				case op&0x80 != 0:
+					hi = hi&^ASIDMask | prevASID
+				case arg&0x10 != 0:
 					hi = hi&^ASIDMask | uint32(arg>>5%3)<<ASIDShift
+				}
+				if hi&ASIDMask != asid {
+					prevASID = asid
 				}
 				mtc0(isa.C0EntryHi, hi)
 			default:

@@ -427,7 +427,10 @@ func TestDefensiveTracing(t *testing.T) {
 // produces the expected structure: prologue + memtrace per memory
 // instruction, with the hazard case using an EA no-op.
 func TestFigure2(t *testing.T) {
-	out := epoxie.Figure2()
+	out, err := epoxie.Figure2()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.Before) == 0 || len(out.After) <= len(out.Before) {
 		t.Fatalf("before=%d after=%d", len(out.Before), len(out.After))
 	}

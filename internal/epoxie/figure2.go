@@ -1,6 +1,8 @@
 package epoxie
 
 import (
+	"fmt"
+
 	"systrace/internal/asm"
 	"systrace/internal/isa"
 	"systrace/internal/link"
@@ -22,11 +24,12 @@ type Figure2Output struct {
 //	        jal   _findiop
 //	        sw    a1,28(sp)
 //
-// and returns the disassembly of both versions. The store of ra is the
+// and returns the disassembly of both versions, or the build's error.
+// The store of ra is the
 // hazard case (it reads ra, which `jal memtrace` destroys), so it gets
 // an effective-address no-op in the delay slot; the store in
 // _findiop's delay slot is hoisted above the call, as in the paper.
-func Figure2() Figure2Output {
+func Figure2() (Figure2Output, error) {
 	a := asm.New("figure2")
 	a.Func("fopen", 0)
 	a.I(isa.ADDIU(isa.RegSP, isa.RegSP, uint16(0x10000-24)))
@@ -47,17 +50,31 @@ func Figure2() Figure2Output {
 	}
 	b, err := BuildInstrumented([]*obj.File{f}, lopt, Config{}, UserRuntime)
 	if err != nil {
-		panic("epoxie: Figure2 build failed: " + err.Error())
+		return Figure2Output{}, fmt.Errorf("figure 2: %w", err)
+	}
+	var missing error
+	sym := func(e *obj.Executable, name string) uint32 {
+		a, ok := e.Symbol(name)
+		if !ok && missing == nil {
+			missing = fmt.Errorf("figure 2: %s has no symbol %q", e.Name, name)
+		}
+		return a
+	}
+	oaddr, iaddr := sym(b.Orig, "fopen"), sym(b.Instr, "fopen")
+	calls := map[uint32]string{}
+	for _, name := range []string{"bbtrace", "memtrace", "memtrace_sp", "_findiop"} {
+		calls[sym(b.Instr, name)] = name
+	}
+	if missing != nil {
+		return Figure2Output{}, missing
 	}
 
 	var out Figure2Output
-	oaddr := b.Orig.MustSymbol("fopen")
 	ob := b.Orig.BlockFor(oaddr)
 	for k := int32(0); k < ob.NInstr; k++ {
 		va := oaddr + uint32(k)*4
 		out.Before = append(out.Before, isa.Disassemble(va, b.Orig.Text[(va-b.Orig.TextBase)/4]))
 	}
-	iaddr := b.Instr.MustSymbol("fopen")
 	ib := b.Instr.BlockFor(iaddr)
 	for k := int32(0); k < ib.NInstr; k++ {
 		va := iaddr + uint32(k)*4
@@ -66,18 +83,11 @@ func Figure2() Figure2Output {
 		// Annotate the runtime calls symbolically, as the paper does.
 		if w>>26 == isa.OpJAL {
 			target := va&0xf0000000 | w<<2&0x0ffffffc
-			switch target {
-			case b.Instr.MustSymbol("bbtrace"):
-				s = "jal    bbtrace"
-			case b.Instr.MustSymbol("memtrace"):
-				s = "jal    memtrace"
-			case b.Instr.MustSymbol("memtrace_sp"):
-				s = "jal    memtrace_sp"
-			case b.Instr.MustSymbol("_findiop"):
-				s = "jal    _findiop"
+			if name, ok := calls[target]; ok {
+				s = "jal    " + name
 			}
 		}
 		out.After = append(out.After, s)
 	}
-	return out
+	return out, nil
 }

@@ -462,8 +462,11 @@ func FormatTable(header []string, rows [][]string) string {
 func Sec(s float64) string { return fmt.Sprintf("%.4f", s) }
 
 // Figure2 renders the paper's before/after instrumentation listing.
-func Figure2() string {
-	out := epoxie.Figure2()
+func Figure2() (string, error) {
+	out, err := epoxie.Figure2()
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("before instrumentation:        after instrumentation:\n")
 	n := len(out.After)
@@ -474,7 +477,7 @@ func Figure2() string {
 		}
 		fmt.Fprintf(&b, "  %-28s %s\n", left, out.After[i])
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // CorruptionDetection measures the §4.3 redundancy: it captures the

@@ -96,8 +96,9 @@ func testData() ([]byte, uint32) {
 }
 
 // exit status is visible through the zombie's trapframe a0 slot.
-func exitStatus(sys *kernel.System, pid int) uint32 {
-	procs := sys.Kernel.MustSymbol("procs") - 0x80000000
+func exitStatus(t testing.TB, sys *kernel.System, pid int) uint32 {
+	t.Helper()
+	procs := symbol(t, sys.Kernel, "procs") - 0x80000000
 	p := procs + uint32(pid-1)*kernel.ProcStride
 	return sys.M.RAM.ReadWord(p + kernel.PSave + kernel.TFRegs + (4-1)*4) // a0
 }
@@ -163,7 +164,7 @@ func TestFileReadUltrix(t *testing.T) {
 	sys := bootAndRun(t, kernel.Ultrix, false,
 		map[string]*m.Module{"filesum": fileSumModule()},
 		map[string][]byte{"data.bin": data})
-	if got := exitStatus(sys, 1); got != sum {
+	if got := exitStatus(t, sys, 1); got != sum {
 		t.Errorf("file sum = %d, want %d", got, sum)
 	}
 }
@@ -173,7 +174,7 @@ func TestFileReadMach(t *testing.T) {
 	sys := bootAndRun(t, kernel.Mach, false,
 		map[string]*m.Module{"filesum": fileSumModule()},
 		map[string][]byte{"data.bin": data})
-	if got := exitStatus(sys, 2); got != sum {
+	if got := exitStatus(t, sys, 2); got != sum {
 		t.Errorf("file sum = %d, want %d", got, sum)
 	}
 }
@@ -266,7 +267,7 @@ func TestTracedUltrixSystem(t *testing.T) {
 	sys, p, events := runTraced(t, kernel.Ultrix,
 		map[string]*m.Module{"filesum": fileSumModule()},
 		map[string][]byte{"data.bin": data})
-	if got := exitStatus(sys, 1); got != sum {
+	if got := exitStatus(t, sys, 1); got != sum {
 		t.Errorf("traced run result %d want %d", got, sum)
 	}
 	if p.Records == 0 || p.MemRefs == 0 {
@@ -301,7 +302,7 @@ func TestTracedMachSystem(t *testing.T) {
 	sys, p, events := runTraced(t, kernel.Mach,
 		map[string]*m.Module{"filesum": fileSumModule()},
 		map[string][]byte{"data.bin": data})
-	if got := exitStatus(sys, 2); got != sum {
+	if got := exitStatus(t, sys, 2); got != sum {
 		t.Errorf("traced run result %d want %d", got, sum)
 	}
 	var srv, client uint64
@@ -341,7 +342,7 @@ func TestMultiProcessScheduling(t *testing.T) {
 		"p1": spin("p1", 60000, 100000),
 		"p2": spin("p2", 40000, 200000),
 	}, nil)
-	r1, r2 := exitStatus(sys, 1), exitStatus(sys, 2)
+	r1, r2 := exitStatus(t, sys, 1), exitStatus(t, sys, 2)
 	if r1 != 100000+60000*59999/2%10000 {
 		t.Errorf("p1 = %d", r1)
 	}
@@ -378,7 +379,7 @@ func TestBrkGrowsHeap(t *testing.T) {
 	sys := bootAndRun(t, kernel.Ultrix, false, map[string]*m.Module{"heap": mod}, nil)
 	n := int64(3 * 4096 / 4)
 	want := uint32(n * (n - 1) / 2 % 100000)
-	if got := exitStatus(sys, 1); got != want {
+	if got := exitStatus(t, sys, 1); got != want {
 		t.Errorf("heap sum %d want %d", got, want)
 	}
 }
@@ -406,7 +407,7 @@ func TestFileWriteUltrix(t *testing.T) {
 	sys := bootAndRun(t, kernel.Ultrix, false,
 		map[string]*m.Module{"writer": mod},
 		map[string][]byte{"out.bin": out})
-	if got := exitStatus(sys, 1); got != 256 {
+	if got := exitStatus(t, sys, 1); got != 256 {
 		t.Fatalf("write returned %d", got)
 	}
 	// The bytes must be on the disk image itself (synchronous write).
@@ -485,7 +486,7 @@ func TestTraceCtlSyscall(t *testing.T) {
 	if perr != nil {
 		t.Fatalf("parse: %v", perr)
 	}
-	if got := exitStatus(sys, 1); got != 1000 {
+	if got := exitStatus(t, sys, 1); got != 1000 {
 		t.Errorf("result %d", got)
 	}
 	if p.ModeSws < 1 {
@@ -532,10 +533,10 @@ func TestMachMultiClient(t *testing.T) {
 		"c2": mk("c2", "other.bin"),
 	}, map[string][]byte{"data.bin": data1, "other.bin": data2})
 	// pid 1 = server, clients in sorted name order: c1=2, c2=3.
-	if got := exitStatus(sys, 2); got != sum1 {
+	if got := exitStatus(t, sys, 2); got != sum1 {
 		t.Errorf("client 1 sum %d want %d", got, sum1)
 	}
-	if got := exitStatus(sys, 3); got != sum2 {
+	if got := exitStatus(t, sys, 3); got != sum2 {
 		t.Errorf("client 2 sum %d want %d", got, sum2)
 	}
 }
@@ -588,8 +589,8 @@ func TestTracedMultiProcess(t *testing.T) {
 	if err := p.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if exitStatus(sys, 1) != 90000 || exitStatus(sys, 2) != 60000 {
-		t.Errorf("results %d/%d", exitStatus(sys, 1), exitStatus(sys, 2))
+	if exitStatus(t, sys, 1) != 90000 || exitStatus(t, sys, 2) != 60000 {
+		t.Errorf("results %d/%d", exitStatus(t, sys, 1), exitStatus(t, sys, 2))
 	}
 	if perPid[1] == 0 || perPid[2] == 0 {
 		t.Fatalf("missing per-process trace: %v", perPid)
@@ -642,7 +643,7 @@ func TestSmallTraceBufferBounded(t *testing.T) {
 		}
 	}
 
-	kb := kexe.MustSymbol("kbook") - cpu.KSeg0Base
+	kb := symbol(t, kexe, "kbook") - cpu.KSeg0Base
 	hardEnd := uint32(kernel.TraceBufVA) + cfg.TraceBufBytes
 	for i := 0; i < 400 && !sys.M.Halted; i++ {
 		if err := sys.Run(2_000_000); err != nil &&
@@ -686,7 +687,7 @@ func TestUnhandledExceptionPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant a reserved opcode at main's entry.
-	va := prog.Orig.MustSymbol("main")
+	va := symbol(t, prog.Orig, "main")
 	prog.Orig.Text[(va-prog.Orig.TextBase)/4] = 0xfc000000
 	disk, err := kernel.BuildDiskImage(nil)
 	if err != nil {
@@ -751,10 +752,10 @@ func TestTracedMachMultiClient(t *testing.T) {
 	}, map[string][]byte{"data.bin": data1, "other.bin": data2})
 
 	// pid 1 = UX server, clients in sorted name order: c1=2, c2=3.
-	if got := exitStatus(sys, 2); got != sum1 {
+	if got := exitStatus(t, sys, 2); got != sum1 {
 		t.Errorf("client 1 sum %d want %d", got, sum1)
 	}
-	if got := exitStatus(sys, 3); got != sum2 {
+	if got := exitStatus(t, sys, 3); got != sum2 {
 		t.Errorf("client 2 sum %d want %d", got, sum2)
 	}
 	// Both clients exit; the server never does.
@@ -824,4 +825,15 @@ func TestBootMissingKernelSymbol(t *testing.T) {
 			t.Errorf("boot without %q: err = %v, want one naming the symbol", sym, err)
 		}
 	}
+}
+
+// symbol returns the address of the named symbol in e, failing the
+// test if e has none.
+func symbol(t testing.TB, e *obj.Executable, name string) uint32 {
+	t.Helper()
+	a, ok := e.Symbol(name)
+	if !ok {
+		t.Fatalf("executable %s: no symbol %q", e.Name, name)
+	}
+	return a
 }

@@ -44,19 +44,21 @@ func bootHarness(t *testing.T, bufBytes uint32) *kernel.System {
 }
 
 // setBufPtr writes the kbook BufPtr bookkeeping word (a kseg0 VA).
-func setBufPtr(sys *kernel.System, end uint32) {
-	kb := sys.Kernel.MustSymbol("kbook") - cpu.KSeg0Base
+func setBufPtr(t testing.TB, sys *kernel.System, end uint32) {
+	t.Helper()
+	kb := symbol(t, sys.Kernel, "kbook") - cpu.KSeg0Base
 	sys.M.RAM.WriteWord(kb, end)
 }
 
 // fillTraceWords plants a crafted stream in the trace buffer and sets
 // BufPtr past its last word.
-func fillTraceWords(sys *kernel.System, words []uint32) {
+func fillTraceWords(t testing.TB, sys *kernel.System, words []uint32) {
+	t.Helper()
 	pa := uint32(kernel.TraceBufVA) - cpu.KSeg0Base
 	for i, w := range words {
 		sys.M.RAM.WriteWord(pa+uint32(i)*4, w)
 	}
-	setBufPtr(sys, uint32(kernel.TraceBufVA)+uint32(len(words))*4)
+	setBufPtr(t, sys, uint32(kernel.TraceBufVA)+uint32(len(words))*4)
 }
 
 // snapVal reads one series value from a registry snapshot; -1 if the
@@ -123,7 +125,7 @@ func TestDrainPathTable(t *testing.T) {
 			var got []uint32
 			sys.OnTrace = func(words []uint32) { got = append(got, words...) }
 			words, enters, exits := mkWords(tc.nWords)
-			fillTraceWords(sys, words)
+			fillTraceWords(t, sys, words)
 			if tc.halted {
 				sys.M.Halted = true
 				sys.M.CPU.Halted = true
@@ -168,7 +170,7 @@ func TestUnknownMarkerKindCounted(t *testing.T) {
 	sys := bootHarness(t, 4<<20)
 	reg := telemetry.New()
 	sys.AttachTelemetry(reg)
-	fillTraceWords(sys, []uint32{
+	fillTraceWords(t, sys, []uint32{
 		0x00400010,
 		0xfff80000, // smallest unregistered kind
 		0xffff1234, // largest kind, nonzero payload
@@ -198,7 +200,7 @@ func TestCorruptKbookDrainError(t *testing.T) {
 	var analyzed bool
 	sys.OnTrace = func([]uint32) { analyzed = true }
 
-	setBufPtr(sys, 0x12345678) // far past the buffer end
+	setBufPtr(t, sys, 0x12345678) // far past the buffer end
 	if got := sys.M.TraceCtl.Handler(dev.DoorbellBufferFull); got != 0 {
 		t.Errorf("corrupt drain charged %d cycles, want 0", got)
 	}
@@ -215,7 +217,7 @@ func TestCorruptKbookDrainError(t *testing.T) {
 		t.Errorf("drain error series = %v, want 1", v)
 	}
 
-	setBufPtr(sys, uint32(kernel.TraceBufVA)-4) // below the buffer start
+	setBufPtr(t, sys, uint32(kernel.TraceBufVA)-4) // below the buffer start
 	if got := sys.M.TraceCtl.Handler(dev.DoorbellBufferFull); got != 0 {
 		t.Errorf("below-start drain charged %d cycles, want 0", got)
 	}
@@ -257,7 +259,7 @@ func TestHostReadBounds(t *testing.T) {
 	// Corrupt page tables: a first-level entry whose page-table page
 	// lies past RAM, then a valid first level whose PTE points past
 	// RAM. Both sliced out of bounds before the fix.
-	km := sys.Kernel.MustSymbol("kseg2map") - cpu.KSeg0Base
+	km := symbol(t, sys.Kernel, "kseg2map") - cpu.KSeg0Base
 	va := uint32(0x00400000)
 	off := uint32(1)<<kernel.PTSpanShift + (va>>12)<<2
 	sys.M.RAM.WriteWord(km+(off>>12)*4, 0x7ffff000|cpu.EloV)

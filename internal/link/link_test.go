@@ -45,14 +45,14 @@ func TestCrossObjectResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := e.MustSymbol("ext")
+	ext := symbol(t, e, "ext")
 	// The jal at word 0 must target ext.
 	j := e.Text[0]
 	if target := e.TextBase&0xf0000000 | uint32(j)<<2&0x0ffffffc; target != ext {
 		t.Errorf("jal target 0x%x want 0x%x", target, ext)
 	}
 	// LA must resolve shared+4.
-	shared := e.MustSymbol("shared")
+	shared := symbol(t, e, "shared")
 	lui, addiu := e.Text[2], e.Text[3]
 	got := (uint32(uint16(lui)) << 16) + uint32(int32(int16(addiu)))
 	if got != shared+4 {
@@ -95,4 +95,15 @@ func TestLinkedProgramRuns(t *testing.T) {
 	if v != 123 {
 		t.Errorf("got %d", v)
 	}
+}
+
+// symbol returns the address of the named symbol in e, failing the
+// test if e has none.
+func symbol(t testing.TB, e *obj.Executable, name string) uint32 {
+	t.Helper()
+	a, ok := e.Symbol(name)
+	if !ok {
+		t.Fatalf("executable %s: no symbol %q", e.Name, name)
+	}
+	return a
 }

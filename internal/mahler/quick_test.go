@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	m "systrace/internal/mahler"
+	"systrace/internal/obj"
 	"systrace/internal/sim"
 )
 
@@ -141,7 +142,7 @@ func TestExpressionPropertyAgainstInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outAddr := e.MustSymbol("out")
+		outAddr := symbol(t, e, "out")
 		for i, tr := range trees {
 			want := uint32(tr.eval())
 			got := sim.ReadWord(mach, outAddr+uint32(i*4))
@@ -150,4 +151,15 @@ func TestExpressionPropertyAgainstInterpreter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// symbol returns the address of the named symbol in e, failing the
+// test if e has none.
+func symbol(t testing.TB, e *obj.Executable, name string) uint32 {
+	t.Helper()
+	a, ok := e.Symbol(name)
+	if !ok {
+		t.Fatalf("executable %s: no symbol %q", e.Name, name)
+	}
+	return a
 }

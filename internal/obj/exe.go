@@ -1,7 +1,6 @@
 package obj
 
 import (
-	"fmt"
 	"sort"
 
 	"systrace/internal/isa"
@@ -137,16 +136,6 @@ func (e *Executable) Symbol(name string) (uint32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MustSymbol is Symbol for symbols that must exist (toolchain bug
-// otherwise).
-func (e *Executable) MustSymbol(name string) uint32 {
-	a, ok := e.Symbol(name)
-	if !ok {
-		panic(fmt.Sprintf("executable %s: no symbol %q", e.Name, name))
-	}
-	return a
 }
 
 // TextEnd returns the first address past the text segment.

@@ -238,7 +238,7 @@ func TestPixieDelaySlotShapes(t *testing.T) {
 	if err := p.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	cell := e.MustSymbol("cell")
+	cell := symbol(t, e, "cell")
 	stores := 0
 	for _, ev := range events {
 		if ev.Kind == trace.EvStore && ev.Addr == cell {
@@ -309,4 +309,15 @@ func TestEpoxiePixieAgree(t *testing.T) {
 				i, a.Kind, a.Addr, a.Size, b.Kind, b.Addr, b.Size)
 		}
 	}
+}
+
+// symbol returns the address of the named symbol in e, failing the
+// test if e has none.
+func symbol(t testing.TB, e *obj.Executable, name string) uint32 {
+	t.Helper()
+	a, ok := e.Symbol(name)
+	if !ok {
+		t.Fatalf("executable %s: no symbol %q", e.Name, name)
+	}
+	return a
 }

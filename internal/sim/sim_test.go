@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	m "systrace/internal/mahler"
+	"systrace/internal/obj"
 	"systrace/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func TestRunResultAndReaders(t *testing.T) {
 	if v != 0xdeadbeef {
 		t.Fatalf("result 0x%x", v)
 	}
-	msg := e.MustSymbol("msg")
+	msg := symbol(t, e, "msg")
 	if got := sim.ReadWord(mach, msg); got != 0xdeadbeef {
 		t.Errorf("ReadWord 0x%x", got)
 	}
@@ -71,4 +72,15 @@ func TestBuildBareRejectsMissingMain(t *testing.T) {
 	if _, err := sim.BuildBare("nomain", o); err == nil {
 		t.Error("link without main succeeded")
 	}
+}
+
+// symbol returns the address of the named symbol in e, failing the
+// test if e has none.
+func symbol(t testing.TB, e *obj.Executable, name string) uint32 {
+	t.Helper()
+	a, ok := e.Symbol(name)
+	if !ok {
+		t.Fatalf("executable %s: no symbol %q", e.Name, name)
+	}
+	return a
 }

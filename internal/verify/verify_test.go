@@ -257,7 +257,7 @@ func TestMutationBBHeadLINop(t *testing.T) {
 func TestMutationMemTraceCallRemoved(t *testing.T) {
 	b := buildModule(t, testModule(), epoxie.BareRuntime)
 	e := cloneExe(b.Instr)
-	mt := e.MustSymbol("memtrace")
+	mt := symbol(t, e, "memtrace")
 	jal := findWord(t, e, func(_ uint32, w isa.Word) bool {
 		return w>>26 == isa.OpJAL && isa.Decode(w).Target == isa.JTarget(mt)
 	})
@@ -272,7 +272,7 @@ func TestMutationMemTraceCallRemoved(t *testing.T) {
 func TestMutationMemTraceSlotNotMem(t *testing.T) {
 	b := buildModule(t, testModule(), epoxie.BareRuntime)
 	e := cloneExe(b.Instr)
-	mt := e.MustSymbol("memtrace")
+	mt := symbol(t, e, "memtrace")
 	jal := findWord(t, e, func(_ uint32, w isa.Word) bool {
 		return w>>26 == isa.OpJAL && isa.Decode(w).Target == isa.JTarget(mt)
 	})
@@ -610,4 +610,15 @@ func TestMutationAddrClassNullPage(t *testing.T) {
 	if !strings.Contains(d.Msg, "null page") {
 		t.Errorf("wrong addr-class diagnostic: %s", d.Msg)
 	}
+}
+
+// symbol returns the address of the named symbol in e, failing the
+// test if e has none.
+func symbol(t testing.TB, e *obj.Executable, name string) uint32 {
+	t.Helper()
+	a, ok := e.Symbol(name)
+	if !ok {
+		t.Fatalf("executable %s: no symbol %q", e.Name, name)
+	}
+	return a
 }

@@ -5,6 +5,7 @@ import (
 
 	"systrace/internal/kernel"
 	m "systrace/internal/mahler"
+	"systrace/internal/obj"
 	"systrace/internal/userland"
 	"systrace/internal/workload"
 )
@@ -61,7 +62,7 @@ func run(t *testing.T, spec workload.Spec, flavor kernel.Flavor, traced bool) ui
 		t.Fatalf("%s did not halt", spec.Name)
 	}
 	// Exit status from the zombie's trapframe a0.
-	procsPA := sys.Kernel.MustSymbol("procs") - 0x80000000
+	procsPA := symbol(t, sys.Kernel, "procs") - 0x80000000
 	p := procsPA + uint32(clientPid-1)*kernel.ProcStride
 	return sys.M.RAM.ReadWord(p + kernel.PSave + kernel.TFRegs + 3*4)
 }
@@ -97,4 +98,15 @@ func TestWorkloadResultsAgreeAcrossSystems(t *testing.T) {
 			}
 		})
 	}
+}
+
+// symbol returns the address of the named symbol in e, failing the
+// test if e has none.
+func symbol(t testing.TB, e *obj.Executable, name string) uint32 {
+	t.Helper()
+	a, ok := e.Symbol(name)
+	if !ok {
+		t.Fatalf("executable %s: no symbol %q", e.Name, name)
+	}
+	return a
 }

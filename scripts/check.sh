@@ -64,8 +64,8 @@ go test -run='^$' -fuzz='^FuzzTimingFetchRun$' -fuzztime=10s ./internal/memsys/
 go test -run='^$' -fuzz=FuzzLiveness -fuzztime=10s ./internal/dataflow/
 go test -run='^$' -fuzz=FuzzAbsInt -fuzztime=10s ./internal/dataflow/
 
-echo "== superblock dispatch benchmark (one iteration, so it keeps building and running) =="
-go test -run='^$' -bench='^BenchmarkSuperblockDispatch$' -benchtime=1x ./internal/cpu/
+echo "== superblock dispatch and link benchmarks (one iteration, so they keep building and running) =="
+go test -run='^$' -bench='^BenchmarkSuperblock(Dispatch|Link)$' -benchtime=1x ./internal/cpu/
 
 if [ "${SKIP_LINT:-0}" != "1" ]; then
 	./scripts/lint.sh

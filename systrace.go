@@ -204,4 +204,4 @@ func PixieTrace(e *Executable) (*pixie.Result, error) {
 }
 
 // Figure2 reproduces the paper's instrumentation example.
-func Figure2() epoxie.Figure2Output { return epoxie.Figure2() }
+func Figure2() (epoxie.Figure2Output, error) { return epoxie.Figure2() }

@@ -72,7 +72,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Figure 2 through the facade.
-	f2 := systrace.Figure2()
+	f2, err := systrace.Figure2()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(f2.Before) != 5 || len(f2.After) != 13 {
 		t.Errorf("figure 2 shape %d/%d", len(f2.Before), len(f2.After))
 	}
