@@ -901,10 +901,9 @@ func TestDMAWriteInvalidatesPredecode(t *testing.T) {
 	}
 }
 
-// TestPredecodeCounters pins the engine economics on a tight loop: two
-// superblocks built (the loop, and the two-step chain at its branch,
-// which every stepped trip before the loop's build probes too), no
-// frame dropped, and every decoded dispatch inside them, so
+// TestPredecodeCounters pins the engine economics on a tight loop: one
+// superblock built (the loop, entered by the probe that builds it), no
+// frame dropped, and every decoded dispatch inside it, so
 // cpu_predecode_hits_total equals the superblock instruction count.
 func TestPredecodeCounters(t *testing.T) {
 	m := newM()
@@ -931,8 +930,10 @@ func TestPredecodeCounters(t *testing.T) {
 		return 0
 	}
 	st := m.CPU.SuperblockStats()
-	if st.Built != 2 {
-		t.Errorf("superblocks built = %d, want 2", st.Built)
+	// The probe that builds the loop's chain enters it, so the BNE's
+	// own two-step chain never gets hot enough to build.
+	if st.Built != 1 {
+		t.Errorf("superblocks built = %d, want 1", st.Built)
 	}
 	if inv := counter("cpu_predecode_invalidations_total"); inv != 0 {
 		t.Errorf("invalidations = %d, want 0", inv)
@@ -942,8 +943,42 @@ func TestPredecodeCounters(t *testing.T) {
 		t.Errorf("hits = %d, want the superblock instruction count %d", hits, st.Instructions)
 	}
 	// 602 instructions retire: ORI, 200 trips of three, BREAK. The
-	// loop head's first 16 probes (the build threshold) run on Step.
-	if hits != 552 {
-		t.Errorf("hits = %d, want 552 of %d instructions", hits, m.CPU.Stat.Instret)
+	// first 15 trips run on Step; the 16th probe (the build threshold)
+	// builds the loop's chain and enters it. ORI and BREAK run on Step.
+	if hits != 555 {
+		t.Errorf("hits = %d, want 555 of %d instructions", hits, m.CPU.Stat.Instret)
 	}
+}
+
+// TestProbeEntersBuiltChain: the probe whose miss builds a chain
+// returns that chain, so the StepN that builds it retires more than one
+// instruction through it instead of leaving the first entry to Step.
+func TestProbeEntersBuiltChain(t *testing.T) {
+	m := newM()
+	put(m, 0x80001000,
+		isa.ORI(isa.RegT0, 0, 3),
+		isa.ADDIU(isa.RegT1, isa.RegT1, 1), // loop head
+		isa.ADDIU(isa.RegT2, isa.RegT2, 2),
+		isa.ADDIU(isa.RegT0, isa.RegT0, 0xffff), // -1
+		isa.BNE(isa.RegT0, 0, -4),
+		isa.NOP,
+		isa.BREAK(0),
+	)
+	c := m.CPU
+	c.PC = 0x80001000
+	c.SetSuperblockThreshold(1)
+	for calls := 0; !c.Halted && calls < 100; calls++ {
+		before := c.SuperblockStats()
+		n := c.StepN(1000)
+		after := c.SuperblockStats()
+		if after.Built == before.Built {
+			continue
+		}
+		if n < 2 || after.Instructions-before.Instructions != n {
+			t.Fatalf("the StepN that built a chain retired %d instructions, %d of them through chains; want more than one, all through the new chain",
+				n, after.Instructions-before.Instructions)
+		}
+		return
+	}
+	t.Fatal("no chain was built")
 }

@@ -375,9 +375,9 @@ func (c *CPU) sbHit(k uint64) *superblock {
 // sbProbe is sbEnterable past the bucket's head: it walks the bucket
 // for key k, moving a match to the front, applies the entry guards
 // (revalidating stale page guards), and on a miss accounts the heat of
-// k, building a superblock once the address crosses the threshold. A
-// stub left by a failed build answers a miss without heat until the
-// build epoch moves on.
+// k, building a superblock once the address crosses the threshold and
+// returning the chain it built. A stub left by a failed build answers a
+// miss without heat until the build epoch moves on.
 func (c *CPU) sbProbe(va uint32, k uint64) *superblock {
 	if c.pd.off {
 		return nil
@@ -427,6 +427,13 @@ func (c *CPU) sbProbe(va uint32, k uint64) *superblock {
 	if why := c.sbBuild(va, k); why >= 0 {
 		c.sb.buildFails[why]++
 		c.sb.idx[slot] = &superblock{key: k, fail: c.sbFailEpoch(va), next: c.sb.idx[slot]}
+		return nil
+	}
+	// A successful build put its chain at the bucket's head (a build
+	// that dropped every chain instead left the bucket empty): this
+	// probe enters it.
+	if s := c.sb.idx[slot]; c.sbReady(s, k) {
+		return s
 	}
 	return nil
 }

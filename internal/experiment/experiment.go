@@ -459,11 +459,11 @@ func predict(spec workload.Spec, c Config, reg *telemetry.Registry, extra ...tel
 		return nil, err
 	}
 
-	// Each drain's (or epoch's) analysis runs under a trace_analysis
-	// span nested in the kernel host's trace_drain (or the streaming
-	// consumer's stream_consume), split into its layers: the
-	// conformance check and the parse feeding the memory-system
-	// simulation. The consumer has already decoded a compressed epoch.
+	// Each delivered chunk's analysis runs under a trace_analysis span
+	// nested in the drain consumer's stream_consume, split into its
+	// layers: the conformance check and the parse feeding the
+	// memory-system simulation. The consumer has already decoded a
+	// compressed epoch.
 	var perr error
 	sys.OnTrace = func(words []uint32) {
 		asp := obs.Begin("trace_analysis")

@@ -88,6 +88,13 @@ func TestPinnedCounts(t *testing.T) {
 				want.ModeSwitches, want.TracedInstr, want.Cycles)
 		}
 	}
+	// E13 corrupts the stream's first 4096 words, whichever deliveries
+	// carry them.
+	if detected, total, err := experiment.CorruptionDetection(sed); err != nil {
+		t.Fatal(err)
+	} else if detected != 237 || total != 586 {
+		t.Errorf("CorruptionDetection(sed): %d of %d rejected, want 237 of 586", detected, total)
+	}
 }
 
 // simCounts pins a prediction's trace-driven simulator: instructions,

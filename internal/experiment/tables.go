@@ -481,14 +481,15 @@ func Figure2() (string, error) {
 }
 
 // CorruptionDetection measures the §4.3 redundancy: it captures the
-// first drained buffer of a traced run, overwrites each word in turn
-// with a bogus value, and counts how many corruptions the parsing
-// library rejects.
+// first 4096 words of a traced run's stream, however they are
+// delivered, overwrites every seventh word in turn with a bogus value,
+// and counts how many corruptions the parsing library rejects.
 func CorruptionDetection(spec workload.Spec) (detected, total int, err error) {
 	sys, _, err := Config{Flavor: kernel.Ultrix, Seed: 1}.boot(spec, true, nil)
 	if err != nil {
 		return 0, 0, fmt.Errorf("corruption study: boot %s: %w", spec.Name, err)
 	}
+	const window = 4096
 	var first []uint32
 	tables := map[int]*trace.SideTable{0: trace.NewSideTable(sys.Kernel.Instr.Blocks)}
 	for i, bp := range sys.Procs {
@@ -497,15 +498,10 @@ func CorruptionDetection(spec workload.Spec) (detected, total int, err error) {
 		}
 	}
 	sys.OnTrace = func(words []uint32) {
-		if first == nil {
-			first = append([]uint32(nil), words...)
-		}
+		first = append(first, words[:min(len(words), window-len(first))]...)
 	}
 	if err := sys.Run(runBudget); err != nil {
 		return 0, 0, fmt.Errorf("corruption study: run %s: %w", spec.Name, err)
-	}
-	if len(first) > 4096 {
-		first = first[:4096]
 	}
 	parse := func(ws []uint32) error {
 		p := trace.NewParser(tables[0])

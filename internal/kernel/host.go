@@ -97,9 +97,13 @@ type System struct {
 	Procs  []BootProc
 	Cfg    BootConfig
 
-	// OnTrace receives each drained batch of raw trace words (the
-	// analysis program of Figure 1); the words are valid only during
-	// the call.
+	// OnTrace is the analysis program of Figure 1. It receives the
+	// raw trace stream in order, in chunks of at least one word, on
+	// the drain's consumer goroutine while Run runs; Run joins that
+	// goroutine before it returns. Chunk boundaries are not doorbell
+	// boundaries: the two-phase drain also ships a fill's settled
+	// prefix while the guest runs. The words are valid only during the
+	// call. A panic in it is recovered and fails the Run.
 	OnTrace func(words []uint32)
 
 	// OnEpoch receives each compressed epoch's wire bytes before the
@@ -118,8 +122,13 @@ type System struct {
 	StreamStats StreamStats
 
 	tel    *sysTelemetry
-	stream *streamer
-	drain  []uint32 // two-phase copy-out buffer, reused across doorbells
+	stream *streamer // the drain's ring and consumer, during Run
+
+	// The two-phase drain's shipped prefix of the current fill: its
+	// length in words and its checksum (sumWords). It outlives a Run
+	// that ends between doorbells.
+	shipped    uint32
+	shippedSum uint64
 
 	// Physical addresses of the kernel globals the host reads, resolved
 	// once at boot.
@@ -224,17 +233,17 @@ func (s *System) AttachTelemetry(r *telemetry.Registry, labels ...telemetry.Labe
 	s.tel = t
 }
 
-// record instruments one flush: the hot-path handles were registered
-// up front, so this is counter adds plus one pass over the drained
-// words for the marker mix. The per-pid series is created on first
-// flush for that pid (flushes are rare; this is not the word path).
-func (t *sysTelemetry) record(reason uint32, pid uint32, words []uint32) {
+// flush counts one doorbell's flush: by reason and by the pid current
+// at flush time, and its size. The per-pid series is created on the
+// first flush for that pid (flushes are rare; this is not the word
+// path). It runs on the machine's goroutine.
+func (t *sysTelemetry) flush(reason, pid, n uint32) {
 	if reason == dev.DoorbellFlush {
 		t.flushesFinal.Inc()
 	} else {
 		t.flushesFull.Inc()
 	}
-	t.flushWords.Observe(uint64(len(words)))
+	t.flushWords.Observe(uint64(n))
 	c, ok := t.perPid[pid]
 	if !ok {
 		c = t.reg.Counter("kernel_trace_flushes_by_pid_total",
@@ -244,6 +253,11 @@ func (t *sysTelemetry) record(reason uint32, pid uint32, words []uint32) {
 		t.perPid[pid] = c
 	}
 	c.Inc()
+}
+
+// markerMix counts the control-marker mix of one delivered chunk, on
+// the consumer goroutine.
+func (t *sysTelemetry) markerMix(words []uint32) {
 	for _, w := range words {
 		if trace.IsMarker(w) {
 			if c, ok := t.markers[trace.MarkerKind(w)]; ok {
@@ -356,42 +370,57 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		dsp := obs.Begin("trace_drain")
 		defer dsp.End()
 		s.Doorbells++
-		end := mach.RAM.ReadWord(s.kbookPA) // BufPtr (kseg0 VA)
-		start := TraceBufVA
-		if end < uint32(start) || end > uint32(start)+cfg.TraceBufBytes {
+		n, ok := s.bufWords()
+		if !ok {
 			// A BufPtr outside the buffer means the bookkeeping word
 			// was corrupted (or the kernel is wild); dropping the
 			// buffer is the only safe move, but it must be loud.
 			s.DrainErrors++
 			obs.Failure("trace_drain_corrupt_kbook", fmt.Sprintf(
 				"doorbell reason %d: kbook BufPtr 0x%08x outside trace buffer [0x%08x, 0x%08x]",
-				reason, end, uint32(start), uint32(start)+cfg.TraceBufBytes))
+				reason, mach.RAM.ReadWord(s.kbookPA), uint32(TraceBufVA), uint32(TraceBufVA)+cfg.TraceBufBytes))
 			obs.Emit(evDoorbell, uint64(reason), 0)
 			return 0
 		}
-		n := (end - uint32(start)) / 4
 		obs.Emit(evDoorbell, uint64(reason), uint64(n))
 		s.DrainedWords += uint64(n)
-		var pid uint32
 		if s.tel != nil {
-			pid = s.ReadKernelWord("curpid")
+			s.tel.flush(reason, s.ReadKernelWord("curpid"), n)
 		}
-		if s.stream != nil {
-			return s.stream.handoff(reason, pid, n, mach.Cycles())
+		st := s.stream
+		if st == nil {
+			// Rung outside Run (a test driving the handler by hand):
+			// a consumer for this drain alone, joined on return.
+			st = newStreamer(s)
+			defer func() { _ = st.close() }()
 		}
-		s.drain = s.copyOut(n, s.drain)
-		s.deliver(reason, pid, s.drain)
+		if cfg.Stream.Enabled() {
+			return st.handoff(n, mach.Cycles())
+		}
+		st.drainTail(n)
 		return uint64(n) * cfg.AnalysisPerWord
 	}
 	return s, nil
 }
 
-// copyOut reads the first n trace-buffer words into dst's storage, a
-// frame at a time.
-func (s *System) copyOut(n uint32, dst []uint32) []uint32 {
+// bufWords reads BufPtr and returns the words the trace buffer holds;
+// ok is false when BufPtr lies outside the buffer.
+func (s *System) bufWords() (n uint32, ok bool) {
+	end := s.M.RAM.ReadWord(s.kbookPA) // BufPtr (kseg0 VA)
+	start := uint32(TraceBufVA)
+	if end < start || end > start+s.Cfg.TraceBufBytes {
+		return 0, false
+	}
+	return (end - start) / 4, true
+}
+
+// copyOut reads the trace-buffer words [from, to) into dst's storage,
+// a frame at a time.
+func (s *System) copyOut(from, to uint32, dst []uint32) []uint32 {
+	n := to - from
 	dst = slices.Grow(dst[:0], int(n))[:n]
 	var frame [mem.FrameSize]byte
-	pa := s.tbufPA
+	pa := s.tbufPA + from*4
 	for out := dst; len(out) > 0; {
 		b := frame[:min(len(out)*4, mem.FrameSize-int(pa%mem.FrameSize))]
 		if !s.M.RAM.ReadAt(pa, b) {
@@ -406,11 +435,11 @@ func (s *System) copyOut(n uint32, dst []uint32) []uint32 {
 	return dst
 }
 
-// deliver hands one drained batch (either drain) to telemetry, then to
-// the analysis program.
-func (s *System) deliver(reason, pid uint32, words []uint32) {
+// deliver hands one chunk of the stream (either drain) to telemetry,
+// then to the analysis program, on the consumer goroutine.
+func (s *System) deliver(words []uint32) {
 	if s.tel != nil {
-		s.tel.record(reason, pid, words)
+		s.tel.markerMix(words)
 	}
 	if s.OnTrace != nil {
 		s.OnTrace(words)
@@ -418,20 +447,28 @@ func (s *System) deliver(reason, pid uint32, words []uint32) {
 }
 
 // Run executes until the machine halts or the instruction budget is
-// exhausted. With streaming enabled the epoch-ring consumer runs for
-// the duration of the call and is joined before Run returns, so every
-// OnTrace delivery happens-before the caller reads its results, and
-// the first undecodable epoch (a *trace.StreamError) fails the run.
+// exhausted. On a traced system the drain's consumer goroutine runs
+// the analysis program (OnTrace) for the duration of the call and is
+// joined before Run returns, so every delivery happens-before the
+// caller reads its results. On the two-phase drain a between-burst
+// hook ships each fill's settled prefix to it while the guest runs.
+// The run fails with the first drain failure: a shipped prefix that
+// no longer matches the buffer (ErrPrefixMismatch), an undecodable
+// epoch (a *trace.StreamError), or a panic in the analysis program
+// (an *AnalysisPanic).
 func (s *System) Run(maxInstr uint64) (err error) {
 	sp := obs.BeginDetail("machine_run", s.Cfg.Flavor.String())
 	defer sp.End()
-	if s.Cfg.Stream.Enabled() && s.Cfg.TraceBufBytes > 0 {
-		s.stream = newStreamer(s)
+	if s.Cfg.TraceBufBytes > 0 {
+		st := newStreamer(s)
+		s.stream = st
+		if !s.Cfg.Stream.Enabled() {
+			s.M.BetweenBursts = st.shipPrefix
+		}
 		defer func() {
-			st := s.stream
-			s.stream = nil
-			if derr := st.close(); derr != nil && err == nil {
-				err = fmt.Errorf("kernel: trace stream: %w", derr)
+			s.stream, s.M.BetweenBursts = nil, nil
+			if cerr := st.close(); err == nil {
+				err = cerr
 			}
 		}()
 	}

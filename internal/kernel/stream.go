@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"systrace/internal/obs"
@@ -84,26 +86,66 @@ type StreamStats struct {
 	DecodeErrors uint64 // epochs the consumer could not decode
 }
 
-// epochBuf is one ring slot: a filled epoch in flight from the
-// doorbell handler to the consumer.
+// epochBuf is one ring slot: a batch of trace words in flight from the
+// machine's goroutine to the consumer. On the streaming drain it is one
+// epoch; on the two-phase drain a settled prefix of the buffer or the
+// tail a doorbell drains.
 type epochBuf struct {
-	words  []uint32 // raw epoch (also the encoder's input in Compress mode)
-	enc    []byte   // encoded epoch (Compress mode)
-	reason uint32   // doorbell reason
-	pid    uint32   // pid current at drain time (telemetry attribution)
+	words []uint32 // raw batch (also the encoder's input in Compress mode)
+	enc   []byte   // encoded epoch (Compress mode)
 }
 
-// streamer runs one epoch ring for the duration of one System.Run.
+// The two-phase drain's ring: prefixSlots batches in flight, and a
+// settled prefix ships once it holds prefixMinWords words. The hook
+// that ships it runs after every burst of up to 16K instructions, so
+// a 4 MB buffer reaches the consumer in about 16 batches.
+const (
+	prefixSlots    = 4
+	prefixMinWords = 64 << 10
+	// sumPiece is how many words the doorbell's prefix check reads
+	// from guest RAM at a time.
+	sumPiece = 16 << 10
+)
+
+// ErrPrefixMismatch reports that a prefix the two-phase drain shipped
+// before its doorbell is no longer what the buffer holds: guest RAM
+// under it changed, or BufPtr fell below it without a doorbell. The
+// user-mode safe point (see shipPrefix) rules both out, so either
+// means the consumer analyzed words that are not the trace.
+var ErrPrefixMismatch = errors.New("kernel: shipped trace prefix does not match the buffer")
+
+// AnalysisPanic is a panic recovered from the analysis program
+// (OnTrace, or OnEpoch) on the consumer goroutine. Batches handed off
+// after it are drained undelivered, and Run returns it once the
+// consumer is joined.
+type AnalysisPanic struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *AnalysisPanic) Error() string {
+	return fmt.Sprintf("analysis program panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// streamer runs one ring and its consumer goroutine for the duration
+// of one System.Run, on either drain.
 type streamer struct {
 	sys *System
-	cfg StreamConfig
+	cfg StreamConfig // the zero value on the two-phase drain
 
 	free chan *epochBuf // ring slots available to the producer
-	work chan *epochBuf // filled epochs in doorbell order
+	work chan *epochBuf // filled batches in stream order
 	wg   sync.WaitGroup
 
-	enc *trace.Encoder // producer-side encoder (Compress mode)
-	err error          // consumer's first decode error, read after close
+	enc     *trace.Encoder // producer-side encoder (Compress mode)
+	prodErr error          // the producer's first failure (two-phase prefix check)
+	sumBuf  []uint32       // the prefix check's read buffer
+
+	// Consumer-owned state, read by the producer only after close.
+	dec     *trace.Decoder // Compress mode
+	scratch []uint32       // decoded epoch
+	err     error          // first undecodable epoch or recovered panic
+	dead    bool           // a panic stopped delivery
 
 	// Analytic ring model: completion times of in-flight epochs
 	// (sorted; at most Epochs-1 entries) and the previous epoch's
@@ -113,17 +155,20 @@ type streamer struct {
 }
 
 func newStreamer(s *System) *streamer {
-	st := &streamer{
-		sys:  s,
-		cfg:  s.Cfg.Stream,
-		free: make(chan *epochBuf, s.Cfg.Stream.Epochs),
-		work: make(chan *epochBuf, s.Cfg.Stream.Epochs),
+	st := &streamer{sys: s}
+	depth := prefixSlots
+	if s.Cfg.Stream.Enabled() {
+		st.cfg = s.Cfg.Stream
+		depth = st.cfg.Epochs
 	}
-	for i := 0; i < st.cfg.Epochs; i++ {
+	st.free = make(chan *epochBuf, depth)
+	st.work = make(chan *epochBuf, depth)
+	for i := 0; i < depth; i++ {
 		st.free <- &epochBuf{}
 	}
 	if st.cfg.Compress {
 		st.enc = trace.NewEncoder()
+		st.dec = trace.NewDecoder()
 	}
 	st.wg.Add(1)
 	go st.consume()
@@ -134,11 +179,10 @@ func newStreamer(s *System) *streamer {
 // the consumer, and returns the machine cycles to charge (handoff cost
 // plus any modeled stall for a ring slot). Runs on the machine's
 // goroutine inside the doorbell handler.
-func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
+func (st *streamer) handoff(n uint32, now uint64) uint64 {
 	s := st.sys
 	b := <-st.free // real backpressure: memory is bounded by the ring depth
-	b.reason, b.pid = reason, pid
-	b.words = s.copyOut(n, b.words)
+	b.words = s.copyOut(0, n, b.words)
 	if st.cfg.Compress {
 		// Every epoch starts from a fresh codec state, so it decodes
 		// on its own: a corrupt epoch loses only itself.
@@ -176,52 +220,169 @@ func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
 	return handoff + stall
 }
 
-// consume is the analysis side of the ring: decode (if compressed),
-// deliver to telemetry and the analysis program, return the slot.
-func (st *streamer) consume() {
-	defer st.wg.Done()
+// shipPrefix is the two-phase drain's between-burst hook: it hands the
+// consumer the words [shipped, BufPtr) once at least prefixMinWords of
+// them have settled, so the analysis of a fill overlaps its
+// generation. It ships only while the CPU is in user mode. User code
+// traces into its own per-process buffer, and the kernel writes the
+// kernel buffer only in kernel mode (§3.3), so between bursts in user
+// mode no kernel trace store is in flight and every word below BufPtr
+// is final until the doorbell drains the buffer. The doorbell checks
+// that argument on every fill (drainTail). When every slot is busy the
+// prefix waits and ships longer later; the guest never waits here.
+func (st *streamer) shipPrefix() error {
 	s := st.sys
-	var dec *trace.Decoder
-	if st.cfg.Compress {
-		dec = trace.NewDecoder()
+	if st.prodErr != nil || s.M.CPU.KernelMode() {
+		return st.prodErr
 	}
-	var scratch []uint32
-	for b := range st.work {
-		sp := obs.Begin("stream_consume")
-		words := b.words
-		if dec != nil {
-			if s.OnEpoch != nil {
-				s.OnEpoch(b.enc)
-			}
-			dsp := obs.Begin("stream_decode")
-			var err error
-			dec.Reset()
-			scratch, err = dec.Decode(b.enc, scratch[:0])
-			dsp.End()
-			if err != nil {
-				s.StreamStats.DecodeErrors++
-				obs.Failure("trace_stream_decode",
-					fmt.Sprintf("epoch of %d words: %v", len(b.words), err))
-				if st.err == nil {
-					st.err = err
-				}
-				st.free <- b
-				sp.End()
-				continue
-			}
-			words = scratch
-		}
-		s.deliver(b.reason, b.pid, words)
-		st.free <- b
-		sp.End()
+	n, ok := s.bufWords()
+	if !ok {
+		return nil // a corrupt BufPtr: the doorbell reports it
+	}
+	if n < s.shipped {
+		st.fail(fmt.Errorf("%w: BufPtr at word %d fell below the %d words shipped, with no doorbell",
+			ErrPrefixMismatch, n, s.shipped))
+		return st.prodErr
+	}
+	if n-s.shipped < prefixMinWords {
+		return nil
+	}
+	select {
+	case b := <-st.free:
+		st.ship(b, n)
+	default:
+	}
+	return nil
+}
+
+// drainTail is the two-phase doorbell over an n-word fill: it checks
+// that the prefix shipped since the last doorbell still reads the same
+// from guest RAM, ships the tail [shipped, n), and starts the next
+// fill's prefix. The machine is charged for all n words by the caller.
+func (st *streamer) drainTail(n uint32) {
+	s := st.sys
+	switch {
+	case n < s.shipped:
+		st.fail(fmt.Errorf("%w: doorbell drains %d words, %d were already shipped",
+			ErrPrefixMismatch, n, s.shipped))
+	case s.shipped > 0 && st.prefixSum() != s.shippedSum:
+		st.fail(fmt.Errorf("%w: the %d words shipped before the doorbell changed in guest RAM",
+			ErrPrefixMismatch, s.shipped))
+	case n > s.shipped:
+		st.ship(<-st.free, n)
+	}
+	s.shipped, s.shippedSum = 0, 0
+}
+
+// ship copies the words [shipped, n) into b, folds them into the
+// shipped prefix's checksum, and hands b to the consumer.
+func (st *streamer) ship(b *epochBuf, n uint32) {
+	s := st.sys
+	b.words = s.copyOut(s.shipped, n, b.words)
+	s.shippedSum = sumWords(s.shippedSum, b.words)
+	s.shipped = n
+	st.work <- b
+}
+
+// prefixSum recomputes the shipped prefix's checksum from guest RAM.
+func (st *streamer) prefixSum() uint64 {
+	var h uint64
+	for from := uint32(0); from < st.sys.shipped; from += sumPiece {
+		st.sumBuf = st.sys.copyOut(from, min(from+sumPiece, st.sys.shipped), st.sumBuf)
+		h = sumWords(h, st.sumBuf)
+	}
+	return h
+}
+
+// sumWords folds words into the running checksum h, FNV-1a style: for
+// a given word each step is a bijection of h, and for a given h an
+// injection of the word, so any one changed word changes the sum.
+func sumWords(h uint64, words []uint32) uint64 {
+	for _, w := range words {
+		h = (h ^ uint64(w)) * 1099511628211
+	}
+	return h
+}
+
+// fail records a producer-side drain failure: loud in the flight
+// recorder and DrainErrors, and returned by Run. The between-burst
+// hook returns it too, so the machine stops at the next burst.
+func (st *streamer) fail(err error) {
+	st.sys.DrainErrors++
+	obs.Failure("trace_drain_prefix_mismatch", err.Error())
+	if st.prodErr == nil {
+		st.prodErr = err
 	}
 }
 
-// close stops the consumer after all handed-off epochs are analyzed
-// and returns its first decode error. Returning establishes the
-// happens-before the caller needs to read analysis results.
+// consume is the analysis side of the ring: analyze each batch in
+// order, then return its slot. After a panic it only returns slots, so
+// the producer never blocks on a dead consumer.
+func (st *streamer) consume() {
+	defer st.wg.Done()
+	for b := range st.work {
+		if !st.dead {
+			st.analyze(b)
+		}
+		st.free <- b
+	}
+}
+
+// analyze delivers one batch under its stream_consume span, decoding a
+// compressed epoch first. A panic in the analysis program is recovered
+// here and kept as the consumer's error.
+func (st *streamer) analyze(b *epochBuf) {
+	sp := obs.Begin("stream_consume")
+	defer sp.End()
+	defer func() {
+		if v := recover(); v != nil {
+			p := &AnalysisPanic{Value: v, Stack: debug.Stack()}
+			obs.Failure("trace_analysis_panic", p.Error())
+			st.dead = true
+			if st.err == nil {
+				st.err = p
+			}
+		}
+	}()
+	s := st.sys
+	words := b.words
+	if st.dec != nil {
+		if s.OnEpoch != nil {
+			s.OnEpoch(b.enc)
+		}
+		dsp := obs.Begin("stream_decode")
+		var err error
+		st.dec.Reset()
+		st.scratch, err = st.dec.Decode(b.enc, st.scratch[:0])
+		dsp.End()
+		if err != nil {
+			s.StreamStats.DecodeErrors++
+			obs.Failure("trace_stream_decode",
+				fmt.Sprintf("epoch of %d words: %v", len(b.words), err))
+			if st.err == nil {
+				st.err = err
+			}
+			return
+		}
+		words = st.scratch
+	}
+	if len(words) > 0 {
+		s.deliver(words)
+	}
+}
+
+// close stops the consumer after every handed-off batch is analyzed
+// and returns the run's first drain failure: the producer's, else the
+// consumer's. Returning establishes the happens-before the caller
+// needs to read analysis results.
 func (st *streamer) close() error {
 	close(st.work)
 	st.wg.Wait()
-	return st.err
+	if st.prodErr != nil {
+		return st.prodErr
+	}
+	if st.err != nil {
+		return fmt.Errorf("kernel: trace consumer: %w", st.err)
+	}
+	return nil
 }

@@ -45,6 +45,12 @@ type Machine struct {
 	stall         Staller
 	nextEvent     uint64
 
+	// BetweenBursts, when set, runs on the machine's goroutine after
+	// every burst of Run's loop, at an instruction boundary with no
+	// store in flight. It must not change machine state; a non-nil
+	// error stops the run and Run returns it.
+	BetweenBursts func() error
+
 	Halted     bool
 	ExitStatus uint32
 }
@@ -224,6 +230,11 @@ func (m *Machine) Run(maxInstr uint64) error {
 			m.Clock.Advance(now)
 			m.Disk.Advance(now)
 			m.refreshNextEvent()
+		}
+		if m.BetweenBursts != nil {
+			if err := m.BetweenBursts(); err != nil {
+				return err
+			}
 		}
 	}
 	if !m.Halted && !c.Halted && c.Stat.Instret >= limit {

@@ -147,7 +147,7 @@ func (t *SideTable) Blocks() []*obj.InstrBlock {
 // to find the corruption ("missing words of trace or erroneous writes
 // into the trace are detected with a very high probability", §4.3).
 type ParseError struct {
-	Index int // word index in the raw trace
+	Index int // word offset from the start of the stream, however it was chunked
 	Word  uint32
 	Msg   string
 }
@@ -352,11 +352,12 @@ func (es *eventSlice) Ref(ev Event) { *es = append(*es, ev) }
 // analysis phase with the same Parser to preserve pending block state
 // across buffer flush boundaries.
 func (p *Parser) ParseTo(words []uint32, sink Sink) error {
+	base := int(p.Words) // a ParseError's Index counts from the stream's start
 	p.Words += uint64(len(words))
 	for i, w := range words {
 		if IsMarker(w) {
 			p.Markers++
-			if err := p.marker(i, w); err != nil {
+			if err := p.marker(base+i, w); err != nil {
 				return err
 			}
 			p.resolve()
@@ -376,14 +377,14 @@ func (p *Parser) ParseTo(words []uint32, sink Sink) error {
 		}
 		if t == nil {
 			// No table means no block was ever opened here either.
-			return &ParseError{i, w, fmt.Sprintf("no side table for address space %d", p.curSpace())}
+			return &ParseError{base + i, w, fmt.Sprintf("no side table for address space %d", p.curSpace())}
 		}
 		s := &a.st
 		if !s.done() {
 			// Expecting a memory reference for the open block.
 			m := s.block.Mem[s.nextMem]
 			if !m.Load && t.textHi > t.textLo && w >= t.textLo && w < t.textHi {
-				return &ParseError{i, w, "store into text segment (trace slipped?)"}
+				return &ParseError{base + i, w, "store into text segment (trace slipped?)"}
 			}
 			// Fetches up to and including the memory instruction.
 			p.fetchTo(sink, s, int(m.Index)+1)
@@ -399,7 +400,7 @@ func (p *Parser) ParseTo(words []uint32, sink Sink) error {
 		// Expecting a block record.
 		ref := t.ref(w)
 		if ref == 0 {
-			return &ParseError{i, w, fmt.Sprintf("not a valid basic block record for address space %d", p.curSpace())}
+			return &ParseError{base + i, w, fmt.Sprintf("not a valid basic block record for address space %d", p.curSpace())}
 		}
 		b := &t.blocks[ref-1]
 		p.Records++

@@ -286,3 +286,53 @@ func TestEmptySideTable(t *testing.T) {
 		}
 	}
 }
+
+// TestParseErrorIndexAbsolute: a ParseError's Index counts from the
+// start of the stream, so one corrupt word is reported at the same
+// Index however the stream is chunked across ParseTo calls: whole, or
+// in 1-, 7- and 65536-word chunks. Both error paths are covered: a bad
+// block record and a bad marker.
+func TestParseErrorIndexAbsolute(t *testing.T) {
+	words := []uint32{trace.MarkKernExit | 1}
+	for len(words) < 70_000 {
+		words = append(words, 0x100, 0x10000000, 0x200)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  uint32
+	}{
+		{"record", 0x12345678},
+		{"marker", trace.MarkExcExit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const at = 69_997 // a block record's slot, past the first 65536 words
+			if words[at] != 0x100 {
+				t.Fatalf("word %d is 0x%08x, not a block record", at, words[at])
+			}
+			mut := append([]uint32(nil), words...)
+			mut[at] = tc.bad
+			for _, chunk := range []int{len(mut), 1, 7, 65536} {
+				p := trace.NewParser(nil)
+				p.AddProcess(1, table())
+				var err error
+				for i := 0; i < len(mut) && err == nil; i += chunk {
+					err = p.ParseTo(mut[i:min(i+chunk, len(mut))], discard{})
+				}
+				var pe *trace.ParseError
+				if !errors.As(err, &pe) {
+					t.Fatalf("chunk %d: err = %v, want a *ParseError", chunk, err)
+				}
+				if pe.Index != at || pe.Word != tc.bad {
+					t.Errorf("chunk %d: error at word %d (0x%08x), want %d (0x%08x)",
+						chunk, pe.Index, pe.Word, at, tc.bad)
+				}
+			}
+		})
+	}
+}
+
+// discard is a Sink that drops every event.
+type discard struct{}
+
+func (discard) Fetch(trace.Event, int) {}
+func (discard) Ref(trace.Event)        {}

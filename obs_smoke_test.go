@@ -3,10 +3,11 @@ package systrace_test
 // End-to-end smoke test of the observability layer: one traced sed
 // boot with the guest-PC sampler attached must leave a well-nested
 // phase-span timeline (system_boot, then machine_run with the
-// trace_drain analysis phases inside it) and a non-empty folded
+// trace_drain doorbell spans inside it) and a non-empty folded
 // profile that attributes samples to kernel functions; and a sed
 // prediction, on the two-phase and on the compressed streaming drain,
-// must split each trace_analysis span into its layers. This is the
+// must split each trace_analysis span, on the drain's consumer, into
+// its layers. This is the
 // check scripts/check.sh runs as its obs smoke step.
 
 import (
@@ -103,23 +104,25 @@ func TestObsSmoke(t *testing.T) {
 }
 
 // checkAnalysisSpans runs sed predictions and checks that every
-// trace_analysis span sits in its drain span (trace_drain, or the
-// streaming consumer's stream_consume) and holds exactly the analysis
-// layers as direct children on its goroutine: tracecheck and
-// parse_simulate. On the compressed stream the consumer decodes each
-// epoch once, before the analysis: one stream_decode directly nested
-// in every stream_consume.
+// trace_analysis span sits in the drain consumer's per-delivery span,
+// stream_consume on both drains, and holds exactly the analysis layers
+// as direct children on its goroutine: tracecheck and parse_simulate.
+// On the compressed stream the consumer decodes each epoch once,
+// before the analysis: one stream_decode directly nested in every
+// stream_consume. The two-phase drain decodes nothing, and it ships
+// each fill's settled prefix before the doorbell drains the tail, so
+// it delivers more chunks than it rings doorbells.
 func checkAnalysisSpans(t *testing.T, spec workload.Spec) {
 	t.Helper()
 	children := []string{"tracecheck", "parse_simulate"}
 	for _, tc := range []struct {
-		name  string
-		drain string
-		run   func() (*experiment.Predicted, error)
+		name       string
+		compressed bool
+		run        func() (*experiment.Predicted, error)
 	}{
-		{"two-phase", "trace_drain",
+		{"two-phase", false,
 			func() (*experiment.Predicted, error) { return experiment.Predict(spec, kernel.Ultrix, 1) }},
-		{"compressed-stream", "stream_consume",
+		{"compressed-stream", true,
 			func() (*experiment.Predicted, error) {
 				return experiment.PredictStream(spec, kernel.Ultrix, 1, 0, kernel.DefaultStream())
 			}},
@@ -154,23 +157,28 @@ func checkAnalysisSpans(t *testing.T, spec workload.Spec) {
 				kids[p.ID][s.Name]++
 			}
 		}
-		if tc.drain == "stream_consume" {
+		wantDecodes := 0
+		if tc.compressed {
+			wantDecodes = 1
 			if uint64(len(consumes)) != pred.Stream.Epochs {
 				t.Errorf("%s: %d stream_consume spans for %d epochs", tc.name, len(consumes), pred.Stream.Epochs)
 			}
-			for _, c := range consumes {
-				if kids[c.ID]["stream_decode"] != 1 {
-					t.Errorf("%s: stream_consume %d has %d stream_decode children, want 1 (children %v)",
-						tc.name, c.ID, kids[c.ID]["stream_decode"], kids[c.ID])
-				}
+		} else if uint64(len(consumes)) <= pred.ModeSwitches {
+			t.Errorf("%s: %d stream_consume spans for %d doorbells: no settled prefix was shipped",
+				tc.name, len(consumes), pred.ModeSwitches)
+		}
+		for _, c := range consumes {
+			if kids[c.ID]["stream_decode"] != wantDecodes {
+				t.Errorf("%s: stream_consume %d has %d stream_decode children, want %d (children %v)",
+					tc.name, c.ID, kids[c.ID]["stream_decode"], wantDecodes, kids[c.ID])
 			}
 		}
 		if len(analyses) == 0 {
 			t.Fatalf("%s: no trace_analysis span", tc.name)
 		}
 		for _, a := range analyses {
-			if p, ok := byID[a.Parent]; !ok || p.Name != tc.drain {
-				t.Errorf("%s: trace_analysis %d has parent %q, want %s", tc.name, a.ID, p.Name, tc.drain)
+			if p, ok := byID[a.Parent]; !ok || p.Name != "stream_consume" {
+				t.Errorf("%s: trace_analysis %d has parent %q, want stream_consume", tc.name, a.ID, p.Name)
 			}
 			for _, name := range children {
 				if kids[a.ID][name] != 1 {

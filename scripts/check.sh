@@ -35,6 +35,9 @@ go test ./...
 echo "== go test -race (cpu core incl. superblock tier, kernel epoch ring, experiment runner, telemetry, obs, rewriter, verifiers) =="
 go test -race ./internal/cpu/ ./internal/kernel/ ./internal/experiment/ ./internal/telemetry/ ./internal/obs/ ./internal/epoxie/ ./internal/verify/ ./internal/tracecheck/ ./internal/dataflow/
 
+echo "== go test -race -count=3 (two-phase drain: prefix hook, doorbell and consumer under several schedulings) =="
+go test -race -count=3 -run '^(TestTwoPhasePrefixDelivery|TestPrefixGuard|TestConsumerPanic)$' ./internal/kernel/
+
 echo "== differential oracle (reference vs default engine, traced + untraced boots, uncached) =="
 go test -run '^TestWorkloadDifferentialOracle$' -count=1 .
 
