@@ -5,6 +5,8 @@ import (
 
 	"systrace/internal/cpu"
 	"systrace/internal/isa"
+	"systrace/internal/machine"
+	"systrace/internal/memsys"
 )
 
 // countObs counts events and does nothing else, so an observed run
@@ -28,34 +30,14 @@ func (o *countObs) FPOp(latency int)                                   { o.event
 // after warm-up has built its chains. It reports ns/instr, with no
 // observer and with one that only counts events.
 func BenchmarkSuperblockDispatch(b *testing.B) {
-	T0, T1, T2, T3, T4, T5, T6 := isa.RegT0, isa.RegT1, isa.RegT2, isa.RegT3, isa.RegT4, isa.RegT5, isa.RegT6
-	S1 := isa.RegS1
-	const head, data, batch = 0x80001000, 0x80002000, 4096
+	const batch = 4096
 	for _, bc := range []struct {
 		name string
 		obs  cpu.Observer
 	}{{"obs=nil", nil}, {"obs=count", &countObs{}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := newM()
-			put(m, head,
-				isa.ADDIU(T0, T0, 1),
-				isa.LW(T1, S1, 0),
-				isa.ADDU(T2, T2, T1),
-				isa.SW(T2, S1, 4),
-				isa.ANDI(T3, T0, 7),
-				isa.BEQ(T3, 0, 3), // to skip: predicted not-taken
-				isa.NOP,
-				isa.SLL(T4, T0, 2),
-				isa.XOR(T5, T5, T4),
-				// skip (word 9):
-				isa.LBU(T6, S1, 8),
-				isa.SB(T6, S1, 9),
-				isa.SLTI(T4, T6, 100),
-				isa.BEQ(0, 0, -13), // back to head
-				isa.NOP,
-			)
-			m.CPU.GPR[S1] = data
-			m.CPU.PC = head
+			putDispatchLoop(m)
 			m.CPU.Obs = bc.obs
 			run := func(n uint64) {
 				for target := m.CPU.Stat.Instret + n; m.CPU.Stat.Instret < target; {
@@ -73,6 +55,64 @@ func BenchmarkSuperblockDispatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/instr")
 		})
 	}
+}
+
+// putDispatchLoop places BenchmarkSuperblockDispatch's loop at
+// 0x80001000, its data at 0x80002000, and points the CPU at the loop.
+func putDispatchLoop(m *machine.Machine) {
+	T0, T1, T2, T3, T4, T5, T6 := isa.RegT0, isa.RegT1, isa.RegT2, isa.RegT3, isa.RegT4, isa.RegT5, isa.RegT6
+	S1 := isa.RegS1
+	const head, data = 0x80001000, 0x80002000
+	put(m, head,
+		isa.ADDIU(T0, T0, 1),
+		isa.LW(T1, S1, 0),
+		isa.ADDU(T2, T2, T1),
+		isa.SW(T2, S1, 4),
+		isa.ANDI(T3, T0, 7),
+		isa.BEQ(T3, 0, 3), // to skip: predicted not-taken
+		isa.NOP,
+		isa.SLL(T4, T0, 2),
+		isa.XOR(T5, T5, T4),
+		// skip (word 9):
+		isa.LBU(T6, S1, 8),
+		isa.SB(T6, S1, 9),
+		isa.SLTI(T4, T6, 100),
+		isa.BEQ(0, 0, -13), // back to head
+		isa.NOP,
+	)
+	m.CPU.GPR[S1] = data
+	m.CPU.PC = head
+}
+
+// BenchmarkTimedDispatch times dispatch as experiment.Measure drives
+// it: BenchmarkSuperblockDispatch's loop under machine.Run with the
+// Timing model attached as observer and staller, so Run's bursts are 64
+// instructions and a chain that reaches a burst's end runs on with the
+// budget the machine extends. Each Run call ends at its instruction
+// limit (the loop never halts). It fails if warm-up left chains at more
+// than one burst end in ten, and reports ns/instr over 64K-instruction
+// Run calls.
+func BenchmarkTimedDispatch(b *testing.B) {
+	const warm, batch = 1 << 16, 1 << 16
+	m := newM()
+	putDispatchLoop(m)
+	tm := memsys.NewTiming(memsys.DECstation5000())
+	m.AttachTiming(tm, tm)
+	run := func(n uint64) {
+		_ = m.Run(n) // the instruction limit ends every call
+		if m.CPU.FaultMsg != "" || m.CPU.Halted {
+			b.Fatalf("run stopped at pc=0x%08x: %q", m.CPU.PC, m.CPU.FaultMsg)
+		}
+	}
+	run(warm)
+	if st := m.CPU.SuperblockStats(); st.Built == 0 || st.ExitBudget > warm/64/10 {
+		b.Fatalf("warm-up built %d chains and took %d budget exits over %d bursts", st.Built, st.ExitBudget, warm/64)
+	}
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		run(batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/instr")
 }
 
 // BenchmarkSuperblockLink times chain-to-chain linking: a kseg0 loop

@@ -303,6 +303,19 @@ type CPU struct {
 	HaltOnBreak bool
 	// FaultMsg holds a description of a fatal simulator error.
 	FaultMsg string
+
+	// Extend, when set, is asked for more budget when superblock
+	// dispatch uses up the budget of its StepN call at an instruction
+	// boundary inside a chain or at a link between chains. It returns
+	// the further instructions granted, or 0 to end the call there. It
+	// runs on the CPU's goroutine with Stat.Instret and PC current
+	// (nothing else is: the class counts and Random are settled at the
+	// call's end) and must not change CPU state. It is not asked while a
+	// profiler is attached, whose sample boundaries cut StepN's budget.
+	// The machine sets it for the length of a Run with a stall model
+	// attached. It is the last field so that it moves no hot field
+	// (the soft-TLB's cache-line alignment depends on its offset).
+	Extend func() uint64
 }
 
 // New returns a CPU in kernel mode with interrupts disabled, PC at

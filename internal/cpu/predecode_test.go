@@ -27,6 +27,8 @@ import (
 type recObs struct {
 	h uint64
 	n uint64
+	// last is the VA of the last fetch seen.
+	last uint32
 }
 
 func (o *recObs) mix(vs ...uint32) {
@@ -46,6 +48,7 @@ func b2u(b bool) uint32 {
 
 func (o *recObs) Fetch(va, pa uint32, kernel, cached bool) {
 	o.mix(1, va, pa, b2u(kernel), b2u(cached))
+	o.last = va
 }
 
 // FetchRun is its n Fetch calls, by the Observer contract.
@@ -563,6 +566,45 @@ func asidProgram(r *rand.Rand) []uint32 {
 	return words
 }
 
+// superblockCorpus calls run on each program of the superblock
+// lockstep corpus: 40 random programs, then 12 each of loopPrograms,
+// asidPrograms and memPrograms.
+func superblockCorpus(run func(name string, seed int64, gen func(r *rand.Rand) []uint32)) {
+	for seed := int64(1); seed <= 40; seed++ {
+		run(fmt.Sprintf("seed%d", seed), seed, func(r *rand.Rand) []uint32 {
+			words := make([]uint32, 0x3000/4)
+			for i := range words {
+				words[i] = randInstr(r)
+			}
+			return words
+		})
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		run(fmt.Sprintf("loop%d", seed), seed, func(r *rand.Rand) []uint32 {
+			words := make([]uint32, 0x3000/4)
+			for i, w := range loopProgram(r) {
+				words[0x1000/4+i] = uint32(w)
+			}
+			return words
+		})
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		run(fmt.Sprintf("asid%d", seed), seed, asidProgram)
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		run(fmt.Sprintf("mem%d", seed), seed, func(r *rand.Rand) []uint32 {
+			words := make([]uint32, 0x3000/4)
+			for i, w := range memProgram(r) {
+				words[0x1000/4+i] = uint32(w)
+			}
+			for i := 0x2000 / 4; i < len(words); i++ {
+				words[i] = r.Uint32()
+			}
+			return words
+		})
+	}
+}
+
 // TestLockstepSuperblockRandomPrograms covers the superblock tier:
 // with the build threshold forced to 1, every repeated batch head and
 // taken-jump target chains into a superblock, so the programs execute
@@ -614,39 +656,7 @@ func TestLockstepSuperblockRandomPrograms(t *testing.T) {
 			sum.Instructions += st.Instructions
 		})
 	}
-	for seed := int64(1); seed <= 40; seed++ {
-		run(fmt.Sprintf("seed%d", seed), seed, func(r *rand.Rand) []uint32 {
-			words := make([]uint32, 0x3000/4)
-			for i := range words {
-				words[i] = randInstr(r)
-			}
-			return words
-		})
-	}
-	for seed := int64(1); seed <= 12; seed++ {
-		run(fmt.Sprintf("loop%d", seed), seed, func(r *rand.Rand) []uint32 {
-			words := make([]uint32, 0x3000/4)
-			for i, w := range loopProgram(r) {
-				words[0x1000/4+i] = uint32(w)
-			}
-			return words
-		})
-	}
-	for seed := int64(1); seed <= 12; seed++ {
-		run(fmt.Sprintf("asid%d", seed), seed, asidProgram)
-	}
-	for seed := int64(1); seed <= 12; seed++ {
-		run(fmt.Sprintf("mem%d", seed), seed, func(r *rand.Rand) []uint32 {
-			words := make([]uint32, 0x3000/4)
-			for i, w := range memProgram(r) {
-				words[0x1000/4+i] = uint32(w)
-			}
-			for i := 0x2000 / 4; i < len(words); i++ {
-				words[i] = r.Uint32()
-			}
-			return words
-		})
-	}
+	superblockCorpus(run)
 	if sum.Built == 0 || sum.Instructions == 0 {
 		t.Fatalf("%d superblocks built and %d instructions retired in them with observers attached: the tier was not exercised",
 			sum.Built, sum.Instructions)
@@ -670,6 +680,75 @@ func TestLockstepSuperblockRandomPrograms(t *testing.T) {
 		}
 	}
 	t.Logf("exits across the corpus: %+v", sum)
+}
+
+// TestLockstepExtendedBudget covers budget extension: the fast engine
+// runs the superblock corpus in StepN calls of 1..64 instructions, and
+// an Extend hook like the machine's grants each chain that uses up its
+// budget a random further budget (none, or 1..64, never past the next
+// checkpoint), so dispatch goes on from wherever the budget ran out:
+// inside a fetch run, between a branch and its delay slot, and at a
+// link between chains. State and the expanded observer stream are
+// compared with the reference engine at 100-instruction checkpoints.
+func TestLockstepExtendedBudget(t *testing.T) {
+	var grants, midRun, slot, refused uint64
+	superblockCorpus(func(name string, seed int64, gen func(r *rand.Rand) []uint32) {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			words := gen(r)
+			ref, fast, oref, ofast := lockstepPair(r, words)
+			fast.CPU.SetSuperblockThreshold(1)
+			rg := rand.New(rand.NewSource(seed + 1000))
+			var chk uint64
+			fast.CPU.Extend = func() uint64 {
+				g := uint64(rg.Intn(65))
+				if left := chk - fast.CPU.Stat.Instret; g > left {
+					g = left
+				}
+				if g == 0 {
+					refused++
+					return 0
+				}
+				grants++
+				m, sl := fast.CPU.SBBudgetStop(ofast.last)
+				if m {
+					midRun++
+				}
+				if sl {
+					slot++
+				}
+				return g
+			}
+			const target = 3000
+			for chk = 100; chk <= target; chk += 100 {
+				for ref.CPU.Stat.Instret < chk {
+					if !ref.CPU.Step() {
+						break
+					}
+				}
+				for c := fast.CPU; c.Stat.Instret < chk && !c.Halted; {
+					c.StepN(min(1+uint64(rg.Intn(64)), chk-c.Stat.Instret))
+				}
+				if d := diffState(ref.CPU, fast.CPU); d != "" {
+					t.Fatalf("after %d instructions: %s", ref.CPU.Stat.Instret, d)
+				}
+				if oref.n != ofast.n || oref.h != ofast.h {
+					t.Fatalf("after %d instructions: observer streams diverge (%d events hash %x vs %d events hash %x)",
+						ref.CPU.Stat.Instret, oref.n, oref.h, ofast.n, ofast.h)
+				}
+				if ref.CPU.Halted {
+					break
+				}
+			}
+		})
+	})
+	// Each place a grant can land must be reached somewhere in the
+	// corpus, or resuming there goes untested.
+	if grants == 0 || midRun == 0 || slot == 0 || refused == 0 {
+		t.Errorf("%d grants (%d inside a fetch run, %d before a delay slot), %d refused: a resume point was not exercised",
+			grants, midRun, slot, refused)
+	}
+	t.Logf("%d grants: %d inside a fetch run, %d before a delay slot; %d refused", grants, midRun, slot, refused)
 }
 
 // TestSuperblockChainEndsAtJumpTarget pins the walk's exit PC when a

@@ -102,8 +102,8 @@ const (
 
 // sbStep is one dispatch step: a widened uop with its own PC (for
 // exits and exceptions) and the absolute predicted-taken target baked
-// into imm for branches and jumps. run is nonzero on the first step of
-// each fetch run (see sbStampRuns) and holds the run's length. The
+// into imm for branches and jumps. run is the number of steps from this
+// one to the end of its fetch run (see sbStampRuns), at least 1. The
 // step's class lives in the chain's prefix table (superblock.pre).
 type sbStep struct {
 	op    pdOp
@@ -750,8 +750,10 @@ walk:
 
 // sbStampRuns marks the chain's fetch runs: maximal spans of steps
 // whose fetches are sequential within one page and that dispatch can
-// report to an observer as one FetchRun ahead of running them. The
-// first step of each run holds its length. A run ends after any step
+// report to an observer as one FetchRun ahead of running them. Every
+// step holds its distance to the end of its run, so a pass may start
+// anywhere in one: at a run's first step, or where an extended budget
+// stop (see execSB) resumed mid-run. A run ends after any step
 // that reports an event of its own or may leave the chain before the
 // next step (a load, store or COP op: every op execSB does not run
 // purely inline), after any delay slot (a mispredict diverges there),
@@ -770,8 +772,9 @@ func sbStampRuns(s *superblock) {
 				break
 			}
 		}
-		s.steps[i].run = uint8(j - i)
-		i = j
+		for ; i < j; i++ {
+			s.steps[i].run = uint8(j - i)
+		}
 	}
 }
 
@@ -816,18 +819,22 @@ func advanceRandom(r uint32, n uint64) uint32 {
 // min(len(steps), the budget's index), clamped further to the end of
 // the current fetch run when an observer is attached, and to the end
 // of the delay slot when a branch mispredicts. Reaching stop is a
-// mispredict link (the slot retired), a chain end or loop wrap, a
-// budget exit (restoring inDelay if the next step is a slot), or the
-// start of the next fetch run. pdExit and Halted can only be raised by
-// a step that called out of the loop, so they are tested only there:
-// after the load, store and exec slow paths, and after an inline store
-// whose frame drop invalidated the dispatching chain. A mispredicted
-// slot that raised pdExit still resumes at the branch target.
+// mispredict link (the slot retired), a chain end or loop wrap, the
+// budget, or the start of the next fetch run. At the budget, the
+// Extend hook may grant more (the machine does when nothing would
+// happen between its bursts), and the pass resumes where it stopped;
+// else it is a budget exit, restoring inDelay if the next step is a
+// slot. pdExit and Halted can only be raised by a step that called out
+// of the loop, so they are tested only there: after the load, store
+// and exec slow paths, and after an inline store whose frame drop
+// invalidated the dispatching chain. A mispredicted slot that raised
+// pdExit still resumes at the branch target.
 //
 // An attached observer gets each fetch run (see sbStampRuns) as one
-// FetchRun when dispatch reaches the run's first step, clamped to the
-// budget so a budget exit reports exactly the fetches it retired; the
-// inline loads and stores report themselves, and the slow paths
+// FetchRun when a pass reaches the run's first step, clamped to the
+// budget so a budget stop reports exactly the fetches it retired, and
+// the rest of the run as one more when an extended pass resumes in it;
+// the inline loads and stores report themselves, and the slow paths
 // (load, store, exec) emit their own events. The observer state and
 // the mode are read where they are used rather than held in locals:
 // the dispatch loop is register-bound, and both are fixed for the
@@ -854,17 +861,23 @@ func (c *CPU) execSB(s *superblock, max uint64) uint64 {
 run:
 	// A pass starts or resumes at steps[i]: i is 0 (a chain entry or a
 	// loop wrap) or the stop of a pass cut short of the chain end, which
-	// is the budget (exit here) or, when observed, the next fetch run.
+	// is the budget or, when observed, the next fetch run. At the
+	// budget, dispatch goes on if Extend grants more, anywhere in a
+	// fetch run and between a branch and its slot too; else it exits.
 	if nb+uint64(i) >= max {
-		if steps[i].flags&sbSlot != 0 {
-			// Stopping between a branch and its slot: the branch
-			// already set delayTarget; restore the architectural
-			// in-delay state for the next Step.
-			c.inDelay = true
+		g := c.sbExtend(steps[i].pc, base+nb+uint64(i))
+		if g == 0 {
+			if steps[i].flags&sbSlot != 0 {
+				// Stopping between a branch and its slot: the branch
+				// already set delayTarget; restore the architectural
+				// in-delay state for the next Step.
+				c.inDelay = true
+			}
+			c.PC = steps[i].pc
+			c.sb.exitBudget++
+			goto out
 		}
-		c.PC = steps[i].pc
-		c.sb.exitBudget++
-		goto out
+		max += g
 	}
 	stop = len(steps)
 	if rem := max - nb; rem < uint64(stop) {
@@ -1228,9 +1241,17 @@ chainEnd:
 link:
 	// Chain-to-chain linking: the dispatch is at a clean instruction
 	// boundary with c.PC naming the continuation, so if a superblock
-	// starts there, enter it without surrendering the batch.
-	if c.pdExit || c.Halted || nb+uint64(i) >= max {
+	// starts there, enter it without surrendering the batch (asking
+	// Extend for more first if the budget is used up).
+	if c.pdExit || c.Halted {
 		goto out
+	}
+	if nb+uint64(i) >= max {
+		g := c.sbExtend(c.PC, base+nb+uint64(i))
+		if g == 0 {
+			goto out
+		}
+		max += g
 	}
 	if next = c.sbEnterable(c.PC); next == nil {
 		goto out
@@ -1259,6 +1280,20 @@ out:
 	c.sb.instrs += n
 	c.sb.cur = nil
 	return n
+}
+
+// sbExtend asks the Extend hook for more budget at a budget stop at pc
+// with instret instructions retired, materializing both for it first.
+// It returns the instructions granted: 0 with no hook, or while a
+// profiler is attached (the budget then ends at a sample boundary, not
+// where the caller's does).
+func (c *CPU) sbExtend(pc uint32, instret uint64) uint64 {
+	if c.Extend == nil || c.prof.fn != nil {
+		return 0
+	}
+	c.PC = pc
+	c.Stat.Instret = instret
+	return c.Extend()
 }
 
 // sbCallOut materializes the state a slow path may observe before

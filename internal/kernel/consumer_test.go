@@ -157,7 +157,9 @@ func TestPrefixGuard(t *testing.T) {
 // goroutine is recovered there. Run drains and joins the ring and
 // returns an *AnalysisPanic carrying the panic value and its stack, and
 // no goroutine is left running; on the two-phase drain the panic hits a
-// prefix shipped while the guest runs.
+// prefix shipped while the guest runs. The panic also stops the guest,
+// so fewer batches ship than on a clean run of the same boot (sed ships
+// 13): nothing simulated after it would be analyzed.
 func TestConsumerPanic(t *testing.T) {
 	data, _ := testData()
 	for _, tc := range []struct {
@@ -166,13 +168,19 @@ func TestConsumerPanic(t *testing.T) {
 	}{
 		{"two-phase", func(t *testing.T) *kernel.System { return bootWorkload(t, "sed", kernel.Ultrix) }},
 		{"compressed-stream", func(t *testing.T) *kernel.System {
-			return tracedFilesum(t, data, 8, kernel.DefaultStream())
+			// Eight times the usual file, so a clean run drains more
+			// than a handful of epochs.
+			return tracedFilesum(t, bytes.Repeat(data, 8), 8, kernel.DefaultStream())
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var dump bytes.Buffer
 			restore := obs.SetFailureWriter(&dump)
 			defer restore()
+			clean := tc.boot(t)
+			if err := clean.Run(experiment.RunBudget); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
 			sys := tc.boot(t)
 			before := runtime.NumGoroutine()
 			var calls int
@@ -195,6 +203,11 @@ func TestConsumerPanic(t *testing.T) {
 			if calls != 2 {
 				t.Errorf("OnTrace called %d times, want 2: nothing is delivered after the panic", calls)
 			}
+			if sys.Shipped >= clean.Shipped {
+				t.Errorf("%d batches shipped after a panic on the second, %d on a clean run: the guest ran on after the panic",
+					sys.Shipped, clean.Shipped)
+			}
+			t.Logf("%d batches shipped, %d on a clean run", sys.Shipped, clean.Shipped)
 			if !strings.Contains(dump.String(), "trace_analysis_panic") {
 				t.Errorf("failure dump missing trace_analysis_panic: %q", dump.String())
 			}

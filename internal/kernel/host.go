@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -113,6 +114,10 @@ type System struct {
 
 	DrainedWords uint64
 	Doorbells    uint64
+	// Shipped counts the batches handed to the drain's consumer, on
+	// either drain: epochs on the stream, settled prefixes and
+	// doorbell tails on the two-phase drain.
+	Shipped uint64
 	// DrainErrors counts drains rejected on the producer side
 	// (corrupt bookkeeping); decode failures on the consumer side are
 	// counted in StreamStats.DecodeErrors.
@@ -455,7 +460,8 @@ func (s *System) deliver(words []uint32) {
 // The run fails with the first drain failure: a shipped prefix that
 // no longer matches the buffer (ErrPrefixMismatch), an undecodable
 // epoch (a *trace.StreamError), or a panic in the analysis program
-// (an *AnalysisPanic).
+// (an *AnalysisPanic). A panic also stops the guest: at the next burst
+// on the two-phase drain, at the next epoch's handoff on the stream.
 func (s *System) Run(maxInstr uint64) (err error) {
 	sp := obs.BeginDetail("machine_run", s.Cfg.Flavor.String())
 	defer sp.End()
@@ -467,7 +473,7 @@ func (s *System) Run(maxInstr uint64) (err error) {
 		}
 		defer func() {
 			s.stream, s.M.BetweenBursts = nil, nil
-			if cerr := st.close(); err == nil {
+			if cerr := st.close(); err == nil || errors.Is(err, errConsumerDead) {
 				err = cerr
 			}
 		}()

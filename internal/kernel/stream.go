@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"systrace/internal/obs"
 	"systrace/internal/trace"
@@ -127,6 +128,11 @@ func (e *AnalysisPanic) Error() string {
 	return fmt.Sprintf("analysis program panicked: %v\n%s", e.Value, e.Stack)
 }
 
+// errConsumerDead stops the machine once the analysis program has
+// panicked: nothing simulated after it would be analyzed. System.Run
+// replaces it with the consumer's *AnalysisPanic.
+var errConsumerDead = errors.New("kernel: trace consumer stopped")
+
 // streamer runs one ring and its consumer goroutine for the duration
 // of one System.Run, on either drain.
 type streamer struct {
@@ -145,7 +151,10 @@ type streamer struct {
 	dec     *trace.Decoder // Compress mode
 	scratch []uint32       // decoded epoch
 	err     error          // first undecodable epoch or recovered panic
-	dead    bool           // a panic stopped delivery
+
+	// dead is set by the consumer when a panic stops delivery; the
+	// producer reads it to stop the guest (shipPrefix, handoff).
+	dead atomic.Bool
 
 	// Analytic ring model: completion times of in-flight epochs
 	// (sorted; at most Epochs-1 entries) and the previous epoch's
@@ -181,6 +190,11 @@ func newStreamer(s *System) *streamer {
 // goroutine inside the doorbell handler.
 func (st *streamer) handoff(n uint32, now uint64) uint64 {
 	s := st.sys
+	if st.dead.Load() {
+		// The consumer would drop the epoch: stop instead.
+		s.M.Stop(errConsumerDead)
+		return 0
+	}
 	b := <-st.free // real backpressure: memory is bounded by the ring depth
 	b.words = s.copyOut(0, n, b.words)
 	if st.cfg.Compress {
@@ -194,6 +208,7 @@ func (st *streamer) handoff(n uint32, now uint64) uint64 {
 
 	// Analytic accounting on the deterministic machine clock.
 	st.sys.StreamStats.Epochs++
+	st.sys.Shipped++
 	st.sys.StreamStats.RawBytes += uint64(n) * 4
 	handoff := uint64(n) * st.cfg.HandoffPerWord
 	t := now + handoff
@@ -230,8 +245,12 @@ func (st *streamer) handoff(n uint32, now uint64) uint64 {
 // is final until the doorbell drains the buffer. The doorbell checks
 // that argument on every fill (drainTail). When every slot is busy the
 // prefix waits and ships longer later; the guest never waits here.
+// Once the analysis program has panicked, it stops the run instead.
 func (st *streamer) shipPrefix() error {
 	s := st.sys
+	if st.dead.Load() {
+		return errConsumerDead
+	}
 	if st.prodErr != nil || s.M.CPU.KernelMode() {
 		return st.prodErr
 	}
@@ -281,6 +300,7 @@ func (st *streamer) ship(b *epochBuf, n uint32) {
 	b.words = s.copyOut(s.shipped, n, b.words)
 	s.shippedSum = sumWords(s.shippedSum, b.words)
 	s.shipped = n
+	s.Shipped++
 	st.work <- b
 }
 
@@ -321,7 +341,7 @@ func (st *streamer) fail(err error) {
 func (st *streamer) consume() {
 	defer st.wg.Done()
 	for b := range st.work {
-		if !st.dead {
+		if !st.dead.Load() {
 			st.analyze(b)
 		}
 		st.free <- b
@@ -338,7 +358,7 @@ func (st *streamer) analyze(b *epochBuf) {
 		if v := recover(); v != nil {
 			p := &AnalysisPanic{Value: v, Stack: debug.Stack()}
 			obs.Failure("trace_analysis_panic", p.Error())
-			st.dead = true
+			st.dead.Store(true)
 			if st.err == nil {
 				st.err = p
 			}

@@ -44,6 +44,12 @@ type Machine struct {
 	overlapCycles uint64 // analysis retired concurrently with generation
 	stall         Staller
 	nextEvent     uint64
+	stopErr       error // set by Stop: Run returns it after the burst
+
+	// Run's state, shared with extend: the instruction count Run stops
+	// at, and the bursts extend granted to the StepN call in flight:
+	// their total and the length of the last one.
+	limit, granted, burst uint64
 
 	// BetweenBursts, when set, runs on the machine's goroutine after
 	// every burst of Run's loop, at an instruction boundary with no
@@ -176,22 +182,82 @@ func (m *Machine) refreshNextEvent() {
 	m.nextEvent = n
 }
 
+// Stop makes Run return err once the burst in flight ends. It is for
+// code on the machine's goroutine that runs inside a burst (a device
+// handler) and has no error return of its own.
+func (m *Machine) Stop(err error) { m.stopErr = err }
+
+// running reports whether Run's loop goes on: not halted and under
+// the instruction limit.
+func (m *Machine) running() bool {
+	return !m.Halted && !m.CPU.Halted && m.CPU.Stat.Instret < m.limit
+}
+
+// burstLen sizes the next burst at machine time now: at most 64
+// instructions with a stall model attached and 16384 without, no
+// further than the next device event (at least one instruction, so an
+// overdue event still makes progress), and no further than the
+// instruction limit.
+func (m *Machine) burstLen(now uint64) uint64 {
+	burst := uint64(64)
+	if m.stall == nil {
+		burst = 16384
+	}
+	if m.nextEvent > now && m.nextEvent-now < burst {
+		burst = m.nextEvent - now
+	}
+	if burst == 0 {
+		burst = 1
+	}
+	if rem := m.limit - m.CPU.Stat.Instret; burst > rem {
+		burst = rem
+	}
+	return burst
+}
+
+// extend is the CPU's Extend hook during a Run with a stall model
+// attached: a chain that used up its budget at the end of a burst asks
+// for the next one. It is granted only when the work Run does between
+// bursts would do nothing (no fault, no halt, no Stop, no device event
+// due, no BetweenBursts hook, the limit not reached), so running on is
+// exactly what Run would do next, and it is sized by burstLen as Run
+// sizes it.
+func (m *Machine) extend() uint64 {
+	now := m.Cycles()
+	if m.CPU.FaultMsg != "" || m.BetweenBursts != nil || m.stopErr != nil ||
+		!m.running() || now >= m.nextEvent {
+		return 0
+	}
+	g := m.burstLen(now)
+	m.granted += g
+	m.burst = g
+	return g
+}
+
 // Run executes until the machine halts or maxInstr instructions have
 // retired. It returns an error for simulator-level faults (a bug in
-// guest code generation, never normal operation).
+// guest code generation, never normal operation), the error of a
+// BetweenBursts hook, or the error passed to Stop.
 func (m *Machine) Run(maxInstr uint64) error {
 	c := m.CPU
-	limit := c.Stat.Instret + maxInstr
+	m.limit = c.Stat.Instret + maxInstr
 	m.refreshNextEvent()
 	// Step in bursts between device events to keep the per-instruction
 	// loop overhead low, one StepN (a superblock dispatch or one Step)
-	// per iteration. Whether a stall model is attached picks the burst
-	// length and whether events are checked mid-burst:
+	// per iteration; bursts are counted in StepN units (an instruction
+	// fetch exception is one unit but retires nothing). Whether a stall
+	// model is attached picks the burst length (burstLen) and whether
+	// events are checked mid-burst:
 	//
 	// A stall model adds time on every instruction, so only the burst
 	// bound keeps event delivery close: bursts stay at 64 instructions,
 	// and events are checked only between bursts. The measured numbers
-	// depend on it: checking mid-burst delivers interrupts earlier.
+	// depend on it: checking mid-burst delivers interrupts earlier. A
+	// chain that reaches the end of a burst asks extend for the next
+	// one instead of leaving, so a burst boundary at which nothing
+	// happens costs the chain one call, not an exit and a fresh entry
+	// at a mid-chain PC. The StepN call then spans several bursts, and
+	// the last one began after all but the last grant.
 	//
 	// Without one, machine time advances in instruction-sized steps
 	// except at doorbell writes (an active analysis handler adds cycles
@@ -200,25 +266,24 @@ func (m *Machine) Run(maxInstr uint64) error {
 	// it due. A chain leaves at every exception, COP0 op, and device
 	// access, so the check after each call is as close as stepping one
 	// at a time.
-	maxBurst := uint64(64)
-	if m.stall == nil {
-		maxBurst = 16384
+	if m.stall != nil {
+		c.Extend = m.extend
+		defer func() { c.Extend = nil }()
 	}
-	for !m.Halted && !c.Halted && c.Stat.Instret < limit {
-		burst := maxBurst
-		now := m.Cycles()
-		if m.nextEvent > now && m.nextEvent-now < burst {
-			burst = m.nextEvent - now
-		}
-		if burst == 0 {
-			burst = 1
-		}
-		if c.Stat.Instret+burst > limit {
-			burst = limit - c.Stat.Instret
-		}
+	for m.running() {
+		burst := m.burstLen(m.Cycles())
 		ne := m.nextEvent
 		for i := uint64(0); i < burst && !c.Halted; {
-			i += c.StepN(burst - i)
+			n := c.StepN(burst - i)
+			if m.granted == 0 {
+				i += n
+			} else {
+				// The call ran on into the bursts extend granted. The
+				// last of them is the burst in flight; it began after
+				// the call's first burst-i units and the other grants.
+				i = n - (burst - i + m.granted - m.burst)
+				burst, m.granted = m.burst, 0
+			}
 			if m.stall == nil && (m.nextEvent != ne || m.Cycles() >= ne) {
 				break
 			}
@@ -226,10 +291,14 @@ func (m *Machine) Run(maxInstr uint64) error {
 		if c.FaultMsg != "" {
 			return fmt.Errorf("machine fault at pc=0x%08x: %s", c.PC, c.FaultMsg)
 		}
-		if now = m.Cycles(); now >= m.nextEvent {
+		if now := m.Cycles(); now >= m.nextEvent {
 			m.Clock.Advance(now)
 			m.Disk.Advance(now)
 			m.refreshNextEvent()
+		}
+		if err := m.stopErr; err != nil {
+			m.stopErr = nil
+			return err
 		}
 		if m.BetweenBursts != nil {
 			if err := m.BetweenBursts(); err != nil {
@@ -237,7 +306,7 @@ func (m *Machine) Run(maxInstr uint64) error {
 			}
 		}
 	}
-	if !m.Halted && !c.Halted && c.Stat.Instret >= limit {
+	if !m.Halted && !c.Halted && c.Stat.Instret >= m.limit {
 		return fmt.Errorf("machine: instruction budget %d exhausted at pc=0x%08x (livelock?)",
 			maxInstr, c.PC)
 	}

@@ -85,6 +85,25 @@ func (c *Cache) Access(pa uint32) bool {
 	return false
 }
 
+// accessRun is n Access calls at pa, pa+4, ...: it looks up each line
+// the span touches once, filling the ones that miss, and counts n
+// accesses. It returns the misses.
+func (c *Cache) accessRun(pa uint32, n int) uint64 {
+	if n <= 0 {
+		return 0
+	}
+	c.Accesses += uint64(n)
+	var miss uint64
+	for l, last := pa>>c.lineShift, (pa+4*uint32(n-1))>>c.lineShift; l <= last; l++ {
+		if t := &c.tags[l&c.mask]; *t != l {
+			*t = l
+			miss++
+		}
+	}
+	c.Misses += miss
+	return miss
+}
+
 // Probe looks up pa without filling.
 func (c *Cache) Probe(pa uint32) bool {
 	lineAddr := pa >> c.lineShift

@@ -90,12 +90,13 @@ func (t *Timing) Fetch(va, pa uint32, kernel, cached bool) {
 }
 
 // FetchRun implements cpu.Observer: n sequential fetches from pa, all
-// in one page. It probes the I-cache once per line the run touches and
-// adds the line's other fetches to IC.Accesses directly: no other
-// reference falls between the fetches of one run, so they all hit the
-// line the first one loaded, and a hit changes nothing but the access
-// count. Stalls land in the same counters as n Fetch calls, and nothing
-// in a run reads now(), so the order of the charges does not matter.
+// in one page. It probes each line of [pa, pa+4(n-1)] once, as the
+// range of line addresses it spans, and adds n to IC.Accesses: no
+// other reference falls between the fetches of one run, so every
+// fetch after a line's first hits the line that one loaded, and a hit
+// changes nothing but the access count. Stalls land in the same
+// counters as n Fetch calls, and nothing in a run reads now(), so the
+// order of the charges does not matter.
 func (t *Timing) FetchRun(va, pa uint32, n int, kernel, cached bool) {
 	t.instr += uint64(n)
 	if kernel {
@@ -109,20 +110,10 @@ func (t *Timing) FetchRun(va, pa uint32, n int, kernel, cached bool) {
 		t.charge(c, kernel)
 		return
 	}
-	line := t.cfg.LineSize
-	for n > 0 {
-		// Fetches of the run that fall in pa's line (≥ 1).
-		k := int((line - pa&(line-1) + 3) / 4)
-		if k > n {
-			k = n
-		}
-		if !t.IC.Access(pa) {
-			t.ICacheStalls += uint64(t.cfg.ReadMissPenalty)
-			t.charge(uint64(t.cfg.ReadMissPenalty), kernel)
-		}
-		t.IC.Accesses += uint64(k - 1)
-		pa += uint32(k) * 4
-		n -= k
+	if miss := t.IC.accessRun(pa, n); miss > 0 {
+		c := miss * uint64(t.cfg.ReadMissPenalty)
+		t.ICacheStalls += c
+		t.charge(c, kernel)
 	}
 }
 

@@ -10,7 +10,9 @@ package systrace_test
 // traced boot — interrupts, DMA, doorbell analysis phases and all — is
 // deterministic down to the cycle; any fast-path bug that survives the
 // random-program lockstep (internal/cpu) shows up here as a diverging
-// stream.
+// stream. A timed face runs the untraced boots under both kernels with
+// the execution-driven Timing model attached, as experiment.Measure
+// does, and compares the machine's cycles and every Timing counter.
 
 import (
 	"math"
@@ -20,6 +22,7 @@ import (
 	"systrace/internal/epoxie"
 	"systrace/internal/experiment"
 	"systrace/internal/kernel"
+	"systrace/internal/memsys"
 	obspkg "systrace/internal/obs"
 	"systrace/internal/workload"
 )
@@ -129,6 +132,49 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced, observe bo
 		res.fprBits[i] = math.Float64bits(f)
 	}
 	return res
+}
+
+// timedResult is what a Measure-shaped run yields: machine time, the
+// retirement count, the kernel's UTLB miss counter, and every counter
+// of the Timing model.
+type timedResult struct {
+	cycles, instret, utlb uint64
+
+	icAccesses, icMisses, dcAccesses, dcMisses, wbWrites uint64
+
+	iStalls, dStalls, wbStalls, uncachedStalls, fpStalls, fpOverlapped, excStalls uint64
+
+	kernelInstr, userInstr, kernelStalls, userStalls uint64
+}
+
+// runTimed boots wl untraced under flavor on engine with a Timing model
+// attached, as experiment.Measure does, and runs it to completion. It
+// also returns the superblock engine's counters.
+func runTimed(t *testing.T, wl string, flavor kernel.Flavor, engine kernel.Engine) (timedResult, cpu.SuperblockStats) {
+	t.Helper()
+	spec, ok := workload.ByName(wl)
+	if !ok {
+		t.Fatalf("no workload %q", wl)
+	}
+	sys, _, err := experiment.Config{Flavor: flavor, Seed: 1, Engine: engine}.Boot(spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := memsys.NewTiming(memsys.DECstation5000())
+	sys.M.AttachTiming(tm, tm)
+	if err := sys.Run(experiment.RunBudget); err != nil {
+		t.Fatalf("%s/%v engine=%v: %v", wl, flavor, engine, err)
+	}
+	return timedResult{
+		cycles: sys.M.Cycles(), instret: sys.M.CPU.Stat.Instret, utlb: uint64(sys.UTLBCount()),
+		icAccesses: tm.IC.Accesses, icMisses: tm.IC.Misses,
+		dcAccesses: tm.DC.Accesses, dcMisses: tm.DC.Misses, wbWrites: tm.WB.Writes,
+		iStalls: tm.ICacheStalls, dStalls: tm.DCacheStalls, wbStalls: tm.WBStalls,
+		uncachedStalls: tm.UncachedStalls, fpStalls: tm.FPStalls, fpOverlapped: tm.FPOverlapped,
+		excStalls:   tm.ExcStalls,
+		kernelInstr: tm.KernelInstr, userInstr: tm.UserInstr,
+		kernelStalls: tm.KernelStalls, userStalls: tm.UserStalls,
+	}, sys.M.CPU.SuperblockStats()
 }
 
 // runFlowEngine boots wl traced under the given rewriter liveness mode
@@ -355,6 +401,37 @@ func TestWorkloadDifferentialOracle(t *testing.T) {
 					// stream of the diverging runs is the first clue.
 					obspkg.Failure("oracle_mismatch",
 						name+": engines diverged")
+				}
+			})
+		}
+	}
+	// The timed face: the Measure path. A stall model keeps bursts at
+	// 64 instructions, and the default engine's chains run through the
+	// burst boundaries at which nothing happens (the machine extends
+	// their budget), so every interrupt must still land on the same
+	// instruction, and every stall on the same cycle, as on the
+	// reference engine, which steps one instruction at a time.
+	for _, flavor := range []kernel.Flavor{kernel.Ultrix, kernel.Mach} {
+		for _, wl := range []string{"sed", "lisp"} {
+			flavor, wl := flavor, wl
+			name := wl + "/timed/" + flavor.String()
+			t.Run(name, func(t *testing.T) {
+				ref, _ := runTimed(t, wl, flavor, kernel.EngineReference)
+				def, sb := runTimed(t, wl, flavor, kernel.EngineAuto)
+				if ref != def {
+					t.Errorf("timed runs diverge:\n reference %+v\n default   %+v", ref, def)
+				}
+				if ref.instret == 0 || ref.iStalls == 0 || ref.dStalls == 0 || ref.kernelStalls == 0 || ref.userStalls == 0 {
+					t.Errorf("timed run left a counter at zero: %+v", ref)
+				}
+				if sb.Instructions == 0 || sb.ExitBudget*100 > sb.Instructions/64 {
+					t.Errorf("default engine retired %d instructions in chains with %d budget exits: chains did not run through the 64-instruction bursts",
+						sb.Instructions, sb.ExitBudget)
+				}
+				t.Logf("%d cycles, %d instructions (%d in chains, %d budget exits)",
+					def.cycles, def.instret, sb.Instructions, sb.ExitBudget)
+				if t.Failed() {
+					obspkg.Failure("oracle_mismatch", name+": engines diverged")
 				}
 			})
 		}

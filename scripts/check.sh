@@ -67,8 +67,8 @@ go test -run='^$' -fuzz='^FuzzTimingFetchRun$' -fuzztime=10s ./internal/memsys/
 go test -run='^$' -fuzz=FuzzLiveness -fuzztime=10s ./internal/dataflow/
 go test -run='^$' -fuzz=FuzzAbsInt -fuzztime=10s ./internal/dataflow/
 
-echo "== superblock dispatch and link benchmarks (one iteration, so they keep building and running) =="
-go test -run='^$' -bench='^BenchmarkSuperblock(Dispatch|Link)$' -benchtime=1x ./internal/cpu/
+echo "== superblock dispatch, link and timed (extended-budget) benchmarks (one iteration, so they keep building and running) =="
+go test -run='^$' -bench='^Benchmark(SuperblockDispatch|SuperblockLink|TimedDispatch)$' -benchtime=1x ./internal/cpu/
 
 if [ "${SKIP_LINT:-0}" != "1" ]; then
 	./scripts/lint.sh
