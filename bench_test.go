@@ -161,7 +161,7 @@ func BenchmarkTimeDilation(b *testing.B) {
 func BenchmarkBufferSizing(b *testing.B) {
 	spec, _ := workload.ByName("sed")
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 2 << 20}, kernel.StreamConfig{})
+		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 2 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -145,7 +145,7 @@ func main() {
 	if run("buffer") {
 		fmt.Println("== E9: in-kernel buffer sizing vs mode switches ==")
 		spec, _ := workload.ByName("compress")
-		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20, 4 << 20, 16 << 20}, kernel.StreamConfig{})
+		rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20, 4 << 20, 16 << 20})
 		die(err)
 		for _, r := range rows {
 			fmt.Printf("buffer %8d KB: %3d analysis phases, %.0f traced instructions per phase\n",

@@ -149,41 +149,6 @@ type CP0 struct {
 	EPC      uint32
 }
 
-// Class buckets retired instructions by kind, derived from the primary
-// opcode: memory instructions (with FP loads/stores counted as memory,
-// not FP), control transfers (JR/JALR live under OpSpecial and are
-// counted as ALU — the approximation is static and documented), FP
-// arithmetic, and system-coprocessor operations.
-type Class uint8
-
-const (
-	ClassALU Class = iota
-	ClassLoad
-	ClassStore
-	ClassBranch
-	ClassFP
-	ClassSystem
-	NClass
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassALU:
-		return "alu"
-	case ClassLoad:
-		return "load"
-	case ClassStore:
-		return "store"
-	case ClassBranch:
-		return "branch"
-	case ClassFP:
-		return "fp"
-	case ClassSystem:
-		return "system"
-	}
-	return "unknown"
-}
-
 // Stats are architectural event counts maintained by the CPU itself.
 type Stats struct {
 	Instret    uint64 // instructions retired
@@ -192,8 +157,6 @@ type Stats struct {
 	Exceptions uint64
 	Interrupts uint64
 	Syscalls   uint64
-	// Classes splits Instret by instruction class.
-	Classes [NClass]uint64
 }
 
 // tlbCache is one soft-TLB entry: a cached page translation, tagged
@@ -266,9 +229,6 @@ type CPU struct {
 	tcGen   uint64
 	refills [nTLBKinds][nRefillCauses]uint64
 
-	// Engine switch and the store-path bitmap of the frames resident
-	// superblocks draw from (see predecode.go).
-	pd predecoder
 	// pdExit asks superblock dispatch to return to StepN after the
 	// current instruction: set on exceptions, COP0 dispatch, device
 	// (bus) accesses, and invalidation of the executing chain — exactly
@@ -309,9 +269,9 @@ type CPU struct {
 	// boundary inside a chain or at a link between chains. It returns
 	// the further instructions granted, or 0 to end the call there. It
 	// runs on the CPU's goroutine with Stat.Instret and PC current
-	// (nothing else is: the class counts and Random are settled at the
-	// call's end) and must not change CPU state. It is not asked while a
-	// profiler is attached, whose sample boundaries cut StepN's budget.
+	// (nothing else is: Random is settled at the call's end) and must
+	// not change CPU state. It is not asked while a profiler is
+	// attached, whose sample boundaries cut StepN's budget.
 	// The machine sets it for the length of a Run with a stall model
 	// attached. It is the last field so that it moves no hot field
 	// (the soft-TLB's cache-line alignment depends on its offset).

@@ -193,7 +193,7 @@ func TestUserModeProtection(t *testing.T) {
 			bothEngines(t, func(t *testing.T, pd bool) {
 				m := newM()
 				c := m.CPU
-				c.SetPredecode(pd)
+				c.SetSuperblocks(pd)
 				// General handler: halt (break).
 				put(m, 0x80000080, isa.BREAK(3), isa.NOP)
 				put(m, 0x80001000,

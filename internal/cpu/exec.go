@@ -142,7 +142,7 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 	// copy, epoxie images written as data). Device pages have frame
 	// numbers past the bitmap, so the common store never reaches
 	// dropFrame.
-	if fn := pa >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
+	if fn := pa >> PageShift; int(fn>>6) < len(c.sb.bitmap) && c.sb.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 		c.dropFrame(fn)
 	}
 	if r := e.ram; r != nil {
@@ -214,7 +214,6 @@ func (c *CPU) Step() bool {
 	}
 	ok = c.exec(w)
 	c.Stat.Instret++ // a faulting instruction still issued
-	c.Stat.Classes[opClass[w>>26]]++
 	c.execInSlot = false
 	if ok {
 		c.PC = nextPC
@@ -264,27 +263,6 @@ func (c *CPU) StepN(max uint64) uint64 {
 	}
 	return n
 }
-
-// opClass maps a primary opcode to its instruction class. Unused
-// opcodes default to ClassALU (they raise reserved-instruction
-// exceptions and barely retire).
-var opClass = func() [64]Class {
-	var t [64]Class
-	for _, op := range []uint32{isa.OpRegImm, isa.OpJ, isa.OpJAL,
-		isa.OpBEQ, isa.OpBNE, isa.OpBLEZ, isa.OpBGTZ} {
-		t[op] = ClassBranch
-	}
-	for _, op := range []uint32{isa.OpLB, isa.OpLH, isa.OpLW,
-		isa.OpLBU, isa.OpLHU, isa.OpLWC1} {
-		t[op] = ClassLoad
-	}
-	for _, op := range []uint32{isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSWC1} {
-		t[op] = ClassStore
-	}
-	t[isa.OpCOP0] = ClassSystem
-	t[isa.OpCOP1] = ClassFP
-	return t
-}()
 
 // branch schedules a transfer after the delay slot.
 func (c *CPU) branch(target uint32) {

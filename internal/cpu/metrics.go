@@ -11,13 +11,6 @@ func (c *CPU) RegisterMetrics(r *telemetry.Registry, labels ...telemetry.Label) 
 	r.Sample("cpu_instructions_retired_total",
 		"machine instructions retired by the interpreter",
 		func() uint64 { return s.Instret }, labels...)
-	for cl := Class(0); cl < NClass; cl++ {
-		cl := cl
-		r.Sample("cpu_instructions_total",
-			"machine instructions retired, split by instruction class",
-			func() uint64 { return s.Classes[cl] },
-			append([]telemetry.Label{telemetry.L("class", cl.String())}, labels...)...)
-	}
 	r.Sample("cpu_utlb_misses_total",
 		"kuseg TLB misses taken through the dedicated refill vector (paper §4.1)",
 		func() uint64 { return s.UTLBMisses }, labels...)
@@ -33,9 +26,9 @@ func (c *CPU) RegisterMetrics(r *telemetry.Registry, labels ...telemetry.Label) 
 	r.Sample("cpu_predecode_hits_total",
 		"instructions dispatched from decoded micro-ops, all inside superblock dispatch (equals cpu_superblock_instructions_total)",
 		func() uint64 { return c.sb.instrs }, labels...)
-	r.Sample("cpu_predecode_invalidations_total",
+	r.Sample("cpu_frame_drops_total",
 		"superblock text frames dropped after stores or DMA into their page",
-		func() uint64 { return c.pd.invalidations }, labels...)
+		func() uint64 { return c.sb.frameDrops }, labels...)
 	r.Sample("cpu_superblocks_built_total",
 		"superblocks linearized from hot text decoded from RAM",
 		func() uint64 { return c.sb.built }, labels...)

@@ -2,8 +2,7 @@ package cpu
 
 // Pass-accounting oracle for superblock dispatch. execSB keeps no
 // per-step counters: it derives the retirement count from the step
-// index and the passes already completed, flushes Stat.Classes from
-// the chain's class-count prefix table, advances CP0.Random once at
+// index and the passes already completed, advances CP0.Random once at
 // exit, and tests pdExit only after steps that called out. These tests
 // stop a dispatch at every step position (budgets 1 to 2×len, so every
 // stop between a branch and its slot and every loop wrap is reached),
@@ -141,7 +140,7 @@ func runPassCase(t *testing.T, pc passCase) SuperblockStats {
 		for budget := uint64(1); budget <= 2*length; budget++ {
 			ref, oref := passCPU(pc, obs)
 			fast, ofast := passCPU(pc, obs)
-			ref.SetPredecode(false)
+			ref.SetSuperblocks(false)
 			fast.SetSuperblockThreshold(1)
 			for _, va := range pc.entries {
 				passBuild(t, fast, va)

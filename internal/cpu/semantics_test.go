@@ -415,7 +415,7 @@ func TestTLBProbe(t *testing.T) {
 func TestMTC1MFC1Semantics(t *testing.T) {
 	bothEngines(t, func(t *testing.T, pd bool) {
 		m := newM()
-		m.CPU.SetPredecode(pd)
+		m.CPU.SetSuperblocks(pd)
 		m.CPU.FPR[8] = -3.75
 		put(m, 0x80001000,
 			isa.ADDIU(isa.RegT0, 0, 0xfffb), // -5
@@ -457,7 +457,7 @@ func TestMTC1MFC1Semantics(t *testing.T) {
 func TestMFC0RandomLayout(t *testing.T) {
 	bothEngines(t, func(t *testing.T, pd bool) {
 		m := newM()
-		m.CPU.SetPredecode(pd)
+		m.CPU.SetSuperblocks(pd)
 		c := m.CPU
 		c.CP0.Random = 42
 		c.CP0.EntryHi = 0x00007000

@@ -9,12 +9,11 @@ package cpu
 // linearized step array. Dispatch runs that array in a dense
 // jump-table loop with the per-instruction work of Step hoisted out:
 // the PC is implicit in the step index (materialized only at exits),
-// and the retirement count, the class counts and CP0.Random are
-// derived once per pass over the chain instead of counted per
-// instruction (see execSB). A chain that closes on its own entry wraps
-// in place, and a chain end or a mispredicted branch links straight
-// into the superblock at the real successor without leaving the
-// dispatch loop.
+// and the retirement count and CP0.Random are derived once per pass
+// over the chain instead of counted per instruction (see execSB). A
+// chain that closes on its own entry wraps in place, and a chain end or
+// a mispredicted branch links straight into the superblock at the real
+// successor without leaving the dispatch loop.
 //
 // The entry table is keyed by address space: a chain entered in kseg0
 // is keyed by its entry VA, whose translation every address space
@@ -44,10 +43,11 @@ package cpu
 //   - Writes into chained text invalidate: every frame a superblock
 //     draws micro-ops from is marked in the store-path bitmap and
 //     registered in a frame→superblocks dependency map, and dropFrame
-//     (guest stores via the bitmap, host writes and device DMA via the
-//     RAM write hook) invalidates the dependents — raising pdExit if
-//     one of them is currently executing, so the dispatch loop bails
-//     after the in-flight instruction.
+//     (guest stores in store() and the inline SW/SB via the bitmap;
+//     host writes and device DMA, which both go through the mem.RAM
+//     API, via the RAM write hook) invalidates the dependents —
+//     raising pdExit if one of them is currently executing, so the
+//     dispatch loop bails after the in-flight instruction.
 //
 // Branch prediction is static backward-taken/forward-not-taken (plus
 // always-taken for unconditional jumps and compare-equal BEQ r,r);
@@ -63,6 +63,7 @@ import (
 	"slices"
 
 	"systrace/internal/isa"
+	"systrace/internal/obs"
 	"systrace/internal/telemetry"
 )
 
@@ -103,8 +104,7 @@ const (
 // sbStep is one dispatch step: a widened uop with its own PC (for
 // exits and exceptions) and the absolute predicted-taken target baked
 // into imm for branches and jumps. run is the number of steps from this
-// one to the end of its fetch run (see sbStampRuns), at least 1. The
-// step's class lives in the chain's prefix table (superblock.pre).
+// one to the end of its fetch run (see sbStampRuns), at least 1.
 type sbStep struct {
 	op    pdOp
 	rs    uint8
@@ -117,16 +117,6 @@ type sbStep struct {
 	pc    uint32
 }
 
-// A class-count prefix packs one 10-bit count per Class into a uint64.
-// A chain holds at most sbMaxSteps (256) steps, so dispatch can sum the
-// prefixes of several passes in one packed word and unpack it only
-// once the sum could next overflow a field (sbClassFlush).
-const (
-	sbClassBits  = 10
-	sbClassMask  = 1<<sbClassBits - 1
-	sbClassFlush = sbClassMask - sbMaxSteps
-)
-
 // sbPage is one TLB-mapped page guard: entry under a new translation
 // generation must re-resolve vpage to exactly ppage.
 type sbPage struct {
@@ -135,7 +125,7 @@ type sbPage struct {
 }
 
 // The fields dispatch reads come first: sbReady's tests, steps and the
-// bucket link share the object's first 64-byte line, and pre follows.
+// bucket link share the object's first 64-byte line, and pas follows.
 type superblock struct {
 	// key is the entry VA, with the ASID it was built under above it
 	// when the entry is TLB-mapped (see sbKey).
@@ -145,18 +135,9 @@ type superblock struct {
 	mapped bool // any page guard present
 	kernel bool // chain touches a kernel-only segment
 	loop   bool // chain ends with a predicted branch back to its entry
-	// exitSlot: the final step is the delay slot of a chain-ending
-	// branch or of a self-loop's branch, so the fall-off-the-end PC is
-	// the branch's delayTarget (set by the branch step) rather than
-	// lastPC+4.
-	exitSlot bool
-	steps    []sbStep
+	steps  []sbStep
 	// next is the following superblock in the same idx bucket.
 	next *superblock
-	// pre[i] holds the packed class counts of steps[:i] (see
-	// sbClassBits): a dispatch pass that retired steps[:i] accounts its
-	// classes with one add of pre[i]. len(pre) = len(steps)+1.
-	pre []uint64
 	// pas holds each step's physical fetch address, for the observer's
 	// FetchRun. The page guards keep it valid, and dropping any frame
 	// it names invalidates the superblock.
@@ -180,6 +161,14 @@ type sbHeat struct {
 
 // sbState is the per-CPU superblock engine state.
 type sbState struct {
+	// bitmap is indexed by physical frame number (pa >> PageShift) and
+	// marks the frames resident superblocks draw from: the store path's
+	// fast test (see dropFrame).
+	bitmap []uint64
+	// off selects the reference engine: no chain is built or entered
+	// (see SetSuperblocks).
+	off bool
+
 	// idx is the entry table: bucket sbBucket(key) lists the resident
 	// superblocks and failed-build stubs whose key hashes there, most
 	// recently entered first. heat is the hotness table behind it and
@@ -196,7 +185,6 @@ type sbState struct {
 	walk struct {
 		steps []sbStep
 		pas   []uint32
-		pre   []uint64
 	}
 
 	threshold uint32 // build threshold; 0 means sbDefaultThreshold
@@ -213,6 +201,7 @@ type sbState struct {
 	exitPDExit   uint64
 	exitExc      uint64
 	instrs       uint64 // instructions retired inside execSB
+	frameDrops   uint64 // frames dropped after a write into their page
 
 	chainHist *telemetry.Histogram // chain length at build, in instructions
 }
@@ -257,6 +246,51 @@ func (c *CPU) SuperblockStats() SuperblockStats {
 	}
 }
 
+// SetSuperblocks selects the execution engine: true (the default) runs
+// superblock chains under StepN, and false keeps every instruction on
+// the reference interpreter (per-instruction fetch, byte reassembly,
+// the full decode switch in exec) that the lockstep and workload
+// oracles compare against. Step is the reference interpreter on both.
+func (c *CPU) SetSuperblocks(on bool) {
+	c.sb.off = !on
+	c.sbDropAll()
+}
+
+// InvalidatePhys drops every superblock drawing from a frame that
+// overlaps the physical range [p, p+n). The machine registers it as
+// the RAM write hook and forwards device DMA notifications here, so
+// every store path that bypasses the CPU's own write port still
+// invalidates stale chains.
+func (c *CPU) InvalidatePhys(p, n uint32) {
+	if n == 0 || len(c.sb.bitmap) == 0 {
+		return
+	}
+	first := p >> PageShift
+	last := (p + n - 1) >> PageShift
+	for fn := first; ; fn++ {
+		c.dropFrame(fn)
+		if fn >= last {
+			return
+		}
+	}
+}
+
+// dropFrame invalidates the superblocks drawing from one physical
+// frame if its bitmap bit is set.
+func (c *CPU) dropFrame(fn uint32) {
+	w := int(fn >> 6)
+	if w >= len(c.sb.bitmap) || c.sb.bitmap[w]&(1<<(fn&63)) == 0 {
+		return
+	}
+	c.sb.bitmap[w] &^= 1 << (fn & 63)
+	c.sb.frameDrops++
+	dispatching := uint64(0)
+	if c.sbInvalidateFrame(fn) {
+		dispatching = 1
+	}
+	obs.Emit(evFrameDrop, uint64(fn), dispatching)
+}
+
 // sbDropAll invalidates and forgets every superblock (engine switch or
 // the sbMaxBlocks backstop) and clears the store-path bitmap.
 func (c *CPU) sbDropAll() {
@@ -272,8 +306,8 @@ func (c *CPU) sbDropAll() {
 	c.sb.heat = nil
 	c.sb.deps = nil
 	c.sb.count = 0
-	for i := range c.pd.bitmap {
-		c.pd.bitmap[i] = 0
+	for i := range c.sb.bitmap {
+		c.sb.bitmap[i] = 0
 	}
 }
 
@@ -379,7 +413,7 @@ func (c *CPU) sbHit(k uint64) *superblock {
 // returning the chain it built. A stub left by a failed build answers a
 // miss without heat until the build epoch moves on.
 func (c *CPU) sbProbe(va uint32, k uint64) *superblock {
-	if c.pd.off {
+	if c.sb.off {
 		return nil
 	}
 	slot := sbBucket(k)
@@ -446,9 +480,9 @@ func (c *CPU) sbProbe(va uint32, k uint64) *superblock {
 // the text meanwhile.
 func (c *CPU) sbFailEpoch(va uint32) uint64 {
 	if va-KSeg0Base < KSeg1Base-KSeg0Base {
-		return c.pd.invalidations
+		return c.sb.frameDrops
 	}
-	return c.pd.invalidations + c.tcGen
+	return c.sb.frameDrops + c.tcGen
 }
 
 // sbRevalidate re-checks every page guard against the live TLB under
@@ -599,43 +633,39 @@ func (c *CPU) sbBuild(entry uint32, k uint64) int {
 	}
 
 	wk := &c.sb.walk
-	wk.steps, wk.pas, wk.pre = wk.steps[:0], wk.pas[:0], append(wk.pre[:0], 0)
+	wk.steps, wk.pas = wk.steps[:0], wk.pas[:0]
 	mkStep := func(u *uop, pc uint32, flags uint8) sbStep {
 		return sbStep{
 			op: u.op, rs: u.rs, rt: u.rt, rd: u.rd, sh: u.sh,
 			flags: flags, imm: u.imm, pc: pc,
 		}
 	}
-	add := func(st sbStep, pa uint32, cls Class) {
+	add := func(st sbStep, pa uint32) {
 		wk.steps = append(wk.steps, st)
 		wk.pas = append(wk.pas, pa)
-		wk.pre = append(wk.pre, wk.pre[len(wk.pre)-1]+1<<(sbClassBits*uint(cls)))
 	}
 
 	va := entry
 	fetched := true // every fetch so far succeeded
-	// viaJump is true while va names the target of a predicted-taken
-	// branch whose (branch, slot) pair is already appended but from
-	// whose block nothing is yet. If the walk stops here, the chain's
-	// continuation is that target — dispatch must exit through the
-	// slot's delayTarget, not fall off the end to lastPC+4.
-	viaJump := false
+	// A chain whose last step is a delay slot exits through the slot's
+	// delayTarget, not by falling off the end to lastPC+4 (see
+	// chainEnd in execSB). If the walk stops at the target of a
+	// predicted-taken branch, from whose block nothing is appended yet,
+	// that target is the continuation; after a predicted not-taken
+	// branch both name the same PC.
 walk:
 	for len(wk.steps) < sbMaxSteps {
 		u, pa, ok := fetch(va)
 		if !ok || sbChainEnder(&u) {
 			fetched = ok
-			s.exitSlot = viaJump
 			break
 		}
 		if !sbIsBranch(&u) {
-			add(mkStep(&u, va, 0), pa, u.cls)
+			add(mkStep(&u, va, 0), pa)
 			va += 4
-			viaJump = false
 			continue
 		}
 		if len(wk.steps)+2 > sbMaxSteps {
-			s.exitSlot = viaJump
 			break
 		}
 		slot, slotPA, ok := fetch(va + 4)
@@ -643,10 +673,8 @@ walk:
 			// A slot the dispatcher can't run linearized (or can't
 			// fetch): end the chain before the branch.
 			fetched = ok
-			s.exitSlot = viaJump
 			break
 		}
-		viaJump = false
 		st := mkStep(&u, va, 0)
 		var target uint32
 		chain := false // predicted-taken chains continue at target
@@ -673,11 +701,10 @@ walk:
 				chain = true
 			}
 		}
-		add(st, pa, u.cls)
-		add(mkStep(&slot, va+4, sbSlot), slotPA, slot.cls)
+		add(st, pa)
+		add(mkStep(&slot, va+4, sbSlot), slotPA)
 		switch {
 		case ends:
-			s.exitSlot = true
 			break walk
 		case chain:
 			if target == entry {
@@ -688,13 +715,11 @@ walk:
 				// then the continuation is the loop head the branch
 				// took: the slot's delayTarget.
 				s.loop = true
-				s.exitSlot = true
 				break walk
 			}
 			if target < va {
 				// Backward branch into other code: stop here rather
 				// than unrolling; the target gets its own superblock.
-				s.exitSlot = true
 				break walk
 			}
 			if len(wk.steps) >= sbMaxSteps {
@@ -702,11 +727,9 @@ walk:
 				// must exit through the slot's delayTarget, not fall
 				// off the end to lastPC+4 (a self-spin J unrolls to
 				// exactly this shape).
-				s.exitSlot = true
 				break walk
 			}
 			va = target
-			viaJump = true
 		default:
 			va += 8 // predicted not-taken: fall through past the slot
 		}
@@ -721,7 +744,6 @@ walk:
 	}
 	s.steps = append([]sbStep(nil), wk.steps...)
 	s.pas = append([]uint32(nil), wk.pas...)
-	s.pre = append([]uint64(nil), wk.pre...)
 	sbStampRuns(s)
 
 	s.gen = c.tcGen
@@ -735,10 +757,10 @@ walk:
 	for _, fn := range s.frames {
 		c.sb.deps[fn] = append(c.sb.deps[fn], s)
 		w := int(fn >> 6)
-		if w >= len(c.pd.bitmap) {
-			c.pd.bitmap = append(c.pd.bitmap, make([]uint64, w+1-len(c.pd.bitmap))...)
+		if w >= len(c.sb.bitmap) {
+			c.sb.bitmap = append(c.sb.bitmap, make([]uint64, w+1-len(c.sb.bitmap))...)
 		}
-		c.pd.bitmap[w] |= 1 << (fn & 63)
+		c.sb.bitmap[w] |= 1 << (fn & 63)
 	}
 	c.sb.count++
 	c.sb.built++
@@ -809,11 +831,9 @@ func advanceRandom(r uint32, n uint64) uint32 {
 // pass is one run over steps[0:i]; it ends at a loop wrap, a chain
 // end, a mispredict link, a budget stop or an exception. The count
 // retired so far is nb+i, where nb counts the steps of the passes
-// already completed. A finished pass adds the chain's class-count
-// prefix pre[i] to a packed sum, unpacked into Stat.Classes only when
-// the next pass could overflow a field, and at exit. CP0.Random
-// advances once at exit, and Stat.Instret is stored from nb+i before
-// every slow path (device timestamps read it) and at exit.
+// already completed. CP0.Random advances once at exit, and
+// Stat.Instret is stored from nb+i before every slow path (device
+// timestamps read it) and at exit.
 //
 // The step loop's only bookkeeping is i++ and one test against stop:
 // min(len(steps), the budget's index), clamped further to the end of
@@ -847,10 +867,8 @@ func (c *CPU) execSB(s *superblock, max uint64) uint64 {
 	r0 := c.CP0.Random
 	base := c.Stat.Instret
 	// nb: instructions retired by the completed passes of this
-	// dispatch. cls sums the class-count prefixes of the passes not yet
-	// flushed to Stat.Classes; clsN is their instruction total, which
-	// bounds every field of cls.
-	var nb, cls, clsN uint64
+	// dispatch.
+	var nb uint64
 	// linkPending marks a mispredicted branch whose delay slot is about
 	// to run inline; after the slot retires, dispatch leaves this chain
 	// and tries to link into the superblock at the real target.
@@ -926,7 +944,7 @@ run:
 					c.Obs.Store(va, e.ppage|va&(PageSize-1), 4, c.KernelMode(), true)
 				}
 				binary.BigEndian.PutUint32(e.ram[va&(PageSize-1):], g[st.rt])
-				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
+				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.sb.bitmap) && c.sb.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
 					if c.pdExit {
 						goto called
@@ -1147,7 +1165,7 @@ run:
 					c.Obs.Store(va, e.ppage|va&(PageSize-1), 1, c.KernelMode(), true)
 				}
 				e.ram[va&(PageSize-1)] = byte(g[st.rt])
-				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.pd.bitmap) && c.pd.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
+				if fn := e.ppage >> PageShift; int(fn>>6) < len(c.sb.bitmap) && c.sb.bitmap[fn>>6]&(1<<(fn&63)) != 0 {
 					c.dropFrame(fn)
 					if c.pdExit {
 						goto called
@@ -1227,7 +1245,8 @@ mispredict:
 	goto link
 
 chainEnd:
-	if s.exitSlot {
+	// A chain ending in a delay slot continues where its branch sent it.
+	if steps[len(steps)-1].flags&sbSlot != 0 {
 		c.PC = c.delayTarget
 	} else {
 		c.PC = steps[len(steps)-1].pc + 4
@@ -1261,11 +1280,6 @@ pass:
 	// The pass over steps[:i] is complete: account for it and start the
 	// next one at the head of next (s itself on a loop wrap).
 	nb += uint64(i)
-	cls += s.pre[i]
-	if clsN += uint64(i); clsN > sbClassFlush {
-		c.sbFlushClasses(cls)
-		cls, clsN = 0, 0
-	}
 	s = next
 	steps = s.steps
 	c.sb.cur = s
@@ -1273,7 +1287,6 @@ pass:
 	goto run
 
 out:
-	c.sbFlushClasses(cls + s.pre[i])
 	n := nb + uint64(i)
 	c.CP0.Random = advanceRandom(r0, n)
 	c.Stat.Instret = base + n
@@ -1304,12 +1317,4 @@ func (c *CPU) sbCallOut(st *sbStep, instret uint64) {
 	c.PC = st.pc
 	c.execInSlot = st.flags&sbSlot != 0
 	c.Stat.Instret = instret
-}
-
-// sbFlushClasses adds the packed class counts cls (see sbClassBits)
-// to Stat.Classes.
-func (c *CPU) sbFlushClasses(cls uint64) {
-	for ci := range c.Stat.Classes {
-		c.Stat.Classes[ci] += cls >> (uint(ci) * sbClassBits) & sbClassMask
-	}
 }

@@ -75,7 +75,7 @@ func TestSuperblockCrossFrameInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := newM()
-	ref.CPU.SetPredecode(false)
+	ref.CPU.SetSuperblocks(false)
 	crossFrameLoop(ref, true)
 	if err := ref.Run(1000); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestSuperblockDelaySlotFault(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newM()
-			ref.CPU.SetPredecode(false)
+			ref.CPU.SetSuperblocks(false)
 			setup(ref)
 			if err := ref.Run(1000); err != nil {
 				t.Fatal(err)

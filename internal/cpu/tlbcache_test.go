@@ -33,7 +33,7 @@ const (
 func tlbM(t *testing.T, pd bool) *machine.Machine {
 	t.Helper()
 	m := newM()
-	m.CPU.SetPredecode(pd)
+	m.CPU.SetSuperblocks(pd)
 	m.RAM.WriteWord(tlbOldPA, oldWord)
 	m.RAM.WriteWord(tlbNewPA, newWord)
 	return m
@@ -204,7 +204,7 @@ func TestUserAccessToKsegAfterKernelFill(t *testing.T) {
 			bothEngines(t, func(t *testing.T, pd bool) {
 				m := newM()
 				c := m.CPU
-				c.SetPredecode(pd)
+				c.SetSuperblocks(pd)
 				c.SetSuperblockThreshold(1)
 				m.RAM.WriteWord(page-cpu.KSeg0Base, kernelWord)
 				put(m, 0x80000080, isa.BREAK(3)) // general vector: halt
@@ -253,7 +253,7 @@ func TestUserAccessToKsegAfterKernelFill(t *testing.T) {
 		bothEngines(t, func(t *testing.T, pd bool) {
 			m := newM()
 			c := m.CPU
-			c.SetPredecode(pd)
+			c.SetSuperblocks(pd)
 			c.SetSuperblockThreshold(1)
 			put(m, 0x80000080, isa.BREAK(3))
 			put(m, 0x80001000,
@@ -332,7 +332,7 @@ func TestSoftTLBRefillsHashedIndex(t *testing.T) {
 	bothEngines(t, func(t *testing.T, pd bool) {
 		m := machine.New(4<<20, nil)
 		m.CPU.HaltOnBreak = true
-		m.CPU.SetPredecode(pd)
+		m.CPU.SetSuperblocks(pd)
 		reg := telemetry.New()
 		m.CPU.RegisterMetrics(reg)
 		S0, S1, T6 := isa.RegS0, isa.RegS1, 14

@@ -266,7 +266,7 @@ func TestTable2AndFigure3(t *testing.T) {
 
 func TestBufferSizingMonotonic(t *testing.T) {
 	spec, _ := workload.ByName("sed")
-	rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20}, kernel.StreamConfig{})
+	rows, err := experiment.BufferSizing(spec, []uint32{256 << 10, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

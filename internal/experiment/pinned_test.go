@@ -73,7 +73,7 @@ func TestPinnedCounts(t *testing.T) {
 		ic: [2]uint64{4125818, 2141}, dc: [2]uint64{422214, 2832}, tlb: [2]uint64{2521750, 15},
 		wbWrites: 98003,
 	})
-	rows, err := experiment.BufferSizing(sed, []uint32{256 << 10, 1 << 20}, kernel.StreamConfig{})
+	rows, err := experiment.BufferSizing(sed, []uint32{256 << 10, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,24 +265,19 @@ type BufferRow struct {
 	ModeSwitches  uint64
 	TracedInstr   uint64
 	InstrPerPhase float64
-	// Cycles is total machine time for the run including drain
-	// charges; StallCycles is the share spent waiting for a free ring
-	// slot (zero under the two-phase drain, where every drain is a
-	// stop-the-world analysis phase instead).
-	Cycles      uint64
-	StallCycles uint64
+	// Cycles is total machine time for the run including the
+	// stop-the-world analysis phases.
+	Cycles uint64
 }
 
-// BufferSizing reproduces the §4.3 analysis: larger in-kernel buffers
-// mean rarer generation/analysis transitions (the paper's 64 MB buffer
-// permitted ~32 M instructions of continuous execution). stream
-// selects the drain: under the epoch-ring streaming drain a smaller
-// buffer costs ring-slot stalls rather than more frequent
-// stop-the-world phases.
-func BufferSizing(spec workload.Spec, sizes []uint32, stream kernel.StreamConfig) ([]BufferRow, error) {
+// BufferSizing reproduces the §4.3 analysis on the two-phase drain:
+// larger in-kernel buffers mean rarer generation/analysis transitions
+// (the paper's 64 MB buffer permitted ~32 M instructions of continuous
+// execution).
+func BufferSizing(spec workload.Spec, sizes []uint32) ([]BufferRow, error) {
 	var rows []BufferRow
 	for _, size := range sizes {
-		sys, _, err := Config{Flavor: kernel.Ultrix, Stream: stream, BufBytes: size}.boot(spec, true, nil)
+		sys, _, err := Config{Flavor: kernel.Ultrix, BufBytes: size}.boot(spec, true, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +294,6 @@ func BufferSizing(spec workload.Spec, sizes []uint32, stream kernel.StreamConfig
 			TracedInstr:   sys.M.CPU.Stat.Instret,
 			InstrPerPhase: float64(sys.M.CPU.Stat.Instret) / float64(sw),
 			Cycles:        sys.M.Cycles(),
-			StallCycles:   sys.StreamStats.StallCycles,
 		})
 	}
 	return rows, nil

@@ -134,6 +134,13 @@ type System struct {
 	// that ends between doorbells.
 	shipped    uint32
 	shippedSum uint64
+	// The streaming drain's analytic ring model (see handoff): the
+	// completion times of the epochs in flight (sorted; at most
+	// Epochs-1) and of the last epoch (the one analysis engine is
+	// FIFO). It outlives a Run too, so simulated time does not depend
+	// on how a caller slices Run.
+	compl    []uint64
+	prevDone uint64
 
 	// Physical addresses of the kernel globals the host reads, resolved
 	// once at boot.
@@ -283,7 +290,7 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 	}
 	mach := machine.New(cfg.RAMBytes, cfg.DiskImage)
 	if cfg.Engine == EngineReference {
-		mach.CPU.SetPredecode(false)
+		mach.CPU.SetSuperblocks(false)
 	}
 	if err := mach.LoadKernel(kernelExe); err != nil {
 		return nil, err
@@ -460,17 +467,14 @@ func (s *System) deliver(words []uint32) {
 // The run fails with the first drain failure: a shipped prefix that
 // no longer matches the buffer (ErrPrefixMismatch), an undecodable
 // epoch (a *trace.StreamError), or a panic in the analysis program
-// (an *AnalysisPanic). A panic also stops the guest: at the next burst
-// on the two-phase drain, at the next epoch's handoff on the stream.
+// (an *AnalysisPanic). A panic also stops the guest at the next burst.
 func (s *System) Run(maxInstr uint64) (err error) {
 	sp := obs.BeginDetail("machine_run", s.Cfg.Flavor.String())
 	defer sp.End()
 	if s.Cfg.TraceBufBytes > 0 {
 		st := newStreamer(s)
 		s.stream = st
-		if !s.Cfg.Stream.Enabled() {
-			s.M.BetweenBursts = st.shipPrefix
-		}
+		s.M.BetweenBursts = st.betweenBursts
 		defer func() {
 			s.stream, s.M.BetweenBursts = nil, nil
 			if cerr := st.close(); err == nil || errors.Is(err, errConsumerDead) {

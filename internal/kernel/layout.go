@@ -57,33 +57,32 @@ const (
 
 // Boot info block offsets (words).
 const (
-	BootMagic         = 0x534b4f54 // "SKOT"
-	BiMagic           = 0
-	BiRAMBytes        = 4
-	BiTraceBufPhys    = 8 // 0 = untraced system
-	BiTraceBufBytes   = 12
-	BiClockInterval   = 16
-	BiFramePool       = 20
-	BiNProcs          = 24
-	BiFlavor          = 28
-	BiPagePolicy      = 32 // 0 sequential, 1 random
-	BiMapSeed         = 36
-	BiTLBDropin       = 40 // kernel pre-drops TLB entries at exec/switch
-	BiAnalysisPerWord = 44 // unused by kernel; kept for the host
-	BiProcBase        = 64
-	BiProcStride      = 64
-	BiProcEntry       = 0
-	BiProcTextVA      = 4
-	BiProcTextPhys    = 8
-	BiProcTextBytes   = 12
-	BiProcDataVA      = 16
-	BiProcDataPhys    = 20
-	BiProcDataBytes   = 24
-	BiProcBSSVA       = 28
-	BiProcBSSBytes    = 32
-	BiProcTraced      = 36
-	BiProcIsServer    = 40
-	BiProcStackPages  = 44
+	BootMagic        = 0x534b4f54 // "SKOT"
+	BiMagic          = 0
+	BiRAMBytes       = 4
+	BiTraceBufPhys   = 8 // 0 = untraced system
+	BiTraceBufBytes  = 12
+	BiClockInterval  = 16
+	BiFramePool      = 20
+	BiNProcs         = 24
+	BiFlavor         = 28
+	BiPagePolicy     = 32 // 0 sequential, 1 random
+	BiMapSeed        = 36
+	BiTLBDropin      = 40 // kernel pre-drops TLB entries at exec/switch
+	BiProcBase       = 64
+	BiProcStride     = 64
+	BiProcEntry      = 0
+	BiProcTextVA     = 4
+	BiProcTextPhys   = 8
+	BiProcTextBytes  = 12
+	BiProcDataVA     = 16
+	BiProcDataPhys   = 20
+	BiProcDataBytes  = 24
+	BiProcBSSVA      = 28
+	BiProcBSSBytes   = 32
+	BiProcTraced     = 36
+	BiProcIsServer   = 40
+	BiProcStackPages = 44
 )
 
 // Trapframe layout within a process save area (byte offsets). EntryHi

@@ -153,14 +153,8 @@ type streamer struct {
 	err     error          // first undecodable epoch or recovered panic
 
 	// dead is set by the consumer when a panic stops delivery; the
-	// producer reads it to stop the guest (shipPrefix, handoff).
+	// between-burst hook reads it to stop the guest.
 	dead atomic.Bool
-
-	// Analytic ring model: completion times of in-flight epochs
-	// (sorted; at most Epochs-1 entries) and the previous epoch's
-	// completion (the single analysis engine is FIFO).
-	compl    []uint64
-	prevDone uint64
 }
 
 func newStreamer(s *System) *streamer {
@@ -190,11 +184,6 @@ func newStreamer(s *System) *streamer {
 // goroutine inside the doorbell handler.
 func (st *streamer) handoff(n uint32, now uint64) uint64 {
 	s := st.sys
-	if st.dead.Load() {
-		// The consumer would drop the epoch: stop instead.
-		s.M.Stop(errConsumerDead)
-		return 0
-	}
 	b := <-st.free // real backpressure: memory is bounded by the ring depth
 	b.words = s.copyOut(0, n, b.words)
 	if st.cfg.Compress {
@@ -207,35 +196,45 @@ func (st *streamer) handoff(n uint32, now uint64) uint64 {
 	st.work <- b
 
 	// Analytic accounting on the deterministic machine clock.
-	st.sys.StreamStats.Epochs++
-	st.sys.Shipped++
-	st.sys.StreamStats.RawBytes += uint64(n) * 4
+	s.StreamStats.Epochs++
+	s.Shipped++
+	s.StreamStats.RawBytes += uint64(n) * 4
 	handoff := uint64(n) * st.cfg.HandoffPerWord
 	t := now + handoff
-	for len(st.compl) > 0 && st.compl[0] <= t {
-		st.compl = st.compl[1:]
+	for len(s.compl) > 0 && s.compl[0] <= t {
+		s.compl = s.compl[1:]
 	}
 	var stall uint64
-	if len(st.compl) >= st.cfg.Epochs-1 {
+	if len(s.compl) >= st.cfg.Epochs-1 {
 		// Every slot the kernel could generate into is still busy:
 		// wait for the oldest in-flight epoch's analysis to finish.
-		stall = st.compl[0] - t
-		t = st.compl[0]
-		st.compl = st.compl[1:]
+		stall = s.compl[0] - t
+		t = s.compl[0]
+		s.compl = s.compl[1:]
 	}
-	start := t
-	if st.prevDone > start {
-		start = st.prevDone
-	}
+	start := max(t, s.prevDone)
 	done := start + uint64(n)*s.Cfg.AnalysisPerWord
-	st.compl = append(st.compl, done)
-	st.prevDone = done
+	s.compl = append(s.compl, done)
+	s.prevDone = done
 	s.M.AddOverlapCycles(uint64(n) * s.Cfg.AnalysisPerWord)
 	s.StreamStats.StallCycles += stall
 	return handoff + stall
 }
 
-// shipPrefix is the two-phase drain's between-burst hook: it hands the
+// betweenBursts is the machine's between-burst hook on a traced run.
+// Once the analysis program has panicked it stops the run, on either
+// drain; until then it ships the two-phase drain's settled prefix.
+func (st *streamer) betweenBursts() error {
+	if st.dead.Load() {
+		return errConsumerDead
+	}
+	if st.cfg.Enabled() {
+		return nil
+	}
+	return st.shipPrefix()
+}
+
+// shipPrefix is the two-phase drain's between-burst work: it hands the
 // consumer the words [shipped, BufPtr) once at least prefixMinWords of
 // them have settled, so the analysis of a fill overlaps its
 // generation. It ships only while the CPU is in user mode. User code
@@ -245,12 +244,8 @@ func (st *streamer) handoff(n uint32, now uint64) uint64 {
 // is final until the doorbell drains the buffer. The doorbell checks
 // that argument on every fill (drainTail). When every slot is busy the
 // prefix waits and ships longer later; the guest never waits here.
-// Once the analysis program has panicked, it stops the run instead.
 func (st *streamer) shipPrefix() error {
 	s := st.sys
-	if st.dead.Load() {
-		return errConsumerDead
-	}
 	if st.prodErr != nil || s.M.CPU.KernelMode() {
 		return st.prodErr
 	}

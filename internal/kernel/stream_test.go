@@ -391,6 +391,46 @@ func TestStreamingDrainOverlap(t *testing.T) {
 		st.M.OverlapCycles(), st.StreamStats.StallCycles)
 }
 
+// TestStreamingSlicedRun: the streaming drain's ring model outlives a
+// Run, so running a boot to halt in one Run and in Runs of 20,000
+// instructions simulates the same machine time and the same stream.
+// An analysis cost of 200 cycles a word keeps a two-epoch ring full,
+// so a model rebuilt at every Run would forget the epoch in flight and
+// stall less.
+func TestStreamingSlicedRun(t *testing.T) {
+	data, sum := testData()
+	cfg := kernel.StreamConfig{Epochs: 2, HandoffPerWord: 1, Compress: true}
+	whole := tracedFilesum(t, data, 200, cfg)
+	collectRun(t, whole)
+
+	sliced := tracedFilesum(t, data, 200, cfg)
+	runs := 0
+	for !sliced.M.Halted {
+		if runs++; runs > 100_000 {
+			t.Fatal("sliced run did not halt")
+		}
+		if err := sliced.Run(20_000); err != nil && !strings.Contains(err.Error(), "instruction budget") {
+			t.Fatalf("run %d: %v", runs, err)
+		}
+	}
+	if status := sliced.ExitStatus(1); status != sum {
+		t.Errorf("exit status %d, want %d", status, sum)
+	}
+	if whole.StreamStats.StallCycles == 0 {
+		t.Fatal("the one-Run reference never stalled: the ring model is not exercised")
+	}
+	if got, want := sliced.M.Cycles(), whole.M.Cycles(); got != want {
+		t.Errorf("%d Runs simulated %d cycles, one Run %d", runs, got, want)
+	}
+	if sliced.StreamStats != whole.StreamStats {
+		t.Errorf("%d Runs: stream stats %+v, one Run %+v", runs, sliced.StreamStats, whole.StreamStats)
+	}
+	if sliced.DrainedWords != whole.DrainedWords {
+		t.Errorf("%d Runs drained %d words, one Run %d", runs, sliced.DrainedWords, whole.DrainedWords)
+	}
+	t.Logf("%d Runs: %d cycles, %d stall cycles", runs, sliced.M.Cycles(), sliced.StreamStats.StallCycles)
+}
+
 // TestStreamingDecodeFailure: an epoch that reaches the consumer
 // undecodable is counted, dumped to the flight recorder and never
 // delivered, and Run reports it as a *trace.StreamError. Every epoch is

@@ -44,7 +44,6 @@ type Machine struct {
 	overlapCycles uint64 // analysis retired concurrently with generation
 	stall         Staller
 	nextEvent     uint64
-	stopErr       error // set by Stop: Run returns it after the burst
 
 	// Run's state, shared with extend: the instruction count Run stops
 	// at, and the bursts extend granted to the StepN call in flight:
@@ -182,11 +181,6 @@ func (m *Machine) refreshNextEvent() {
 	m.nextEvent = n
 }
 
-// Stop makes Run return err once the burst in flight ends. It is for
-// code on the machine's goroutine that runs inside a burst (a device
-// handler) and has no error return of its own.
-func (m *Machine) Stop(err error) { m.stopErr = err }
-
 // running reports whether Run's loop goes on: not halted and under
 // the instruction limit.
 func (m *Machine) running() bool {
@@ -218,13 +212,13 @@ func (m *Machine) burstLen(now uint64) uint64 {
 // extend is the CPU's Extend hook during a Run with a stall model
 // attached: a chain that used up its budget at the end of a burst asks
 // for the next one. It is granted only when the work Run does between
-// bursts would do nothing (no fault, no halt, no Stop, no device event
-// due, no BetweenBursts hook, the limit not reached), so running on is
+// bursts would do nothing (no fault, no halt, no device event due, no
+// BetweenBursts hook, the limit not reached), so running on is
 // exactly what Run would do next, and it is sized by burstLen as Run
 // sizes it.
 func (m *Machine) extend() uint64 {
 	now := m.Cycles()
-	if m.CPU.FaultMsg != "" || m.BetweenBursts != nil || m.stopErr != nil ||
+	if m.CPU.FaultMsg != "" || m.BetweenBursts != nil ||
 		!m.running() || now >= m.nextEvent {
 		return 0
 	}
@@ -236,8 +230,8 @@ func (m *Machine) extend() uint64 {
 
 // Run executes until the machine halts or maxInstr instructions have
 // retired. It returns an error for simulator-level faults (a bug in
-// guest code generation, never normal operation), the error of a
-// BetweenBursts hook, or the error passed to Stop.
+// guest code generation, never normal operation) or the error of a
+// BetweenBursts hook.
 func (m *Machine) Run(maxInstr uint64) error {
 	c := m.CPU
 	m.limit = c.Stat.Instret + maxInstr
@@ -295,10 +289,6 @@ func (m *Machine) Run(maxInstr uint64) error {
 			m.Clock.Advance(now)
 			m.Disk.Advance(now)
 			m.refreshNextEvent()
-		}
-		if err := m.stopErr; err != nil {
-			m.stopErr = nil
-			return err
 		}
 		if m.BetweenBursts != nil {
 			if err := m.BetweenBursts(); err != nil {
