@@ -109,7 +109,7 @@ func (c Config) String() string {
 		s += ":" + c.Engine.String()
 	}
 	if c.Stream != (kernel.StreamConfig{}) {
-		s += fmt.Sprintf(":stream%dx%d", c.Stream.Epochs, c.Stream.HandoffPerWord)
+		s += ":stream"
 		if c.Stream.Compress {
 			s += "z"
 		}

@@ -9,7 +9,8 @@ import (
 
 // TestPinnedCounts pins the simulated counts of one measurement per
 // kernel, two predictions (two-phase Ultrix, streaming Mach) down to
-// the trace-driven simulator's counters, and two buffer-sizing boots.
+// the trace-driven simulator's counters and the streaming ring's
+// accounting, and two buffer-sizing boots.
 // The differential oracle compares engines against each other with no
 // stall model attached; these numbers additionally hold the
 // execution-driven Timing model's event timing (Measure), the traced
@@ -67,6 +68,11 @@ func TestPinnedCounts(t *testing.T) {
 		t.Errorf("PredictStream(sed, Mach, 1 MB): cycles %d trace words %d events %d utlb %d mode switches %d, "+
 			"want 4991656 1250439 4698242 15 6",
 			ps.Cycles, ps.TraceWords, ps.Events, ps.UTLBMisses, ps.ModeSwitches)
+	}
+	// The ring's accounting, the compressed bytes among it: each epoch
+	// encodes to the same bytes whatever the codec's code shape.
+	if want := (kernel.StreamStats{Epochs: 6, RawBytes: 5001756, EncodedBytes: 750089}); ps.Stream != want {
+		t.Errorf("PredictStream(sed, Mach, 1 MB) stream stats %+v, want %+v", ps.Stream, want)
 	}
 	checkSim(t, "PredictStream(sed, Mach, 1 MB)", ps, simCounts{
 		instr: 4125818, idle: 145,

@@ -136,7 +136,7 @@ type System struct {
 	shippedSum uint64
 	// The streaming drain's analytic ring model (see handoff): the
 	// completion times of the epochs in flight (sorted; at most
-	// Epochs-1) and of the last epoch (the one analysis engine is
+	// ringSlots-1) and of the last epoch (the one analysis engine is
 	// FIFO). It outlives a Run too, so simulated time does not depend
 	// on how a caller slices Run.
 	compl    []uint64
@@ -149,7 +149,9 @@ type System struct {
 	utlbPA     uint32
 	procsPA    uint32
 	kseg2mapPA uint32
-	symPA      map[string]uint32
+	ticksPA    uint32
+	modeswPA   uint32
+	curpidPA   uint32
 }
 
 // sysTelemetry holds the pre-registered handles the flush path records
@@ -235,10 +237,10 @@ func (s *System) AttachTelemetry(r *telemetry.Registry, labels ...telemetry.Labe
 		"compressed trace bytes handed off by the streaming drain",
 		func() uint64 { return s.StreamStats.EncodedBytes }, labels...)
 	r.Sample("kernel_ticks_total", "scheduler clock ticks handled",
-		func() uint64 { return uint64(s.ReadKernelWord("ticks")) }, labels...)
+		func() uint64 { return uint64(s.M.RAM.ReadWord(s.ticksPA)) }, labels...)
 	r.Sample("kernel_mode_switches_total",
 		"generation→analysis transitions counted by the kernel itself",
-		func() uint64 { return uint64(s.ReadKernelWord("modesw")) }, labels...)
+		func() uint64 { return uint64(s.M.RAM.ReadWord(s.modeswPA)) }, labels...)
 	r.Sample("kernel_utlb_misses_total",
 		"the kernel's user-TLB miss counter (Table 3 measured column, §5.2)",
 		func() uint64 { return uint64(s.UTLBCount()) }, labels...)
@@ -295,7 +297,7 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 	if err := mach.LoadKernel(kernelExe); err != nil {
 		return nil, err
 	}
-	s := &System{M: mach, Kernel: kernelExe, Procs: procs, Cfg: cfg, symPA: map[string]uint32{}}
+	s := &System{M: mach, Kernel: kernelExe, Procs: procs, Cfg: cfg}
 	for _, g := range []struct {
 		name string
 		pa   *uint32
@@ -304,6 +306,9 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		{"utlb_scratch", &s.utlbPA},
 		{"procs", &s.procsPA},
 		{"kseg2map", &s.kseg2mapPA},
+		{"ticks", &s.ticksPA},
+		{"modesw", &s.modeswPA},
+		{"curpid", &s.curpidPA},
 	} {
 		va, ok := kernelExe.Symbol(g.name)
 		if !ok {
@@ -397,7 +402,7 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		obs.Emit(evDoorbell, uint64(reason), uint64(n))
 		s.DrainedWords += uint64(n)
 		if s.tel != nil {
-			s.tel.flush(reason, s.ReadKernelWord("curpid"), n)
+			s.tel.flush(reason, s.M.RAM.ReadWord(s.curpidPA), n)
 		}
 		st := s.stream
 		if st == nil {
@@ -492,16 +497,11 @@ func (s *System) UTLBCount() uint32 { return s.M.RAM.ReadWord(s.utlbPA) }
 // ReadKernelWordOK reads a kernel global by symbol name; ok is false
 // for an unknown symbol or one whose address falls outside RAM.
 func (s *System) ReadKernelWordOK(sym string) (uint32, bool) {
-	pa, cached := s.symPA[sym]
-	if !cached {
-		va, ok := s.Kernel.Symbol(sym)
-		if !ok {
-			return 0, false
-		}
-		pa = va - cpu.KSeg0Base
-		s.symPA[sym] = pa
+	va, ok := s.Kernel.Symbol(sym)
+	if !ok {
+		return 0, false
 	}
-	return s.M.RAM.Read(pa, 4)
+	return s.M.RAM.Read(va-cpu.KSeg0Base, 4)
 }
 
 // ReadKernelWord reads a kernel global by symbol name (zero when the

@@ -5,12 +5,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"systrace/internal/cpu"
 	"systrace/internal/kernel"
 	m "systrace/internal/mahler"
 	"systrace/internal/obj"
+	"systrace/internal/telemetry"
 	"systrace/internal/trace"
 	"systrace/internal/userland"
 	"systrace/internal/workload"
@@ -814,7 +816,7 @@ func TestBootMissingKernelSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sym := range []string{"kbook", "utlb_scratch", "procs", "kseg2map"} {
+	for _, sym := range []string{"kbook", "utlb_scratch", "procs", "kseg2map", "ticks", "modesw", "curpid"} {
 		bad := *kexe
 		bad.Syms = slices.DeleteFunc(slices.Clone(kexe.Syms), func(s obj.Symbol) bool { return s.Name == sym })
 		if len(bad.Syms) == len(kexe.Syms) {
@@ -825,6 +827,38 @@ func TestBootMissingKernelSymbol(t *testing.T) {
 			t.Errorf("boot without %q: err = %v, want one naming the symbol", sym, err)
 		}
 	}
+}
+
+// TestKernelWordConcurrentSnapshot: a telemetry scrape (whose ticks
+// and modesw samples read kernel globals) and a host read of curpid
+// (the doorbell's flush path) may run on different goroutines, so
+// reading a kernel word must not write shared state. Run under -race.
+func TestKernelWordConcurrentSnapshot(t *testing.T) {
+	kexe, err := kernel.Build(kernel.Config{Flavor: kernel.Ultrix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := userland.Build("hello", []*m.Module{helloModule()}, m.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := kernel.Boot(kexe, []kernel.BootProc{{Exe: prog.Orig}}, kernel.DefaultBoot(kernel.Ultrix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	sys.AttachTelemetry(reg)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		reg.Snapshot()
+	}()
+	go func() {
+		defer wg.Done()
+		sys.ReadKernelWord("curpid")
+	}()
+	wg.Wait()
 }
 
 // symbol returns the address of the named symbol in e, failing the

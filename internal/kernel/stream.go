@@ -37,25 +37,24 @@ import (
 //
 //	done(k) = max(handed(k), done(k-1)) + words(k)*AnalysisPerWord
 //
-// and the producer stalls only when all Epochs-1 in-flight slots are
-// still busy at handoff time. The real consumer goroutine does the
-// actual host-side work (decode, conformance, memsys simulation)
-// concurrently, but contributes nothing to machine time — its modeled
-// cycles are recorded on the machine's overlapped-analysis counter so
-// the generation/analysis duty cycle stays observable.
+// and the producer stalls only when all ringSlots-1 (3) in-flight
+// slots are still busy at handoff time. The handoff itself — the copy
+// out of the trace buffer — costs one machine cycle a word. The real
+// consumer goroutine does the actual host-side work (decode,
+// conformance, memsys simulation) concurrently, but contributes
+// nothing to machine time — its modeled cycles are recorded on the
+// machine's overlapped-analysis counter so the generation/analysis
+// duty cycle stays observable.
+//
+// Both drains run one ring of ringSlots batches: the streaming drain's
+// epochs, or the two-phase drain's settled prefixes and tails.
 
 // StreamConfig configures the epoch-ring streaming drain. The zero
 // value disables it (legacy stop-the-world two-phase analysis).
 type StreamConfig struct {
-	// Epochs is the ring depth: the number of trace-buffer-sized
-	// epochs that may be in flight (one filling, the rest draining or
-	// being analyzed). Values below 2 disable streaming — a one-slot
-	// ring is the two-phase design.
-	Epochs int
-	// HandoffPerWord is the machine cycles charged per trace word to
-	// hand a filled epoch to the consumer (the copy out of the trace
-	// buffer). This replaces the stop-the-world AnalysisPerWord charge.
-	HandoffPerWord uint64
+	// Ring turns the epoch-ring streaming drain on; off, traced runs
+	// use the two-phase drain.
+	Ring bool
 	// Compress encodes each epoch with the internal/trace stream codec
 	// on handoff; the consumer decodes before analysis, so the wire
 	// format is exercised end to end.
@@ -63,12 +62,12 @@ type StreamConfig struct {
 }
 
 // Enabled reports whether the configuration turns streaming on.
-func (c StreamConfig) Enabled() bool { return c.Epochs >= 2 }
+func (c StreamConfig) Enabled() bool { return c.Ring }
 
-// DefaultStream returns the standard streaming configuration: a
-// four-epoch ring, one handoff cycle per word, compressed handoff.
+// DefaultStream returns the standard streaming configuration: the
+// epoch ring with compressed handoff.
 func DefaultStream() StreamConfig {
-	return StreamConfig{Epochs: 4, HandoffPerWord: 1, Compress: true}
+	return StreamConfig{Ring: true, Compress: true}
 }
 
 // StreamStats accumulates one run's streaming-drain accounting.
@@ -96,12 +95,14 @@ type epochBuf struct {
 	enc   []byte   // encoded epoch (Compress mode)
 }
 
-// The two-phase drain's ring: prefixSlots batches in flight, and a
+// Both drains' ring holds ringSlots batches, and a streaming handoff
+// costs handoffPerWord machine cycles a word. On the two-phase drain a
 // settled prefix ships once it holds prefixMinWords words. The hook
 // that ships it runs after every burst of up to 16K instructions, so
 // a 4 MB buffer reaches the consumer in about 16 batches.
 const (
-	prefixSlots    = 4
+	ringSlots      = 4
+	handoffPerWord = 1
 	prefixMinWords = 64 << 10
 	// sumPiece is how many words the doorbell's prefix check reads
 	// from guest RAM at a time.
@@ -143,14 +144,12 @@ type streamer struct {
 	work chan *epochBuf // filled batches in stream order
 	wg   sync.WaitGroup
 
-	enc     *trace.Encoder // producer-side encoder (Compress mode)
-	prodErr error          // the producer's first failure (two-phase prefix check)
-	sumBuf  []uint32       // the prefix check's read buffer
+	prodErr error    // the producer's first failure (two-phase prefix check)
+	sumBuf  []uint32 // the prefix check's read buffer
 
 	// Consumer-owned state, read by the producer only after close.
-	dec     *trace.Decoder // Compress mode
-	scratch []uint32       // decoded epoch
-	err     error          // first undecodable epoch or recovered panic
+	scratch []uint32 // decoded epoch
+	err     error    // first undecodable epoch or recovered panic
 
 	// dead is set by the consumer when a panic stops delivery; the
 	// between-burst hook reads it to stop the guest.
@@ -159,19 +158,13 @@ type streamer struct {
 
 func newStreamer(s *System) *streamer {
 	st := &streamer{sys: s}
-	depth := prefixSlots
 	if s.Cfg.Stream.Enabled() {
 		st.cfg = s.Cfg.Stream
-		depth = st.cfg.Epochs
 	}
-	st.free = make(chan *epochBuf, depth)
-	st.work = make(chan *epochBuf, depth)
-	for i := 0; i < depth; i++ {
+	st.free = make(chan *epochBuf, ringSlots)
+	st.work = make(chan *epochBuf, ringSlots)
+	for i := 0; i < ringSlots; i++ {
 		st.free <- &epochBuf{}
-	}
-	if st.cfg.Compress {
-		st.enc = trace.NewEncoder()
-		st.dec = trace.NewDecoder()
 	}
 	st.wg.Add(1)
 	go st.consume()
@@ -187,10 +180,9 @@ func (st *streamer) handoff(n uint32, now uint64) uint64 {
 	b := <-st.free // real backpressure: memory is bounded by the ring depth
 	b.words = s.copyOut(0, n, b.words)
 	if st.cfg.Compress {
-		// Every epoch starts from a fresh codec state, so it decodes
-		// on its own: a corrupt epoch loses only itself.
-		st.enc.Reset()
-		b.enc = st.enc.Encode(b.words, b.enc[:0])
+		// Every epoch is coded on its own, so a corrupt epoch loses
+		// only itself.
+		b.enc = trace.EncodeEpoch(b.words, b.enc[:0])
 		s.StreamStats.EncodedBytes += uint64(len(b.enc))
 	}
 	st.work <- b
@@ -199,13 +191,13 @@ func (st *streamer) handoff(n uint32, now uint64) uint64 {
 	s.StreamStats.Epochs++
 	s.Shipped++
 	s.StreamStats.RawBytes += uint64(n) * 4
-	handoff := uint64(n) * st.cfg.HandoffPerWord
+	handoff := uint64(n) * handoffPerWord
 	t := now + handoff
 	for len(s.compl) > 0 && s.compl[0] <= t {
 		s.compl = s.compl[1:]
 	}
 	var stall uint64
-	if len(s.compl) >= st.cfg.Epochs-1 {
+	if len(s.compl) >= ringSlots-1 {
 		// Every slot the kernel could generate into is still busy:
 		// wait for the oldest in-flight epoch's analysis to finish.
 		stall = s.compl[0] - t
@@ -361,14 +353,13 @@ func (st *streamer) analyze(b *epochBuf) {
 	}()
 	s := st.sys
 	words := b.words
-	if st.dec != nil {
+	if st.cfg.Compress {
 		if s.OnEpoch != nil {
 			s.OnEpoch(b.enc)
 		}
 		dsp := obs.Begin("stream_decode")
 		var err error
-		st.dec.Reset()
-		st.scratch, err = st.dec.Decode(b.enc, st.scratch[:0])
+		st.scratch, err = trace.DecodeEpoch(b.enc, st.scratch[:0])
 		dsp.End()
 		if err != nil {
 			s.StreamStats.DecodeErrors++

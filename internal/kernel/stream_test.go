@@ -316,24 +316,28 @@ func collectRun(t *testing.T, sys *kernel.System) []uint32 {
 	return all
 }
 
-// TestStreamingDrainFidelity: with zero-cost drains (no analysis or
-// handoff cycles, so machine timing is identical across modes), the
+// TestStreamingDrainFidelity: at one analysis cycle a word the
+// two-phase drain charges what a stall-free epoch handoff does (one
+// cycle a word), so machine timing is identical across modes, and the
 // epoch-ring consumer — raw and compressed — must deliver exactly the
 // word stream the two-phase drain delivers, in order.
 func TestStreamingDrainFidelity(t *testing.T) {
 	data, sum := testData()
-	base := collectRun(t, tracedFilesum(t, data, 0, kernel.StreamConfig{}))
+	base := collectRun(t, tracedFilesum(t, data, 1, kernel.StreamConfig{}))
 	if len(base) == 0 {
 		t.Fatal("baseline drained no trace")
 	}
 	cases := map[string]kernel.StreamConfig{
-		"raw":        {Epochs: 2},
-		"compressed": {Epochs: 4, Compress: true},
+		"raw":        {Ring: true},
+		"compressed": {Ring: true, Compress: true},
 	}
 	for name, sc := range cases {
 		t.Run(name, func(t *testing.T) {
-			sys := tracedFilesum(t, data, 0, sc)
+			sys := tracedFilesum(t, data, 1, sc)
 			got := collectRun(t, sys)
+			if sys.StreamStats.StallCycles != 0 {
+				t.Fatalf("%d stall cycles: timing differs from the two-phase drain's", sys.StreamStats.StallCycles)
+			}
 			if status := sys.ExitStatus(1); status != sum {
 				t.Errorf("exit status %d, want %d", status, sum)
 			}
@@ -394,12 +398,14 @@ func TestStreamingDrainOverlap(t *testing.T) {
 // TestStreamingSlicedRun: the streaming drain's ring model outlives a
 // Run, so running a boot to halt in one Run and in Runs of 20,000
 // instructions simulates the same machine time and the same stream.
-// An analysis cost of 200 cycles a word keeps a two-epoch ring full,
-// so a model rebuilt at every Run would forget the epoch in flight and
-// stall less.
+// Four copies of the file give the ring enough epochs to fill its
+// three in-flight slots, and an analysis cost of 200 cycles a word
+// keeps them full, so a model rebuilt at every Run would forget the
+// epochs in flight and stall less.
 func TestStreamingSlicedRun(t *testing.T) {
 	data, sum := testData()
-	cfg := kernel.StreamConfig{Epochs: 2, HandoffPerWord: 1, Compress: true}
+	data, sum = bytes.Repeat(data, 4), sum*4
+	cfg := kernel.DefaultStream()
 	whole := tracedFilesum(t, data, 200, cfg)
 	collectRun(t, whole)
 
@@ -438,7 +444,7 @@ func TestStreamingSlicedRun(t *testing.T) {
 // decode and are delivered.
 func TestStreamingDecodeFailure(t *testing.T) {
 	data, _ := testData()
-	sys := tracedFilesum(t, data, 0, kernel.StreamConfig{Epochs: 4, Compress: true})
+	sys := tracedFilesum(t, data, 0, kernel.DefaultStream())
 	var dump bytes.Buffer
 	restore := obs.SetFailureWriter(&dump)
 	defer restore()

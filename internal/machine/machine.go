@@ -46,9 +46,9 @@ type Machine struct {
 	nextEvent     uint64
 
 	// Run's state, shared with extend: the instruction count Run stops
-	// at, and the bursts extend granted to the StepN call in flight:
-	// their total and the length of the last one.
-	limit, granted, burst uint64
+	// at, and the total of the bursts extend granted to the StepN call
+	// in flight.
+	limit, granted uint64
 
 	// BetweenBursts, when set, runs on the machine's goroutine after
 	// every burst of Run's loop, at an instruction boundary with no
@@ -94,10 +94,6 @@ func (m *Machine) Cycles() uint64 {
 
 // ExtraCycles returns time consumed by analysis phases.
 func (m *Machine) ExtraCycles() uint64 { return m.extraCycles }
-
-// AddExtraCycles advances machine time without executing instructions
-// (used by the analysis doorbell).
-func (m *Machine) AddExtraCycles(c uint64) { m.extraCycles += c }
 
 // AddOverlapCycles records analysis work retired concurrently with
 // generation (the streaming drain's consumer). Unlike extra cycles it
@@ -224,7 +220,6 @@ func (m *Machine) extend() uint64 {
 	}
 	g := m.burstLen(now)
 	m.granted += g
-	m.burst = g
 	return g
 }
 
@@ -250,8 +245,8 @@ func (m *Machine) Run(maxInstr uint64) error {
 	// chain that reaches the end of a burst asks extend for the next
 	// one instead of leaving, so a burst boundary at which nothing
 	// happens costs the chain one call, not an exit and a fresh entry
-	// at a mid-chain PC. The StepN call then spans several bursts, and
-	// the last one began after all but the last grant.
+	// at a mid-chain PC. The StepN call then spans several bursts; what
+	// the grants add and the call used leaves what is left of the last.
 	//
 	// Without one, machine time advances in instruction-sized steps
 	// except at doorbell writes (an active analysis handler adds cycles
@@ -265,19 +260,11 @@ func (m *Machine) Run(maxInstr uint64) error {
 		defer func() { c.Extend = nil }()
 	}
 	for m.running() {
-		burst := m.burstLen(m.Cycles())
 		ne := m.nextEvent
-		for i := uint64(0); i < burst && !c.Halted; {
-			n := c.StepN(burst - i)
-			if m.granted == 0 {
-				i += n
-			} else {
-				// The call ran on into the bursts extend granted. The
-				// last of them is the burst in flight; it began after
-				// the call's first burst-i units and the other grants.
-				i = n - (burst - i + m.granted - m.burst)
-				burst, m.granted = m.burst, 0
-			}
+		for left := m.burstLen(m.Cycles()); left > 0 && !c.Halted; {
+			n := c.StepN(left)
+			left += m.granted - n
+			m.granted = 0
 			if m.stall == nil && (m.nextEvent != ne || m.Cycles() >= ne) {
 				break
 			}

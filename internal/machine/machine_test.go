@@ -117,9 +117,8 @@ func TestDeviceBusAndTiming(t *testing.T) {
 	if m.Cycles() <= m.CPU.Stat.Instret {
 		t.Error("stall cycles not included in machine time")
 	}
-	m.AddExtraCycles(1000)
-	if m.ExtraCycles() != 1000 {
-		t.Errorf("extra cycles %d", m.ExtraCycles())
+	if m.ExtraCycles() != 0 {
+		t.Errorf("extra cycles %d with no doorbell", m.ExtraCycles())
 	}
 }
 

@@ -9,14 +9,11 @@ import (
 	"systrace/internal/isa"
 )
 
-// On-disk formats. Both object files and executables use a simple
-// big-endian format (matching the machine's byte order) with a magic
-// word and version byte, so the cmd tools can round-trip them.
+// On-disk format. Executables use a simple big-endian format
+// (matching the machine's byte order) with a magic word and version
+// byte, so the cmd tools can round-trip them.
 
-var (
-	objMagic = [4]byte{'S', 'O', 'B', 'J'}
-	exeMagic = [4]byte{'S', 'E', 'X', 'E'}
-)
+var exeMagic = [4]byte{'S', 'E', 'X', 'E'}
 
 const formatVersion = 1
 
@@ -134,30 +131,30 @@ func (r *reader) words() []isa.Word {
 	return ws
 }
 
-func writeRelocs(w *writer, rs []Reloc) {
-	w.u32(uint32(len(rs)))
-	for _, r := range rs {
-		w.u32(r.Off)
-		w.u8(uint8(r.Kind))
-		w.u32(uint32(r.Sym))
-		w.u32(uint32(r.Addend))
+// count checks a table's entry count n against the bytes left, each
+// entry encoding in at least minSize bytes, and returns n, or 0 with
+// r.err set when the rest of the input cannot hold the table. A
+// corrupt count so never sizes an allocation past the input's size.
+func (r *reader) count(n uint32, minSize int) int {
+	if r.err != nil {
+		return 0
 	}
+	if int64(n)*int64(minSize) > int64(r.r.Len()) {
+		r.err = fmt.Errorf("obj: truncated: %d-entry table (%d+ bytes each) with %d bytes left",
+			n, minSize, r.r.Len())
+		return 0
+	}
+	return int(n)
 }
 
-func readRelocs(r *reader) []Reloc {
-	n := r.u32()
-	if r.err != nil || n > 1<<24 {
-		return nil
-	}
-	rs := make([]Reloc, n)
-	for i := range rs {
-		rs[i].Off = r.u32()
-		rs[i].Kind = RelKind(r.u8())
-		rs[i].Sym = int(r.u32())
-		rs[i].Addend = int32(r.u32())
-	}
-	return rs
-}
+// Minimum encoded sizes of the tables' entries (every inner string or
+// memop list empty).
+const (
+	symMinSize        = 4 + 1 + 4 + 1 // name, section, offset, flags
+	memOpMinSize      = 2 + 1 + 1     // index, load, size
+	exeBlockMinSize   = 4 + 4 + 2 + 2 // addr, instructions, flags, memop count
+	instrBlockMinSize = 4 + 4 + 4 + 2 + 2
+)
 
 func writeSyms(w *writer, ss []Symbol) {
 	w.u32(uint32(len(ss)))
@@ -177,11 +174,7 @@ func writeSyms(w *writer, ss []Symbol) {
 }
 
 func readSyms(r *reader) []Symbol {
-	n := r.u32()
-	if r.err != nil || n > 1<<24 {
-		return nil
-	}
-	ss := make([]Symbol, n)
+	ss := make([]Symbol, r.count(r.u32(), symMinSize))
 	for i := range ss {
 		ss[i].Name = r.str()
 		ss[i].Section = SectionID(r.u8())
@@ -207,76 +200,13 @@ func writeMemOps(w *writer, ms []MemOp) {
 }
 
 func readMemOps(r *reader) []MemOp {
-	n := r.u16()
-	if r.err != nil {
-		return nil
-	}
-	ms := make([]MemOp, n)
+	ms := make([]MemOp, r.count(uint32(r.u16()), memOpMinSize))
 	for i := range ms {
 		ms[i].Index = int16(r.u16())
 		ms[i].Load = r.u8() != 0
 		ms[i].Size = int8(r.u8())
 	}
 	return ms
-}
-
-// Encode serializes the object file.
-func (f *File) Encode(out io.Writer) error {
-	w := &writer{w: out}
-	if _, err := out.Write(objMagic[:]); err != nil {
-		return err
-	}
-	w.u8(formatVersion)
-	w.str(f.Name)
-	w.words(f.Text)
-	w.bytes(f.Data)
-	w.u32(f.BSSSize)
-	writeSyms(w, f.Syms)
-	writeRelocs(w, f.Relocs)
-	writeRelocs(w, f.DataRelocs)
-	w.u32(uint32(len(f.Blocks)))
-	for i := range f.Blocks {
-		b := &f.Blocks[i]
-		w.u32(b.Off)
-		w.u32(uint32(b.NInstr))
-		w.u16(uint16(b.Flags))
-		writeMemOps(w, b.Mem)
-	}
-	return w.err
-}
-
-// ReadFile deserializes an object file.
-func ReadFile(data []byte) (*File, error) {
-	if len(data) < 5 || !bytes.Equal(data[:4], objMagic[:]) {
-		return nil, fmt.Errorf("obj: bad magic")
-	}
-	if data[4] != formatVersion {
-		return nil, fmt.Errorf("obj: version %d, want %d", data[4], formatVersion)
-	}
-	r := &reader{r: bytes.NewReader(data[5:])}
-	f := &File{}
-	f.Name = r.str()
-	f.Text = r.words()
-	f.Data = r.bytes()
-	f.BSSSize = r.u32()
-	f.Syms = readSyms(r)
-	f.Relocs = readRelocs(r)
-	f.DataRelocs = readRelocs(r)
-	n := r.u32()
-	if r.err == nil && n <= 1<<24 {
-		f.Blocks = make([]BasicBlock, n)
-		for i := range f.Blocks {
-			b := &f.Blocks[i]
-			b.Off = r.u32()
-			b.NInstr = int32(r.u32())
-			b.Flags = BBFlags(r.u16())
-			b.Mem = readMemOps(r)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return f, nil
 }
 
 // Encode serializes the executable.
@@ -348,33 +278,27 @@ func ReadExecutable(data []byte) (*Executable, error) {
 	e.BSSSize = r.u32()
 	e.Syms = readSyms(r)
 	e.Traced = r.u8() != 0
-	n := r.u32()
-	if r.err == nil && n <= 1<<24 {
-		e.Blocks = make([]ExeBlock, n)
-		for i := range e.Blocks {
-			b := &e.Blocks[i]
-			b.Addr = r.u32()
-			b.NInstr = int32(r.u32())
-			b.Flags = BBFlags(r.u16())
-			b.Mem = readMemOps(r)
-		}
+	e.Blocks = make([]ExeBlock, r.count(r.u32(), exeBlockMinSize))
+	for i := range e.Blocks {
+		b := &e.Blocks[i]
+		b.Addr = r.u32()
+		b.NInstr = int32(r.u32())
+		b.Flags = BBFlags(r.u16())
+		b.Mem = readMemOps(r)
 	}
 	if r.u8() != 0 {
 		ii := &InstrInfo{}
 		ii.Tool = r.str()
 		ii.OrigTextSize = r.u32()
 		ii.TextSize = r.u32()
-		m := r.u32()
-		if r.err == nil && m <= 1<<24 {
-			ii.Blocks = make([]InstrBlock, m)
-			for i := range ii.Blocks {
-				b := &ii.Blocks[i]
-				b.RecordAddr = r.u32()
-				b.OrigAddr = r.u32()
-				b.NInstr = int32(r.u32())
-				b.Flags = BBFlags(r.u16())
-				b.Mem = readMemOps(r)
-			}
+		ii.Blocks = make([]InstrBlock, r.count(r.u32(), instrBlockMinSize))
+		for i := range ii.Blocks {
+			b := &ii.Blocks[i]
+			b.RecordAddr = r.u32()
+			b.OrigAddr = r.u32()
+			b.NInstr = int32(r.u32())
+			b.Flags = BBFlags(r.u16())
+			b.Mem = readMemOps(r)
 		}
 		e.Instr = ii
 	}

@@ -2,6 +2,8 @@ package obj_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -34,37 +36,6 @@ func sampleFile() *obj.File {
 	return f
 }
 
-func TestFileRoundTrip(t *testing.T) {
-	f := sampleFile()
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := f.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := obj.ReadFile(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Name != f.Name || len(g.Text) != len(f.Text) || string(g.Data) != string(f.Data) ||
-		g.BSSSize != f.BSSSize || len(g.Syms) != len(f.Syms) ||
-		len(g.Relocs) != len(f.Relocs) || len(g.Blocks) != len(f.Blocks) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", g, f)
-	}
-	for i := range f.Text {
-		if g.Text[i] != f.Text[i] {
-			t.Fatalf("text[%d] differs", i)
-		}
-	}
-	if g.Blocks[0].Mem[0] != f.Blocks[0].Mem[0] {
-		t.Fatal("memop differs")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidateCatchesBadTables(t *testing.T) {
 	f := sampleFile()
 	f.Blocks[1].Off = 20 // gap
@@ -83,35 +54,10 @@ func TestValidateCatchesBadTables(t *testing.T) {
 	}
 }
 
-func TestCorruptDeserialization(t *testing.T) {
-	f := sampleFile()
-	var buf bytes.Buffer
-	if err := f.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	// Truncations at every length must error, not panic.
-	for n := 0; n < len(whole); n += 3 {
-		if _, err := obj.ReadFile(whole[:n]); err == nil && n < len(whole)-1 {
-			// Some prefixes may decode if trailing sections are empty;
-			// only the magic/short cases are required to fail.
-			if n < 5 {
-				t.Errorf("truncation at %d accepted", n)
-			}
-		}
-	}
-	// Arbitrary bytes must never panic.
-	f2 := func(b []byte) bool {
-		_, _ = obj.ReadFile(b)
-		return true
-	}
-	if err := quick.Check(f2, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestExecutableRoundTrip(t *testing.T) {
-	e := &obj.Executable{
+// sampleExecutable is an instrumented two-instruction image with one
+// entry in every table ReadExecutable reads.
+func sampleExecutable() *obj.Executable {
+	return &obj.Executable{
 		Name:     "prog",
 		Entry:    0x400000,
 		TextBase: 0x400000,
@@ -133,11 +79,85 @@ func TestExecutableRoundTrip(t *testing.T) {
 			},
 		},
 	}
+}
+
+func encodeExecutable(t testing.TB, e *obj.Executable) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := e.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := obj.ReadExecutable(buf.Bytes())
+	return buf.Bytes()
+}
+
+func TestCorruptDeserialization(t *testing.T) {
+	whole := encodeExecutable(t, sampleExecutable())
+	// Every table and field is nonempty, so every proper prefix of the
+	// image must error, not panic.
+	for n := 0; n < len(whole); n++ {
+		if _, err := obj.ReadExecutable(whole[:n]); err == nil {
+			t.Errorf("truncation at %d of %d bytes accepted", n, len(whole))
+		}
+	}
+	// Arbitrary bytes must never panic.
+	f2 := func(b []byte) bool {
+		_, _ = obj.ReadExecutable(b)
+		return true
+	}
+	if err := quick.Check(f2, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReadExecutableHugeCount: a table count the rest of the input
+// cannot hold must fail before it sizes an allocation. The 41-byte
+// image below has a valid header and empty name, text and data, then
+// claims 1<<24 symbols.
+func TestReadExecutableHugeCount(t *testing.T) {
+	data := []byte{'S', 'E', 'X', 'E', 1}
+	for _, v := range []uint32{
+		0,          // name length
+		0x400000,   // entry
+		0x400000,   // text base
+		0,          // text words
+		0x10000000, // data base
+		0,          // data bytes
+		0x10000000, // bss base
+		0,          // bss size
+		1 << 24,    // symbols
+	} {
+		data = binary.BigEndian.AppendUint32(data, v)
+	}
+	if len(data) != 41 {
+		t.Fatalf("crafted image is %d bytes, want 41", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := obj.ReadExecutable(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("ReadExecutable accepted a symbol count past the input's end")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("ReadExecutable allocated %d bytes for a 41-byte input", alloc)
+	}
+}
+
+// FuzzReadExecutable: arbitrary bytes decode to an error or a value,
+// never a panic.
+func FuzzReadExecutable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(encodeExecutable(f, sampleExecutable()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if e, err := obj.ReadExecutable(data); (e == nil) == (err == nil) {
+			t.Fatalf("ReadExecutable returned %v and %v", e, err)
+		}
+	})
+}
+
+func TestExecutableRoundTrip(t *testing.T) {
+	e := sampleExecutable()
+	g, err := obj.ReadExecutable(encodeExecutable(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,8 +226,8 @@ func FuzzParseSink(f *testing.F) {
 
 // FuzzStreamCodec drives the compressed on-the-wire encoding from both
 // ends: any word sequence must round-trip exactly through the
-// encoder/decoder pair, and the decoder must reject or survive (never
-// panic on) arbitrary token bytes.
+// epoch encoder and decoder, and the decoder must reject or survive
+// (never panic on) arbitrary token bytes.
 func FuzzStreamCodec(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0x00, 0x40, 0x01, 0x0c, 0x10, 0x00, 0x00, 0x04}, false)
@@ -238,7 +238,7 @@ func FuzzStreamCodec(f *testing.F) {
 		if raw {
 			// data is a hostile token stream: decode must not panic
 			// and must consume without error only whole valid tokens.
-			trace.NewDecoder().Decode(data, nil) //nolint:errcheck
+			trace.DecodeEpoch(data, nil) //nolint:errcheck
 			return
 		}
 		n := len(data) / 4
@@ -249,8 +249,8 @@ func FuzzStreamCodec(f *testing.F) {
 		for i := range words {
 			words[i] = binary.BigEndian.Uint32(data[4*i:])
 		}
-		enc := trace.EncodeStream(words)
-		got, err := trace.DecodeStream(enc)
+		enc := trace.EncodeEpoch(words, nil)
+		got, err := trace.DecodeEpoch(enc, nil)
 		if err != nil {
 			t.Fatalf("decode of fresh encoding failed: %v", err)
 		}

@@ -53,11 +53,9 @@ import "fmt"
 // the new stride hypothesis). A RUN's repeats skip the fold entirely
 // (folding w == last is idempotent by construction).
 //
-// Encoders and decoders are stateful across calls: an epoch ring can
-// encode each filled epoch as it drains and the consumer decodes them
-// in hand-off order. EncodeStream/DecodeStream are the one-shot forms
-// for whole captured streams (corpus runs, files); they carry a
-// 4-byte magic so tools can sniff compressed input.
+// Every epoch is coded on its own: EncodeEpoch and DecodeEpoch start
+// from a zero predictor state on each call, so an epoch decodes
+// without the ones before it and a corrupt epoch loses only itself.
 const (
 	streamTagHit   = 0x00 // 0x00..0x7f
 	streamTagRun   = 0x80 // 0x80..0x9f
@@ -67,10 +65,6 @@ const (
 
 	streamRunMax = 32 // longest run one RUN or PRUN token carries
 )
-
-// StreamMagic is the 4-byte header of a one-shot compressed stream
-// ("ztr" + format version 1).
-var StreamMagic = [4]byte{'z', 't', 'r', 1}
 
 // codecState is the shared predictor state; encoder and decoder apply
 // identical updates so the token stream is self-describing.
@@ -121,40 +115,11 @@ func (s *codecState) fold(w uint32) {
 	s.last = w
 }
 
-// Encoder compresses raw trace words incrementally.
-type Encoder struct {
-	st codecState
-	// Raw and Encoded count the encoder's lifetime totals (compression
-	// accounting for telemetry and the stream bench).
-	Raw     uint64 // input bytes (4 per word)
-	Encoded uint64 // output bytes
-	// Tokens counts emitted tokens by kind, for the stream bench's
-	// token-mix report.
-	Tokens [5]uint64
-}
-
-// Token-kind indexes into Encoder.Tokens.
-const (
-	TokHit = iota
-	TokRun
-	TokPrun
-	TokPred
-	TokDelta
-)
-
-// NewEncoder returns a fresh encoder.
-func NewEncoder() *Encoder { return &Encoder{} }
-
-// Reset returns the encoder to its initial state.
-func (e *Encoder) Reset() { *e = Encoder{} }
-
-// Encode appends the compressed form of words to dst and returns it.
-// State persists across calls: a decoder must see the concatenated
-// token stream in the same order.
-func (e *Encoder) Encode(words []uint32, dst []byte) []byte {
-	st := &e.st
+// EncodeEpoch appends the compressed form of one epoch's words to
+// dst and returns it. The predictor starts from its zero state.
+func EncodeEpoch(words []uint32, dst []byte) []byte {
+	var st codecState
 	n := len(words)
-	start := len(dst)
 	for i := 0; i < n; i++ {
 		w := words[i]
 		if w == st.last {
@@ -166,7 +131,6 @@ func (e *Encoder) Encode(words []uint32, dst []byte) []byte {
 			}
 			i += run - 1
 			dst = append(dst, byte(streamTagRun|(run-1)))
-			e.Tokens[TokRun]++
 			continue
 		}
 		if st.predict() == w {
@@ -180,37 +144,31 @@ func (e *Encoder) Encode(words []uint32, dst []byte) []byte {
 			}
 			i += run - 1
 			dst = append(dst, byte(streamTagPrun|(run-1)))
-			e.Tokens[TokPrun]++
 			continue
 		}
 		if st.cache[streamHash(w)] == w {
 			dst = append(dst, byte(streamHash(w)))
-			e.Tokens[TokHit]++
 			st.fold(w)
 			continue
 		}
 		c := w >> 28
 		if st.prev[c]+st.stride[c] == w {
 			dst = append(dst, byte(streamTagPred|c))
-			e.Tokens[TokPred]++
 			st.fold(w)
 			continue
 		}
 		d := w - st.prev[c]
 		dst = append(dst, byte(streamTagDelta|c))
 		dst = appendZigzag(dst, d)
-		e.Tokens[TokDelta]++
 		st.stride[c] = d
 		st.fold(w)
 	}
-	e.Raw += uint64(len(words)) * 4
-	e.Encoded += uint64(len(dst) - start)
 	return dst
 }
 
 // StreamError reports a malformed compressed stream.
 type StreamError struct {
-	Offset int // byte offset of the offending token
+	Offset int // byte offset of the offending token within the epoch
 	Msg    string
 }
 
@@ -218,24 +176,11 @@ func (e *StreamError) Error() string {
 	return fmt.Sprintf("trace: compressed stream byte %d: %s", e.Offset, e.Msg)
 }
 
-// Decoder reconstructs raw trace words from the compressed token
-// stream, mirroring Encoder state exactly.
-type Decoder struct {
-	st  codecState
-	off int // lifetime byte offset, for errors across calls
-}
-
-// NewDecoder returns a fresh decoder.
-func NewDecoder() *Decoder { return &Decoder{} }
-
-// Reset returns the decoder to its initial state.
-func (d *Decoder) Reset() { *d = Decoder{} }
-
-// Decode appends the words encoded in data to dst and returns it.
-// data must contain whole tokens (the encoder never splits a token
-// across Encode outputs).
-func (d *Decoder) Decode(data []byte, dst []uint32) ([]uint32, error) {
-	st := &d.st
+// DecodeEpoch appends the words of one epoch encoded by EncodeEpoch
+// to dst and returns it, from the same zero predictor state. data must
+// hold whole tokens; a StreamError's Offset counts within data.
+func DecodeEpoch(data []byte, dst []uint32) ([]uint32, error) {
+	var st codecState
 	i := 0
 	for i < len(data) {
 		t := data[i]
@@ -261,11 +206,11 @@ func (d *Decoder) Decode(data []byte, dst []uint32) ([]uint32, error) {
 			c := t & 15
 			delta, n := zigzag(data[i+1:])
 			if n == 0 {
-				return dst, &StreamError{d.off + i, "truncated delta varint"}
+				return dst, &StreamError{i, "truncated delta varint"}
 			}
 			w := st.prev[c] + delta
 			if w>>28 != uint32(c) {
-				return dst, &StreamError{d.off + i,
+				return dst, &StreamError{i,
 					fmt.Sprintf("delta result 0x%08x escapes address class %d", w, c)}
 			}
 			st.stride[c] = delta
@@ -281,10 +226,9 @@ func (d *Decoder) Decode(data []byte, dst []uint32) ([]uint32, error) {
 			}
 			i++
 		default:
-			return dst, &StreamError{d.off + i, fmt.Sprintf("reserved token 0x%02x", t)}
+			return dst, &StreamError{i, fmt.Sprintf("reserved token 0x%02x", t)}
 		}
 	}
-	d.off += len(data)
 	return dst, nil
 }
 
@@ -317,25 +261,4 @@ func zigzag(data []byte) (v uint32, n int) {
 		}
 	}
 	return 0, 0
-}
-
-// EncodeStream compresses a whole raw stream: magic header plus the
-// token stream of a fresh encoder.
-func EncodeStream(words []uint32) []byte {
-	dst := append(make([]byte, 0, 8+len(words)), StreamMagic[:]...)
-	return NewEncoder().Encode(words, dst)
-}
-
-// IsCompressedStream reports whether data begins with the compressed
-// stream magic.
-func IsCompressedStream(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == StreamMagic
-}
-
-// DecodeStream decompresses a whole stream produced by EncodeStream.
-func DecodeStream(data []byte) ([]uint32, error) {
-	if !IsCompressedStream(data) {
-		return nil, &StreamError{0, "missing compressed stream magic"}
-	}
-	return NewDecoder().Decode(data[4:], nil)
 }

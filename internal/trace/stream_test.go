@@ -5,24 +5,18 @@ import (
 	"testing"
 )
 
-// roundTrip encodes words through a fresh encoder/decoder pair split
-// across chunked calls (the epoch-ring shape) and requires the exact
-// raw sequence back.
+// roundTrip cuts words into chunk-word epochs, encodes and decodes
+// each one on its own (the epoch-ring shape), and requires the exact
+// raw sequence back. It returns the concatenated encoded epochs.
 func roundTrip(t *testing.T, words []uint32, chunk int) []byte {
 	t.Helper()
-	enc := NewEncoder()
-	dec := NewDecoder()
 	var data []byte
 	var got []uint32
 	for i := 0; i < len(words); i += chunk {
-		end := i + chunk
-		if end > len(words) {
-			end = len(words)
-		}
-		epoch := enc.Encode(words[i:end], nil)
+		epoch := EncodeEpoch(words[i:min(i+chunk, len(words))], nil)
 		data = append(data, epoch...)
 		var err error
-		got, err = dec.Decode(epoch, got)
+		got, err = DecodeEpoch(epoch, got)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -105,29 +99,6 @@ func TestStreamCompressesLoopyTrace(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeStream(t *testing.T) {
-	words := []uint32{0x00400120, 0x10000000, MarkModeSw, 0x00400120, 0x10000004}
-	data := EncodeStream(words)
-	if !IsCompressedStream(data) {
-		t.Fatal("EncodeStream output lacks the magic")
-	}
-	got, err := DecodeStream(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(words) {
-		t.Fatalf("got %d words, want %d", len(got), len(words))
-	}
-	for i := range words {
-		if got[i] != words[i] {
-			t.Fatalf("word %d: got 0x%08x want 0x%08x", i, got[i], words[i])
-		}
-	}
-	if _, err := DecodeStream([]byte{1, 2, 3, 4, 5}); err == nil {
-		t.Fatal("DecodeStream accepted input without magic")
-	}
-}
-
 func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"reserved_token":  {0xe1},
@@ -136,29 +107,28 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := NewDecoder().Decode(data, nil); err == nil {
+			if _, err := DecodeEpoch(data, nil); err == nil {
 				t.Fatalf("decoder accepted %x", data)
 			}
 		})
 	}
 }
 
-// TestDecodeErrorOffsetAcrossCalls pins the lifetime byte offset in
-// decoder errors (the consumer reports where in the whole stream a
-// corrupt epoch broke).
-func TestDecodeErrorOffsetAcrossCalls(t *testing.T) {
-	enc := NewEncoder()
-	good := enc.Encode([]uint32{0x00400120, 0x00400124}, nil)
-	dec := NewDecoder()
-	if _, err := dec.Decode(good, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, err := dec.Decode([]byte{0xe7}, nil)
+// TestDecodeErrorOffsetInEpoch pins the byte offset a decode error
+// reports: the offending token's position within the epoch, after the
+// words decoded before it.
+func TestDecodeErrorOffsetInEpoch(t *testing.T) {
+	good := EncodeEpoch([]uint32{0x00400120, 0x00400124}, nil)
+	data := append(good, 0xe7)
+	got, err := DecodeEpoch(data, nil)
 	se, ok := err.(*StreamError)
 	if !ok {
 		t.Fatalf("got %v, want StreamError", err)
 	}
 	if se.Offset != len(good) {
-		t.Fatalf("error offset %d, want %d (across-call accounting)", se.Offset, len(good))
+		t.Fatalf("error offset %d, want %d", se.Offset, len(good))
+	}
+	if len(got) != 2 {
+		t.Fatalf("decoded %d words before the bad token, want 2", len(got))
 	}
 }

@@ -225,17 +225,14 @@ type Checker struct {
 	off       int
 	schedMute map[int]bool // unknown-space episodes already reported
 
-	// Compressed-stream consumption (CheckCompressed): the decoder is
-	// reset at every epoch, as the kernel's encoder is.
-	dec      *trace.Decoder
-	decWords []uint32
+	decWords []uint32 // CheckCompressed's decoded epoch
 
 	checks [nRules]int // checks performed per rule, by position in Rules
 	res    *Result
 }
 
 // New builds a checker for a stream with no kernel (bare-runtime
-// traces). Use SetKernel/AddProcess before the first Check call.
+// traces). Use SetKernelCFG/AddProcessCFG before the first Check call.
 func New(name string) *Checker {
 	return &Checker{
 		procs:     map[int]*space{},
@@ -245,21 +242,11 @@ func New(name string) *Checker {
 	}
 }
 
-// SetKernel derives the kernel CFG and switches the checker to
-// whole-system mode: the stream starts in kernel context (tracing
-// begins mid-boot, so the first kernel record is unconstrained).
-func (c *Checker) SetKernel(e *obj.Executable) error {
-	g, err := verify.NewCFG(e)
-	if err != nil {
-		return err
-	}
-	c.SetKernelCFG(g)
-	return nil
-}
-
-// SetKernelCFG is SetKernel for an already-derived CFG. A CFG may be
-// shared by any number of checkers, including ones running on other
-// goroutines.
+// SetKernelCFG switches the checker to whole-system mode with the
+// kernel's CFG (verify.NewCFG): the stream starts in kernel context
+// (tracing begins mid-boot, so the first kernel record is
+// unconstrained). A CFG may be shared by any number of checkers,
+// including ones running on other goroutines.
 func (c *Checker) SetKernelCFG(g *verify.CFG) {
 	sp := newSpace(g)
 	sp.entry = top()
@@ -272,19 +259,9 @@ func (c *Checker) SetKernelCFG(g *verify.CFG) {
 	c.resolve()
 }
 
-// AddProcess derives the CFG of a traced process's executable. The
-// process's first record must be reachable from its entry point.
-func (c *Checker) AddProcess(pid int, e *obj.Executable) error {
-	g, err := verify.NewCFG(e)
-	if err != nil {
-		return err
-	}
-	c.AddProcessCFG(pid, g)
-	return nil
-}
-
-// AddProcessCFG is AddProcess for an already-derived CFG (shareable
-// like SetKernelCFG's).
+// AddProcessCFG registers a traced process's CFG (verify.NewCFG,
+// shareable like SetKernelCFG's). The process's first record must be
+// reachable from its entry point.
 func (c *Checker) AddProcessCFG(pid int, g *verify.CFG) {
 	sp := newSpace(g)
 	sp.entry = expectSet{a: g.Reach(g.Exe.Entry)}
@@ -362,11 +339,7 @@ func (c *Checker) Check(words []uint32) {
 // harness, which times its own decode through kernel.System's OnEpoch
 // hook, calls this.
 func (c *Checker) CheckCompressed(data []byte) error {
-	if c.dec == nil {
-		c.dec = trace.NewDecoder()
-	}
-	c.dec.Reset()
-	words, err := c.dec.Decode(data, c.decWords[:0])
+	words, err := trace.DecodeEpoch(data, c.decWords[:0])
 	c.decWords = words
 	if err != nil {
 		return err

@@ -82,11 +82,19 @@ func buildConform(t *testing.T) (*epoxie.Build, []uint32) {
 func runChecker(t *testing.T, b *epoxie.Build, words []uint32) *tracecheck.Result {
 	t.Helper()
 	c := tracecheck.New("test")
-	if err := c.AddProcess(0, b.Instr); err != nil {
-		t.Fatalf("AddProcess: %v", err)
-	}
+	addProcess(t, c, b.Instr)
 	c.Check(words)
 	return c.Finish()
+}
+
+// addProcess registers exe's CFG with c as user pid 0.
+func addProcess(t *testing.T, c *tracecheck.Checker, exe *obj.Executable) {
+	t.Helper()
+	g, err := verify.NewCFG(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddProcessCFG(0, g)
 }
 
 // pos classifies one word of a known-good trace.
@@ -189,9 +197,7 @@ func TestConformanceIncremental(t *testing.T) {
 	b, words := buildConform(t)
 	whole := runChecker(t, b, words)
 	c := tracecheck.New("test")
-	if err := c.AddProcess(0, b.Instr); err != nil {
-		t.Fatal(err)
-	}
+	addProcess(t, c, b.Instr)
 	for i := 0; i < len(words); i += 7 {
 		end := i + 7
 		if end > len(words) {
@@ -217,19 +223,15 @@ func TestCheckCompressed(t *testing.T) {
 	b, words := buildConform(t)
 	newChecker := func() *tracecheck.Checker {
 		c := tracecheck.New("test")
-		if err := c.AddProcess(0, b.Instr); err != nil {
-			t.Fatal(err)
-		}
+		addProcess(t, c, b.Instr)
 		return c
 	}
 	raw, wire := newChecker(), newChecker()
-	enc := trace.NewEncoder()
 	var epochs [][]byte
 	for i := 0; i < len(words); i += 97 {
 		chunk := words[i:min(i+97, len(words))]
 		raw.Check(chunk)
-		enc.Reset()
-		epoch := enc.Encode(chunk, nil)
+		epoch := trace.EncodeEpoch(chunk, nil)
 		epochs = append(epochs, epoch)
 		if err := wire.CheckCompressed(epoch); err != nil {
 			t.Fatalf("epoch %d: %v", len(epochs)-1, err)

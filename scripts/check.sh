@@ -56,6 +56,7 @@ go run ./cmd/lint -q -pass guest
 echo "== fuzz smoke (10s each) =="
 go test -run='^$' -fuzz=FuzzDisasm -fuzztime=10s ./internal/isa/
 go test -run='^$' -fuzz='^FuzzRAM$' -fuzztime=10s ./internal/mem/
+go test -run='^$' -fuzz='^FuzzReadExecutable$' -fuzztime=10s ./internal/obj/
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz='^FuzzParseSink$' -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz='^FuzzSideTable$' -fuzztime=10s ./internal/trace/
