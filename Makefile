@@ -38,5 +38,8 @@ build:
 test:
 	$(GO) test ./...
 
+# bench times the paper's prediction pipeline end to end (the
+# workloads BENCHMARK.json declares); the paper's numbers themselves
+# come from go run ./cmd/experiments.
 bench:
-	$(GO) test -run=^$$ -bench=. -benchmem ./...
+	sh perfbench/run.sh

@@ -9,7 +9,7 @@
 //	tracestat profile -format text|folded|json -every 4096
 //	                                               # guest-PC profile of an untraced boot
 //	tracestat view    -n 40 -skip 2000             # window of the reconstructed reference stream
-//	tracestat serve   localhost:6060               # the traced boot, then metrics' runs, live at
+//	tracestat serve   localhost:6060               # the traced boot and metrics' runs, then serves them at
 //	                                               # /metrics(.json) /spans(.json) /events /profile /debug/pprof/
 //
 // Exit status: 0 on success, 1 when a run fails, 2 on usage errors,
@@ -273,28 +273,38 @@ func runProfile(r *request) error {
 	return nil
 }
 
-// runServe runs the traced boot with the guest-PC sampler attached (it
-// feeds the spans, events and profile), then the distortion experiment
-// that fills the telemetry registry, while serving both over HTTP.
+// runServe serves the observability endpoints for the workload once
+// its runs are complete (see serveHandler).
 func runServe(r *request) error {
-	reg := telemetry.New()
-	prof := obs.NewProfile()
-	sys, _, err := experiment.Boot(r.spec, r.flavor, true, r.seed)
+	h, err := serveHandler(r)
 	if err != nil {
 		return err
 	}
-	sys.M.CPU.SetProfiler(r.every, prof.Hit) // the default: serve takes no -every
-	go func() {
-		if err := sys.Run(experiment.RunBudget); err != nil {
-			fmt.Fprintln(r.errw, "tracestat: run:", err)
-		} else if _, err := experiment.Distort(r.spec, r.flavor, r.seed, reg); err != nil {
-			fmt.Fprintln(r.errw, "tracestat: distort:", err)
-		} else {
-			fmt.Fprintln(r.errw, "tracestat: runs complete; still serving")
-		}
-	}()
 	fmt.Fprintf(r.errw, "tracestat: serving observability on http://%s\n", r.args[0])
-	return http.ListenAndServe(r.args[0], obs.Handler(reg, prof, resolver(sys)))
+	return http.ListenAndServe(r.args[0], h)
+}
+
+// serveHandler runs the traced boot with the guest-PC sampler attached
+// (it feeds the spans, events and profile), then the distortion
+// experiment that fills the telemetry registry, and returns the
+// handler that serves them. Every run has finished before the handler
+// exists: a registry's Sample closures read simulator state without
+// synchronization, so a scrape during a run would race it.
+func serveHandler(r *request) (http.Handler, error) {
+	prof := obs.NewProfile()
+	sys, _, err := experiment.Boot(r.spec, r.flavor, true, r.seed)
+	if err != nil {
+		return nil, err
+	}
+	sys.M.CPU.SetProfiler(r.every, prof.Hit) // the default: serve takes no -every
+	if err := sys.Run(experiment.RunBudget); err != nil {
+		return nil, fmt.Errorf("run: %w", err)
+	}
+	reg := telemetry.New()
+	if _, err := experiment.Distort(r.spec, r.flavor, r.seed, reg); err != nil {
+		return nil, fmt.Errorf("distort: %w", err)
+	}
+	return obs.Handler(reg, prof, resolver(sys)), nil
 }
 
 // runView runs the traced boot and prints a window of the

@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"systrace/internal/kernel"
 	"systrace/internal/telemetry"
+	"systrace/internal/workload"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -86,5 +91,30 @@ func TestMetricsJSON(t *testing.T) {
 	if doc.Workload != "sed" || doc.OS != "ultrix" || doc.Seed != 1 || len(doc.Metrics.Metrics) == 0 {
 		t.Errorf("unexpected document header: %s %s %d, %d series",
 			doc.Workload, doc.OS, doc.Seed, len(doc.Metrics.Metrics))
+	}
+}
+
+// TestServeMetrics scrapes /metrics from serve's handler the way a
+// live client would. The runs have finished when the handler exists,
+// so under -race the scrape must not race the simulator.
+func TestServeMetrics(t *testing.T) {
+	sed, _ := workload.ByName("sed")
+	h, err := serveHandler(&request{spec: sed, flavor: kernel.Ultrix, seed: 1, every: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `run="traced"`) {
+		t.Errorf("/metrics: status %d, no run=\"traced\" series:\n%.2000s", resp.StatusCode, body)
 	}
 }

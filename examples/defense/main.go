@@ -105,6 +105,7 @@ what the format can and cannot see (§4.3):
   - flipping a bit inside a load/store ADDRESS changes which address
     was traced, which no format check can observe.
 hence the paper's wording: detected "with a very high probability",
-not with certainty. TestDefensiveTracing (internal/epoxie) and
-BenchmarkDefensiveTracing measure the rates per corruption class.`)
+not with certainty. TestDefensiveTracing (internal/epoxie) measures
+the rates per corruption class; cmd/experiments -only corruption
+prints the parser's rejection rate on a live sed trace.`)
 }

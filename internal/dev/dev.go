@@ -110,9 +110,6 @@ func (c *Clock) SetInterval(now, cycles uint64) {
 	}
 }
 
-// Interval returns the current period.
-func (c *Clock) Interval() uint64 { return c.interval }
-
 // NextEvent returns the cycle of the next pending event.
 func (c *Clock) NextEvent() uint64 { return c.next }
 

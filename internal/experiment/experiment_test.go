@@ -280,6 +280,25 @@ func TestBufferSizingMonotonic(t *testing.T) {
 	}
 }
 
+// TestAblations holds the shapes the design-choice ablations rest on.
+func TestAblations(t *testing.T) {
+	a, err := experiment.Ablate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.StealResult != a.ReserveResult {
+		t.Errorf("register strategies disagree: stealing v0=%d, reservation v0=%d", a.StealResult, a.ReserveResult)
+	}
+	if a.InLenBytesPerRef <= a.AddrOnlyBytesPerRef {
+		t.Errorf("in-trace lengths do not enlarge the stream: %.3f vs %.3f B/ref",
+			a.InLenBytesPerRef, a.AddrOnlyBytesPerRef)
+	}
+	// The kernel's UTLB refill handler is nine instructions.
+	if a.TLBMisses == 0 || a.SynthInstr != 9*a.TLBMisses {
+		t.Errorf("synthesis added %d instructions over %d TLB misses, want 9 per miss", a.SynthInstr, a.TLBMisses)
+	}
+}
+
 func TestKernelCPIRatio(t *testing.T) {
 	spec, _ := workload.ByName("sed")
 	res, err := experiment.NewRunner(0).KernelCPI(spec)

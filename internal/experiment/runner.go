@@ -100,7 +100,6 @@ func (s Stats) Deduplicated() uint64 { return s.Requested - s.Executed }
 // All methods are safe for concurrent use.
 type Runner struct {
 	workers int
-	runTel  bool
 
 	sem chan struct{}
 
@@ -123,11 +122,6 @@ func NewRunner(workers int) *Runner {
 		calls:   map[RunKey]*runCall{},
 	}
 }
-
-// EnableRunTelemetry makes every subsequent unique run carry its own
-// telemetry.Registry (labeled id=<RunKey>); the per-run snapshots are
-// available from Snapshots afterwards. Call before submitting runs.
-func (r *Runner) EnableRunTelemetry() { r.runTel = true }
 
 // Stats returns the Runner's submission counters. Safe to call while
 // runs are in flight.
@@ -155,8 +149,7 @@ func (r *Runner) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 }
 
 // Snapshots returns the telemetry snapshot of every completed run, by
-// key. Empty unless EnableRunTelemetry was called. Snapshots of runs
-// still in flight are not included.
+// key. Snapshots of runs still in flight are not included.
 func (r *Runner) Snapshots() map[RunKey]telemetry.Snapshot {
 	r.mu.Lock()
 	calls := make(map[RunKey]*runCall, len(r.calls))
@@ -208,10 +201,7 @@ func (r *Runner) execute(key RunKey, spec workload.Spec, c *runCall) {
 		close(c.done)
 	}()
 	r.executed.Add(1)
-	var reg *telemetry.Registry
-	if r.runTel {
-		reg = telemetry.New()
-	}
+	reg := telemetry.New()
 	id := telemetry.L("id", key.String())
 	switch key.Kind {
 	case RunMeasure:
@@ -219,9 +209,7 @@ func (r *Runner) execute(key RunKey, spec workload.Spec, c *runCall) {
 	case RunPredict:
 		c.pred, c.err = predict(spec, key.Config, reg, id)
 	}
-	if reg != nil {
-		c.snap = reg.Snapshot()
-	}
+	c.snap = reg.Snapshot()
 }
 
 // StartMeasure submits a measurement without waiting for it. Use it to

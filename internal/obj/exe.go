@@ -141,9 +141,6 @@ func (e *Executable) Symbol(name string) (uint32, bool) {
 // TextEnd returns the first address past the text segment.
 func (e *Executable) TextEnd() uint32 { return e.TextBase + uint32(len(e.Text))*4 }
 
-// DataEnd returns the first address past initialized data.
-func (e *Executable) DataEnd() uint32 { return e.DataBase + uint32(len(e.Data)) }
-
 // BSSEnd returns the first address past the BSS (initial program
 // break).
 func (e *Executable) BSSEnd() uint32 { return e.BSSBase + e.BSSSize }

@@ -12,7 +12,6 @@ package obj
 
 import (
 	"fmt"
-	"sort"
 
 	"systrace/internal/isa"
 )
@@ -179,21 +178,6 @@ func (f *File) AddSym(s Symbol) int {
 	}
 	f.Syms = append(f.Syms, s)
 	return len(f.Syms) - 1
-}
-
-// SortBlocks orders the basic-block table by offset; the linker and
-// epoxie require this.
-func (f *File) SortBlocks() {
-	sort.Slice(f.Blocks, func(i, j int) bool { return f.Blocks[i].Off < f.Blocks[j].Off })
-}
-
-// BlockAt returns the basic block starting at text offset off, or nil.
-func (f *File) BlockAt(off uint32) *BasicBlock {
-	i := sort.Search(len(f.Blocks), func(i int) bool { return f.Blocks[i].Off >= off })
-	if i < len(f.Blocks) && f.Blocks[i].Off == off {
-		return &f.Blocks[i]
-	}
-	return nil
 }
 
 // Validate performs structural checks: block table sorted, contiguous

@@ -12,12 +12,13 @@
 //
 // A Registry is safe for concurrent use: registration and snapshotting
 // take an internal lock, and handle updates are atomic, so the
-// experiment runner's parallel jobs and a live exporter (tracestat
-// serve) can share one registry. The one caveat is Sample closures:
-// they read whatever state the subsystem exposes (often plain uint64
-// statistics owned by a machine goroutine), so a snapshot taken while
-// a simulation runs sees slightly stale values for those series —
-// acceptable for live monitoring, exact once the run has finished.
+// experiment runner's parallel jobs can share one registry. Sample
+// closures are the exception: they read whatever state the subsystem
+// exposes (often plain uint64 statistics owned by a machine goroutine
+// or the trace drain's consumer) without synchronization, so a
+// snapshot taken while a simulation runs is a data race. Snapshot a
+// registry with Sample series only once its runs have finished, as
+// tracestat serve does.
 //
 // All handle methods are nil-receiver safe: a subsystem built without a
 // registry attached records into nil handles at zero cost, so

@@ -573,22 +573,3 @@ func (p *Parser) marker(i int, w uint32) error {
 	}
 	return nil
 }
-
-// Pending reports the open block state of a stream (pid 0 = kernel)
-// for diagnostics: the block's original address and how many of its
-// memory references have arrived. ok is false when the stream is
-// between blocks.
-func (p *Parser) Pending(pid int) (orig uint32, got, want int, ok bool) {
-	s := &p.kern.st
-	if pid != 0 {
-		u := p.user[pid]
-		if u == nil {
-			return 0, 0, 0, false
-		}
-		s = &u.st
-	}
-	if s.block == nil || s.done() {
-		return 0, 0, 0, false
-	}
-	return s.block.OrigAddr, s.nextMem, len(s.block.Mem), true
-}

@@ -51,18 +51,6 @@ func ByName(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Inputs merges the file sets of the given specs into one disk image
-// manifest.
-func Inputs(specs []Spec) map[string][]byte {
-	files := map[string][]byte{}
-	for _, s := range specs {
-		for n, b := range s.Files {
-			files[n] = b
-		}
-	}
-	return files
-}
-
 // xorshift is the deterministic input generator.
 type xorshift uint32
 

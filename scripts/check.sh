@@ -32,8 +32,9 @@ echo "== perfbench: go test -short (nested module) =="
 echo "== go test ./... =="
 go test ./...
 
-echo "== go test -race (cpu core incl. superblock tier, kernel epoch ring, experiment runner, telemetry, obs, rewriter, verifiers) =="
+echo "== go test -race (cpu core incl. superblock tier, kernel epoch ring, experiment runner, telemetry, obs, rewriter, verifiers, tracestat serve scrape) =="
 go test -race ./internal/cpu/ ./internal/kernel/ ./internal/experiment/ ./internal/telemetry/ ./internal/obs/ ./internal/epoxie/ ./internal/verify/ ./internal/tracecheck/ ./internal/dataflow/
+go test -race -run '^TestServeMetrics$' ./cmd/tracestat/
 
 echo "== go test -race -count=3 (two-phase drain: prefix hook, doorbell and consumer under several schedulings) =="
 go test -race -count=3 -run '^(TestTwoPhasePrefixDelivery|TestPrefixGuard|TestConsumerPanic)$' ./internal/kernel/
