@@ -53,10 +53,11 @@ const (
 // AbsVal is one register's abstract value. Base is the load site's
 // unique key (block key + word offset) for VBase, zero otherwise; Off
 // is the value for VConst and the displacement for the pointer kinds.
+// Kind comes last so the struct packs into 16 bytes.
 type AbsVal struct {
-	Kind ValKind
 	Base uint64
 	Off  int32
+	Kind ValKind
 }
 
 // Top and Bot are the lattice extremes.
@@ -135,19 +136,19 @@ func joinVal(a, b AbsVal) AbsVal {
 }
 
 // topState is the all-⊤ state (modulo the implicit const-0 register 0).
-func topState() *RegVals {
+func topState() RegVals {
 	var s RegVals
 	for r := 1; r < 32; r++ {
 		s[r] = Top
 	}
-	return &s
+	return s
 }
 
 // entryState is the canonical function-entry state: sp and gp anchored
 // at zero displacement, everything else unknown. This is correct for
 // any entry into the function — direct call, tail call, or an indirect
 // jump to its entry — because the anchors are defined by that entry.
-func entryState() *RegVals {
+func entryState() RegVals {
 	s := topState()
 	s[isa.RegSP] = AbsVal{Kind: VSP}
 	s[isa.RegGP] = AbsVal{Kind: VGP}
@@ -294,7 +295,7 @@ func valTransferWord(b *block, i int, st *RegVals) {
 			// stack and global pointers are assumed preserved (the
 			// same ABI assumption the stack-height pass always made).
 			sp, gp := st[isa.RegSP], st[isa.RegGP]
-			*st = *topState()
+			*st = topState()
 			st[isa.RegSP], st[isa.RegGP] = sp, gp
 		case isa.FnJR, isa.FnMTHI, isa.FnMTLO, isa.FnMULT, isa.FnMULTU, isa.FnDIV, isa.FnDIVU:
 			// No GPR def.
@@ -361,23 +362,14 @@ func valTransferWord(b *block, i int, st *RegVals) {
 	}
 }
 
-// valTransfer runs the whole block forward from an entry state,
-// returning the exit state.
-func valTransfer(b *block, in *RegVals) *RegVals {
-	out := *in
-	for i := range b.words {
-		valTransferWord(b, i, &out)
-	}
-	return &out
-}
-
 // joinVals merges a reaching state into a block's value-in and reports
-// whether it changed. A nil (⊥) value-in adopts the state.
+// whether it changed. A nil (⊥) value-in adopts the state, in the
+// block's slot of p.vals.
 func (p *Program) joinVals(bi int, st *RegVals) bool {
 	b := &p.blocks[bi]
 	if b.valIn == nil {
-		c := *st
-		b.valIn = &c
+		p.vals[bi] = *st
+		b.valIn = &p.vals[bi]
 		return true
 	}
 	changed := false
@@ -397,6 +389,7 @@ func (p *Program) joinVals(bi int, st *RegVals) bool {
 // since an indirect jump may enter it with any state.
 func (p *Program) solveValues() {
 	n := len(p.blocks)
+	p.vals = make([]RegVals, n)
 	inWL := make([]bool, n)
 	var wl []int
 	push := func(i int) {
@@ -410,7 +403,7 @@ func (p *Program) solveValues() {
 	for _, f := range p.fns {
 		if f.entry >= 0 {
 			entryOf[f.entry] = true
-			if p.joinVals(f.entry, es) {
+			if p.joinVals(f.entry, &es) {
 				push(f.entry)
 			}
 		}
@@ -420,7 +413,7 @@ func (p *Program) solveValues() {
 		// Escaped non-entry blocks can be entered with arbitrary state.
 		// Function entries are exempt: the entry state covers indirect
 		// entry by construction.
-		if p.blocks[i].poisoned && !entryOf[i] && p.joinVals(i, top) {
+		if p.blocks[i].poisoned && !entryOf[i] && p.joinVals(i, &top) {
 			push(i)
 		}
 	}
@@ -435,7 +428,10 @@ func (p *Program) solveValues() {
 		if b.valIn == nil {
 			continue
 		}
-		out := valTransfer(b, b.valIn)
+		out := *b.valIn
+		for i := range b.words {
+			valTransferWord(b, i, &out)
+		}
 
 		// flow propagates out-state to an intraprocedural successor.
 		// Edges that cross a function boundary carry a different frame
@@ -451,7 +447,7 @@ func (p *Program) solveValues() {
 				if entryOf[ti] {
 					return
 				}
-				st = top
+				st = &top
 			}
 			if p.joinVals(ti, st) {
 				push(ti)
@@ -459,17 +455,17 @@ func (p *Program) solveValues() {
 		}
 		switch b.kind {
 		case termFall:
-			flow(b.next, out)
+			flow(b.next, &out)
 		case termBranch:
-			flow(b.target, out)
-			flow(b.next, out)
+			flow(b.target, &out)
+			flow(b.next, &out)
 		case termJump:
-			flow(b.target, out)
+			flow(b.target, &out)
 		case termCall, termCallUnknown:
 			// The callee starts from the entry seed; the return point
 			// resumes with sp and gp preserved (the ABI restores sp and
 			// never repoints gp) and everything else unknown.
-			ret := *topState()
+			ret := topState()
 			ret[isa.RegSP] = out[isa.RegSP]
 			ret[isa.RegGP] = out[isa.RegGP]
 			flow(b.next, &ret)
@@ -480,17 +476,39 @@ func (p *Program) solveValues() {
 	}
 }
 
-// ValuesAt returns the abstract register values immediately before
+// ValCursor reads the abstract register state at successive points
+// of a block. Walking a block's points in increasing order costs one
+// forward pass over the block in all; a query for an earlier point, or
+// for another block, restarts from that block's value-in.
+type ValCursor struct {
+	f  *Facts
+	b  *block // nil until a query finds a reached block
+	k  int    // st is the state immediately before word k of b
+	st RegVals
+}
+
+// Values returns a cursor over f's value states. Each caller that
+// queries in order keeps its own.
+func (f *Facts) Values() *ValCursor { return &ValCursor{f: f} }
+
+// At returns the abstract register values immediately before
 // instruction k of the block at off (k == NInstr gives the exit
-// state). ok is false when the block is unknown or unreached.
-func (f *Facts) ValuesAt(off uint32, k int) (*RegVals, bool) {
-	b := f.lookup(off)
-	if b == nil || b.valIn == nil || k < 0 || k > len(b.words) {
+// state). ok is false when the block is unknown or unreached. The
+// state belongs to the cursor: it is valid until the next call.
+func (c *ValCursor) At(off uint32, k int) (*RegVals, bool) {
+	if c.b == nil || c.b.key != c.f.hi|uint64(off) || k < c.k {
+		c.b = c.f.lookup(off)
+		if c.b == nil || c.b.valIn == nil {
+			c.b = nil
+			return nil, false
+		}
+		c.st, c.k = *c.b.valIn, 0
+	}
+	if k < 0 || k > len(c.b.words) {
 		return nil, false
 	}
-	st := *b.valIn
-	for i := 0; i < k; i++ {
-		valTransferWord(b, i, &st)
+	for ; c.k < k; c.k++ {
+		valTransferWord(c.b, c.k, &c.st)
 	}
-	return &st, true
+	return &c.st, true
 }

@@ -128,8 +128,9 @@ func runValueOracle(t *testing.T, f *obj.File, facts *Facts, r *byteReader) {
 
 	// check compares the abstract claims before instruction k of the
 	// block at off against the concrete registers.
+	vals := facts.Values()
 	check := func(off uint32, k int) {
-		st, ok := facts.ValuesAt(off, k)
+		st, ok := vals.At(off, k)
 		if !ok {
 			t.Fatalf("path executes block 0x%x (+%d) but analysis has no state for it", off, k)
 		}

@@ -36,7 +36,7 @@ func TestValueTracking(t *testing.T) {
 	f := a.MustFinish()
 	facts := analyze(t, f).Object(0)
 
-	st, ok := facts.ValuesAt(0, 6)
+	st, ok := facts.Values().At(0, 6)
 	wantVal(t, st, ok, isa.RegT0, Const(0x12345678), "lui/ori const")
 	wantVal(t, st, ok, isa.RegSP, AbsVal{Kind: VSP, Off: -32}, "sp after frame push")
 	wantVal(t, st, ok, isa.RegFP, AbsVal{Kind: VSP, Off: -32}, "fp = move from sp")
@@ -107,7 +107,7 @@ func TestValueJoin(t *testing.T) {
 	f := a.MustFinish()
 	facts := analyze(t, f).Object(0)
 
-	st, ok := facts.ValuesAt(0x20, 0) // join
+	st, ok := facts.Values().At(0x20, 0) // join
 	wantVal(t, st, ok, isa.RegT0, Const(7), "agreeing join")
 	wantVal(t, st, ok, isa.RegT1, Top, "disagreeing join")
 	wantVal(t, st, ok, isa.RegSP, AbsVal{Kind: VSP}, "sp across join")
@@ -127,7 +127,7 @@ func TestBaseValues(t *testing.T) {
 	f := a.MustFinish()
 	facts := analyze(t, f).Object(0)
 
-	st, ok := facts.ValuesAt(0, 3)
+	st, ok := facts.Values().At(0, 3)
 	if !ok {
 		t.Fatal("no value facts")
 	}
@@ -167,11 +167,11 @@ func TestCallClobbersValues(t *testing.T) {
 	f := a.MustFinish()
 	facts := analyze(t, f).Object(0)
 
-	st, ok := facts.ValuesAt(0x10, 0) // after
+	st, ok := facts.Values().At(0x10, 0) // after
 	wantVal(t, st, ok, isa.RegSP, AbsVal{Kind: VSP, Off: -8}, "sp across call")
 	wantVal(t, st, ok, isa.RegS0, Top, "s0 across call (no callee summary)")
 	wantVal(t, st, ok, isa.RegGP, AbsVal{Kind: VGP}, "gp across call")
-	st, ok = facts.ValuesAt(0x14, 0) // postsys
+	st, ok = facts.Values().At(0x14, 0) // postsys
 	wantVal(t, st, ok, isa.RegSP, AbsVal{Kind: VSP, Off: -8}, "sp across syscall")
 	wantVal(t, st, ok, isa.RegGP, AbsVal{Kind: VGP}, "gp across syscall")
 	wantVal(t, st, ok, isa.RegRA, Top, "ra across syscall")
@@ -190,7 +190,7 @@ func TestRelocdNotFolded(t *testing.T) {
 	f := a.MustFinish()
 	facts := analyze(t, f).Object(0)
 
-	st, ok := facts.ValuesAt(0, 2)
+	st, ok := facts.Values().At(0, 2)
 	wantVal(t, st, ok, isa.RegT0, Top, "reloc-patched la result")
 }
 
@@ -265,7 +265,7 @@ func TestIndirectJumpTable(t *testing.T) {
 		if _, ok := facts.StackHeight(off); ok {
 			t.Errorf("table target 0x%x should have unknown height", off)
 		}
-		st, ok := facts.ValuesAt(off, 0)
+		st, ok := facts.Values().At(off, 0)
 		wantVal(t, st, ok, isa.RegSP, Top, "table target sp")
 	}
 }

@@ -81,6 +81,14 @@ type block struct {
 
 	liveIn, liveOut isa.RegSet
 
+	// kill and gen are the block's word transfers folded into one:
+	// live-in = live-out&^kill | gen.
+	kill, gen isa.RegSet
+
+	// at indexes the live-before set of the block's first word in
+	// Program.live; word k's is live[at+k].
+	at int
+
 	// deps are the blocks whose liveOut reads this block's liveIn and
 	// must be revisited when it grows.
 	deps []int
@@ -133,6 +141,14 @@ type Program struct {
 	fns    []fn
 	byKey  map[uint64]int
 	stats  Stats
+
+	// live holds every block's point liveness, one set per word (see
+	// block.at); the set after a block's last word is its liveOut.
+	// pointLive fills it once the liveness fixpoint is reached.
+	live []isa.RegSet
+
+	// vals backs every reached block's valIn, one state per block.
+	vals []RegVals
 }
 
 // Facts is the per-object (or per-image) query view of a Program.
@@ -178,17 +194,18 @@ func (f *Facts) LiveOut(off uint32) (isa.RegSet, bool) {
 // LiveAt returns the registers live immediately before instruction k
 // of the block at off (k == NInstr gives the live-out set). Word order
 // within a block is execution order — a branch precedes its delay slot
-// both in memory and in time — so the backward scan is exact.
+// both in memory and in time — so the backward pass that fills it is
+// exact. The sets are computed when the program is solved; a query is
+// a map lookup and an index.
 func (f *Facts) LiveAt(off uint32, k int) (isa.RegSet, bool) {
 	b := f.lookup(off)
 	if b == nil || k < 0 || k > len(b.words) {
 		return isa.AllRegs, false
 	}
-	live := b.liveOut
-	for i := len(b.words) - 1; i >= k; i-- {
-		live = transferWord(b, i, live)
+	if k == len(b.words) {
+		return b.liveOut, true
 	}
-	return live, true
+	return f.p.live[b.at+k], true
 }
 
 // StackHeight returns the stack-pointer displacement in bytes from
@@ -209,27 +226,57 @@ func (f *Facts) StackHeight(off uint32) (int32, bool) {
 	return 0, false
 }
 
-// transferWord applies one instruction's backward liveness transfer.
-func transferWord(b *block, i int, live isa.RegSet) isa.RegSet {
-	if b.transparent != nil && b.transparent[i] {
-		return live
+// wordEffect returns one instruction's backward liveness transfer as
+// the registers it defines and uses: live-before = live-after&^defs |
+// uses.
+func wordEffect(b *block, i int) (defs, uses isa.RegSet) {
+	if isTransparent(b, i) {
+		return 0, 0
 	}
 	w := b.words[i]
-	live = live&^isa.DefsMask(w) | isa.UsesMask(w)
+	uses = isa.UsesMask(w)
 	if w>>26 == isa.OpSpecial {
 		if fn := w & 63; fn == isa.FnSYSCALL || fn == isa.FnBREAK {
-			live |= abiUses
+			uses |= abiUses
 		}
 	}
-	return live
+	return isa.DefsMask(w), uses
 }
 
-// transfer runs the whole block backward from a live-out set.
-func transfer(b *block, live isa.RegSet) isa.RegSet {
-	for i := len(b.words) - 1; i >= 0; i-- {
-		live = transferWord(b, i, live)
+// fold composes each block's word transfers, last word first, into
+// the block's (kill, gen) pair. Each word maps a set to set&^defs |
+// uses, and two such maps compose to one of the same form, so the
+// solver never decodes a word again.
+func (p *Program) fold() {
+	for bi := range p.blocks {
+		b := &p.blocks[bi]
+		var kill, gen isa.RegSet
+		for i := len(b.words) - 1; i >= 0; i-- {
+			defs, uses := wordEffect(b, i)
+			kill, gen = kill|defs, gen&^defs|uses
+		}
+		b.kill, b.gen = kill, gen
 	}
-	return live
+}
+
+// pointLive walks each block backward once from its solved live-out,
+// filling p.live with the live-before set of every word.
+func (p *Program) pointLive() {
+	n := 0
+	for i := range p.blocks {
+		p.blocks[i].at = n
+		n += len(p.blocks[i].words)
+	}
+	p.live = make([]isa.RegSet, n)
+	for bi := range p.blocks {
+		b := &p.blocks[bi]
+		live := b.liveOut
+		for i := len(b.words) - 1; i >= 0; i-- {
+			defs, uses := wordEffect(b, i)
+			live = live&^defs | uses
+			p.live[b.at+i] = live
+		}
+	}
 }
 
 // liveInOf reads a successor's live-in; -1 (missing successor) is
@@ -298,7 +345,7 @@ func (p *Program) solve() {
 		p.stats.Passes++
 
 		b := &p.blocks[bi]
-		in := b.liveIn | transfer(b, p.liveOutOf(b))
+		in := b.liveIn | p.liveOutOf(b)&^b.kill | b.gen
 		if in != b.liveIn {
 			b.liveIn = in
 			for _, d := range b.deps {
@@ -392,7 +439,9 @@ func (p *Program) wire() {
 
 func (p *Program) finish() *Program {
 	p.wire()
+	p.fold()
 	p.solve()
+	p.pointLive()
 	p.solveValues()
 	return p
 }

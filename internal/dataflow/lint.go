@@ -218,12 +218,13 @@ func lintInteriors(r *LintResult, e *obj.Executable, p *Program) {
 // is a definite leak or smash; an unknown height is skipped, matching
 // the analysis' conservatism.
 func lintStackBalance(r *LintResult, e *obj.Executable, p *Program, facts *Facts) {
+	vals := facts.Values()
 	for i := range p.blocks {
 		b := &p.blocks[i]
 		if b.kind != termRet {
 			continue
 		}
-		st, ok := facts.ValuesAt(uint32(b.key), len(b.words))
+		st, ok := vals.At(uint32(b.key), len(b.words))
 		if !ok {
 			continue
 		}
@@ -244,13 +245,14 @@ func lintStackBalance(r *LintResult, e *obj.Executable, p *Program, facts *Facts
 // analysis proves constant and wild: in the null page, inside text, or
 // misaligned for the access width.
 func lintWildStores(r *LintResult, e *obj.Executable, p *Program, facts *Facts) {
+	vals := facts.Values()
 	for i := range p.blocks {
 		b := &p.blocks[i]
 		for k, w := range b.words {
 			if !isa.IsMem(w) || isa.IsLoad(w) {
 				continue
 			}
-			st, ok := facts.ValuesAt(uint32(b.key), k)
+			st, ok := vals.At(uint32(b.key), k)
 			if !ok {
 				continue
 			}

@@ -7,6 +7,7 @@ import (
 	"systrace/internal/dataflow"
 	"systrace/internal/link"
 	"systrace/internal/obj"
+	"systrace/internal/obs"
 )
 
 // Build is the result of an instrumented link: the original executable
@@ -25,7 +26,11 @@ type Build struct {
 // static side table (the "lookup table in the trace parsing library",
 // §3.5) to the instrumented image.
 func BuildInstrumented(objs []*obj.File, lopt link.Options, cfg Config, kind RuntimeKind) (*Build, error) {
+	sp := obs.BeginDetail("epoxie_build", lopt.Name)
+	defer sp.End()
+	lsp := obs.Begin("link")
 	origExe, origLay, err := link.LinkLayout(objs, lopt)
+	lsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("epoxie: original link: %w", err)
 	}
@@ -34,7 +39,9 @@ func BuildInstrumented(objs []*obj.File, lopt link.Options, cfg Config, kind Run
 	// what proves a register dead at an instrumentation site.
 	var prog *dataflow.Program
 	if !cfg.Orig && cfg.Flow != FlowOff {
+		dsp := obs.Begin("dataflow_analysis")
 		prog, err = dataflow.AnalyzeObjects(objs)
+		dsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("epoxie: dataflow: %w", err)
 		}
@@ -44,6 +51,7 @@ func BuildInstrumented(objs []*obj.File, lopt link.Options, cfg Config, kind Run
 	var flow obj.FlowStats
 	newObjs := make([]*obj.File, 0, len(objs)+1)
 	origWords, newWords := 0, 0
+	rsp := obs.Begin("epoxie_rewrite")
 	for oi, f := range objs {
 		ocfg := cfg
 		if prog != nil {
@@ -51,6 +59,7 @@ func BuildInstrumented(objs []*obj.File, lopt link.Options, cfg Config, kind Run
 		}
 		rw, err := Rewrite(f, ocfg)
 		if err != nil {
+			rsp.End()
 			return nil, err
 		}
 		rews = append(rews, rw)
@@ -66,10 +75,13 @@ func BuildInstrumented(objs []*obj.File, lopt link.Options, cfg Config, kind Run
 		flow.EASpecial += rw.Flow.EASpecial
 	}
 	newObjs = append(newObjs, RuntimeObj(kind))
+	rsp.End()
 
 	iopt := lopt
 	iopt.Traced = true
+	lsp = obs.Begin("link")
 	instExe, instLay, err := link.LinkLayout(newObjs, iopt)
+	lsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("epoxie: instrumented link: %w", err)
 	}

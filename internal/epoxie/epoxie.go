@@ -114,10 +114,11 @@ type rw struct {
 	leaderNew map[uint32]uint32
 	maps      []BlockMap
 	newRelocs []obj.Reloc
-	symBB     int    // symbol index of bbtrace
-	symMT     int    // symbol index of memtrace
-	symMTSP   int    // symbol index of memtrace_sp
-	curBlock  uint32 // original offset of the block being rewritten
+	symBB     int                 // symbol index of bbtrace
+	symMT     int                 // symbol index of memtrace
+	symMTSP   int                 // symbol index of memtrace_sp
+	curBlock  uint32              // original offset of the block being rewritten
+	vals      *dataflow.ValCursor // value facts, walked in rewrite order; nil without facts
 	flow      obj.FlowStats
 	err       error
 }
@@ -148,6 +149,9 @@ func Rewrite(f *obj.File, cfg Config) (*Rewritten, error) {
 		in:        f,
 		instrNew:  make(map[uint32]uint32, len(f.Text)),
 		leaderNew: make(map[uint32]uint32, len(f.Blocks)),
+	}
+	if cfg.facts != nil {
+		r.vals = cfg.facts.Values()
 	}
 
 	// Clone symbol table; intern runtime symbols.
@@ -463,7 +467,7 @@ func (r *rw) rebaseEA(oldOff uint32, w isa.Word) (isa.Word, *obj.EARebase) {
 		// re-prove the equality there.
 		return w, nil
 	}
-	st, ok := r.cfg.facts.ValuesAt(r.curBlock, int(oldOff-r.curBlock)/4)
+	st, ok := r.vals.At(r.curBlock, int(oldOff-r.curBlock)/4)
 	if !ok {
 		return w, nil
 	}
@@ -611,10 +615,8 @@ func (r *rw) terminatorPair(termOff uint32, term, slot isa.Word, instrument bool
 
 // firstStolenRead returns the first stolen register w reads, or -1.
 func firstStolenRead(w isa.Word) int {
-	for _, rr := range isa.Uses(w) {
-		if isXReg(rr) {
-			return rr
-		}
+	if rs := xregReads(w); len(rs) > 0 {
+		return rs[0]
 	}
 	return -1
 }

@@ -30,6 +30,24 @@ func shadowOff(x int) uint16 {
 
 func isXReg(r int) bool { return r == xr1 || r == xr2 || r == xr3 }
 
+// xregs is the set of stolen registers.
+const xregs = isa.RegSet(1)<<xr1 | isa.RegSet(1)<<xr2 | isa.RegSet(1)<<xr3
+
+// xregReads lists the stolen registers w reads in field order: the
+// rs field first, as isa.Uses lists it. An instruction reads at most
+// two GPRs, so the rest of the mask is the rt field. The order decides
+// which read gets which scratch register.
+func xregReads(w isa.Word) []int {
+	u := isa.UsesMask(w) & xregs
+	if u == 0 {
+		return nil
+	}
+	if rs := int(w >> 21 & 31); u.Has(rs) {
+		return append([]int{rs}, u.Without(rs).Regs()...)
+	}
+	return u.Regs()
+}
+
 // stealPlan describes one instruction's stolen-register rewrite.
 type stealPlan struct {
 	pre, post []isa.Word
@@ -100,12 +118,7 @@ func StealRewrite(w isa.Word) (pre []isa.Word, main isa.Word, post []isa.Word, e
 //     candidate not in live is clobbered without the BookTmp bracket.
 //   - pad replaces elided bracket words with NOPs (FlowPadded).
 func planSteal(w isa.Word, scratch1 int, avoid isa.Word, live isa.RegSet, haveLive, pad bool) (stealPlan, error) {
-	var stolenReads []int
-	for _, rr := range isa.Uses(w) {
-		if isXReg(rr) {
-			stolenReads = append(stolenReads, rr)
-		}
-	}
+	stolenReads := xregReads(w)
 	wr := isa.Defs(w)
 	stolenWrite := wr >= 0 && isXReg(wr)
 	p := stealPlan{main: w}

@@ -85,31 +85,50 @@ func (s RegSet) String() string {
 	return b.String()
 }
 
-// UsesMask returns the flow registers read by w: the GPRs from Uses
+// UsesMask returns the flow registers read by w: the GPRs Uses lists
 // plus HI/LO for the move-from instructions and the FP condition flag
 // for the FP branches. It models only architectural register reads;
 // the ABI effects of syscall/break (argument registers the kernel
-// consumes) are the dataflow engine's concern, not the ISA's.
+// consumes) are the dataflow engine's concern, not the ISA's. It reads
+// the fields directly rather than through Uses, so it never allocates:
+// the dataflow engine calls it once per word it analyzes.
 func UsesMask(w Word) RegSet {
-	var s RegSet
-	for _, r := range Uses(w) {
-		s = s.Add(r)
-	}
-	i := Decode(w)
-	switch i.Op {
+	rs := RegMask(int(w >> 21 & 31))
+	rt := RegMask(int(w >> 16 & 31))
+	switch w >> 26 {
 	case OpSpecial:
-		switch i.Funct {
+		switch w & 63 {
+		case FnSLL, FnSRL, FnSRA:
+			return rt
+		case FnJR, FnJALR, FnMTHI, FnMTLO:
+			return rs
 		case FnMFHI:
-			s = s.Add(RegHI)
+			return RegMask(RegHI)
 		case FnMFLO:
-			s = s.Add(RegLO)
+			return RegMask(RegLO)
+		case FnSYSCALL, FnBREAK:
+			return 0
+		}
+		return rs | rt
+	case OpRegImm, OpBLEZ, OpBGTZ,
+		OpADDIU, OpSLTI, OpSLTIU, OpANDI, OpORI, OpXORI,
+		OpLB, OpLH, OpLW, OpLBU, OpLHU, OpLWC1, OpSWC1:
+		return rs
+	case OpBEQ, OpBNE, OpSB, OpSH, OpSW:
+		return rs | rt
+	case OpCOP0:
+		if w>>21&31 == Cop0MT {
+			return rt
 		}
 	case OpCOP1:
-		if uint32(i.Rs) == Cop1BC {
-			s = s.Add(RegFPC)
+		switch w >> 21 & 31 {
+		case Cop1MT:
+			return rt
+		case Cop1BC:
+			return RegMask(RegFPC)
 		}
 	}
-	return s
+	return 0
 }
 
 // DefsMask returns the flow registers written by w: the GPR from Defs

@@ -109,6 +109,14 @@ func TestFlowMasksAgreeWithGPRView(t *testing.T) {
 		MFC1(RegT0, 2), MTC1(RegT0, 2), FADD(2, 4, 6), FCLT(2, 4), BC1T(4),
 		NOP,
 	}
+	// Every opcode and function field, under varied register fields:
+	// UsesMask decodes the fields itself, so it must agree with Uses
+	// on encodings no hand-picked list names.
+	for op := Word(0); op < 64; op++ {
+		for fn := Word(0); fn < 64; fn++ {
+			words = append(words, op<<26|fn|Word(op*7+fn)%32<<21|Word(op+fn*5)%32<<16|Word(fn*3)%32<<11)
+		}
+	}
 	const gprBits = RegSet(1)<<32 - 1
 	for _, w := range words {
 		var uses, defs RegSet

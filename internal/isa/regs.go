@@ -8,8 +8,11 @@ package isa
 // register behavior cannot arise between the tool that rewrites code
 // and the tool that checks it.
 
-// Uses returns the general-purpose registers read by w. Register 0 is
-// omitted (reading it is free and rewriting it is never needed).
+// Uses returns the general-purpose registers read by w, in field order
+// (rs before rt). Register 0 is omitted (reading it is free and
+// rewriting it is never needed). UsesMask is the allocation-free form
+// the rewriters and the dataflow engine call; the tests check it
+// against this one.
 func Uses(w Word) []int {
 	i := Decode(w)
 	add := func(dst []int, r int) []int {
@@ -99,14 +102,7 @@ func Defs(w Word) int {
 }
 
 // UsesReg reports whether w reads register r.
-func UsesReg(w Word, r int) bool {
-	for _, rr := range Uses(w) {
-		if rr == r {
-			return true
-		}
-	}
-	return false
-}
+func UsesReg(w Word, r int) bool { return r < 32 && UsesMask(w).Has(r) }
 
 // Touches reports whether w reads or writes register r.
 func Touches(w Word, r int) bool { return Defs(w) == r || UsesReg(w, r) }

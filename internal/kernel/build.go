@@ -7,6 +7,7 @@ import (
 	"systrace/internal/link"
 	m "systrace/internal/mahler"
 	"systrace/internal/obj"
+	"systrace/internal/obs"
 )
 
 // Build compiles and links a kernel. Traced kernels are instrumented
@@ -14,8 +15,12 @@ import (
 // buffer full and instead raises the full flag and writes into the
 // slack region, §3.3).
 func Build(cfg Config) (*obj.Executable, error) {
+	sp := obs.BeginDetail("kernel_build", buildDetail(cfg))
+	defer sp.End()
 	mod := Module(cfg)
+	csp := obs.Begin("mahler_compile")
 	kobj, err := mod.Compile(m.Options{})
+	csp.End()
 	if err != nil {
 		return nil, fmt.Errorf("kernel: %w", err)
 	}
@@ -34,7 +39,9 @@ func Build(cfg Config) (*obj.Executable, error) {
 		}
 		exe = b.Instr
 	} else {
+		lsp := obs.Begin("link")
 		exe, err = link.Link(objs, lopt)
+		lsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("kernel: %w", err)
 		}
@@ -46,4 +53,13 @@ func Build(cfg Config) (*obj.Executable, error) {
 		return nil, fmt.Errorf("kernel: data+bss too large (ends 0x%x)", exe.BSSEnd())
 	}
 	return exe, nil
+}
+
+// buildDetail labels a kernel build's span: flavor, and whether the
+// image is traced.
+func buildDetail(cfg Config) string {
+	if cfg.Traced {
+		return cfg.Flavor.String() + "/traced"
+	}
+	return cfg.Flavor.String()
 }

@@ -24,6 +24,7 @@ import (
 	"systrace/internal/epoxie"
 	"systrace/internal/isa"
 	"systrace/internal/obj"
+	"systrace/internal/obs"
 	"systrace/internal/trace"
 )
 
@@ -100,6 +101,8 @@ func Rewrite(e *obj.Executable, mode Mode) (*Result, error) {
 // binary was not built for tracing. bookVA 0 omits the stub (the
 // caller's startup code owns the bookkeeping).
 func RewriteWithBook(e *obj.Executable, mode Mode, bookVA uint32) (*Result, error) {
+	sp := obs.BeginDetail("pixie_rewrite", e.Name)
+	defer sp.End()
 	if e.Instr != nil {
 		return nil, fmt.Errorf("pixie: %s is already instrumented", e.Name)
 	}

@@ -17,6 +17,7 @@ import (
 	"systrace/internal/link"
 	m "systrace/internal/mahler"
 	"systrace/internal/obj"
+	"systrace/internal/obs"
 	"systrace/internal/trace"
 )
 
@@ -167,14 +168,19 @@ func Build(name string, mods []*m.Module, opt m.Options) (*Program, error) {
 // differential oracle uses it to produce FlowOff and FlowPadded
 // variants of the same program.
 func BuildFlow(name string, mods []*m.Module, opt m.Options, flow epoxie.FlowMode) (*Program, error) {
+	sp := obs.BeginDetail("userland_build", name)
+	defer sp.End()
 	objs := []*obj.File{Crt0(true)}
+	csp := obs.Begin("mahler_compile")
 	for _, mod := range append(mods, Libc()) {
 		o, err := mod.Compile(opt)
 		if err != nil {
+			csp.End()
 			return nil, fmt.Errorf("userland %s: %w", name, err)
 		}
 		objs = append(objs, o)
 	}
+	csp.End()
 	lopt := link.Options{
 		Name:     name,
 		Entry:    "_start",
@@ -189,7 +195,9 @@ func BuildFlow(name string, mods []*m.Module, opt m.Options, flow epoxie.FlowMod
 	// original with the untraced crt0 (same code size as a stub is
 	// NoInstrument; layout of the program proper is unchanged).
 	objs[0] = Crt0(false)
+	lsp := obs.Begin("link")
 	orig, err := link.Link(objs, lopt)
+	lsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("userland %s: %w", name, err)
 	}

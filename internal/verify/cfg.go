@@ -7,6 +7,7 @@ import (
 
 	"systrace/internal/isa"
 	"systrace/internal/obj"
+	"systrace/internal/obs"
 	"systrace/internal/trace"
 )
 
@@ -149,6 +150,8 @@ func NewCFG(e *obj.Executable) (*CFG, error) {
 	if e == nil {
 		return nil, fmt.Errorf("verify: nil executable")
 	}
+	sp := obs.BeginDetail("verify_cfg", e.Name)
+	defer sp.End()
 	if e.Instr == nil {
 		return nil, fmt.Errorf("verify: %s is not instrumented", e.Name)
 	}

@@ -145,7 +145,7 @@ func Executable(e *obj.Executable) (*Result, error) {
 	// image is too damaged to analyze, the structural rules still run
 	// and report the damage.
 	if facts, err := dataflow.AnalyzeExecutable(e, dataflow.TracedExeConfig(e)); err == nil {
-		w.flow = facts
+		w.flow, w.vals = facts, facts.Values()
 	}
 	w.sideTable()
 	w.rebases()

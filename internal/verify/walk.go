@@ -47,6 +47,9 @@ type walker struct {
 	// when the image is too damaged to analyze — the structural rules
 	// still run.
 	flow *dataflow.Facts
+	// vals walks flow's value states; the rules query each block's
+	// points in increasing order.
+	vals *dataflow.ValCursor
 }
 
 func newWalker(e *obj.Executable, bb, mt, mtsp uint32, hasSP bool) *walker {
@@ -387,7 +390,7 @@ func (w *walker) addrClass(addr uint32, b *obj.ExeBlock, k int, slot, mem isa.Wo
 	if w.flow == nil {
 		return
 	}
-	st, ok := w.flow.ValuesAt(b.Addr, k)
+	st, ok := w.vals.At(b.Addr, k)
 	if !ok {
 		return
 	}
@@ -434,7 +437,7 @@ func (w *walker) rebases() {
 		if w.flow == nil {
 			continue
 		}
-		st, ok := w.flow.ValuesAt(b.Addr, int(reb.Addr-b.Addr)/4)
+		st, ok := w.vals.At(b.Addr, int(reb.Addr-b.Addr)/4)
 		if !ok {
 			w.diag(reb.Addr, b.Addr, RuleRedundantEA, "no value state at the rebased slot")
 			continue

@@ -72,6 +72,9 @@ go test -run='^$' -fuzz=FuzzAbsInt -fuzztime=10s ./internal/dataflow/
 echo "== superblock dispatch, link and timed (extended-budget) benchmarks (one iteration, so they keep building and running) =="
 go test -run='^$' -bench='^Benchmark(SuperblockDispatch|SuperblockLink|TimedDispatch)$' -benchtime=1x ./internal/cpu/
 
+echo "== program build benchmark (one iteration, so it keeps building) =="
+go test -run='^$' -bench='^BenchmarkBuildFlow$' -benchtime=1x ./internal/userland/
+
 if [ "${SKIP_LINT:-0}" != "1" ]; then
 	./scripts/lint.sh
 fi
